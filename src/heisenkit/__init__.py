@@ -11,12 +11,11 @@ from .graded import (GradedElement, box_element, evaluate_phi,
                      graded_dimension, graded_mul, graded_star,
                      gram_matrix_check, phi_report, to_graded)
 from .groups import Heisenberg, Heisenberg3, SpecialLinear
-from .linalg import (eig_hermitian, hermitian_operator, jacobi_eigenvalues,
-                     kron, min_eigenvalue, operator_norm, spectral_norm,
-                     spectral_projection)
-from .rotation import (RationalAngle, RotationRep, almost_mathieu,
-                       bz_bound, evaluate, evaluate3, farey_angles,
-                       pi_theta, tensor_operator, x_op, y_op, z_scalar)
+from .linalg import (hermitian_operator, jacobi_eigenvalues, min_eigenvalue,
+                     spectral_norm, spectral_projection)
+from .rotation import (RationalAngle, almost_mathieu, bz_bound, evaluate,
+                       evaluate3, farey_angles, pi_theta, tensor_operator,
+                       x_op, y_op, z_scalar)
 from .sweeps import (SweepConfig, SweepReport, verify_bz, verify_formula,
                      verify_prodnorm, verify_smalltheta, verify_xsmall,
                      verify_xyz1, verify_xyz2, verify_zzz)

@@ -92,14 +92,8 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_selfadjoint(self) -> bool:
-        return self == self.star()
-
     def coefficient(self, g) -> Fraction:
         return self.terms.get(g, Fraction(0))
-
-    def support_size(self) -> int:
-        return len(self.terms)
 
     def _check(self, other: "AlgebraElement"):
         if self.group is not other.group:

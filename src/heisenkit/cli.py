@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
+import shlex
 import sys
 import time
 from fractions import Fraction
@@ -32,6 +34,13 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _float_list(text: str) -> tuple:
@@ -60,7 +69,7 @@ def _report_outcome(name: str, report, args, extra_params=None) -> int:
     params = {k: str(v) for k, v in sorted((extra_params or {}).items())}
     payload = {"command": name, "params": params, **report.to_json_dict()}
     _write_json(args.out, payload)
-    if getattr(args, "csv", None):
+    if args.csv:
         _write_csv(args.csv, report.csv_rows())
     verdict = "PASS" if report.passed else "FAIL"
     amin = report.argmin
@@ -73,18 +82,8 @@ def _report_outcome(name: str, report, args, extra_params=None) -> int:
 
 
 def _sweep_config(args) -> SweepConfig:
-    return SweepConfig(
-        qmax=getattr(args, "qmax", None),
-        tol=args.tol,
-        lambdas=getattr(args, "lambdas", (1.0, 2.0, 4.0)),
-        R=getattr(args, "R", None),
-        kappa=getattr(args, "kappa", None),
-        epsilon=getattr(args, "epsilon", None),
-        theta0=getattr(args, "theta0", None),
-        deltas=getattr(args, "deltas", (0.1, 0.3, 0.5)),
-        full_circle=getattr(args, "full_circle", False),
-        jobs=args.jobs,
-    )
+    return SweepConfig(**{f.name: getattr(args, f.name)
+                          for f in dataclasses.fields(SweepConfig)})
 
 
 def cmd_verify(args) -> int:
@@ -243,53 +242,35 @@ def cmd_expander(args) -> int:
 
 
 def cmd_all(args) -> int:
-    """Full verification suite; exit code is the conjunction."""
+    """Full verification suite; exit code is the conjunction.  A component
+    that exits 1 (usage error) counts as failed."""
+    checks = (
+        "verify bz", "verify xyz1", "verify xyz2", "verify prodnorm",
+        "verify xsmall", "verify smalltheta", "verify formula",
+        "verify zzz --R 1 --kappa 0.5", "verify zzz --R 4 --kappa 0.5",
+        "verify zzz --R 16 --kappa 0.25",
+        "symmetry orbit --m 4 --n 5 --d 1", "symmetry orbit --m 4 --n 5 --d 2",
+        "symmetry orbit --m 4 --n 6 --d 1", "symmetry orbit --m 4 --n 6 --d 2",
+        "symmetry orbit --m 5 --n 6 --d 1", "symmetry orbit --m 5 --n 6 --d 2",
+        "symmetry census --m 4", "symmetry spade --m 5 --d 1",
+        "symmetry threshold --m 5 --R 6 --eps 1 --n 15",
+        "symmetry el5 --q 5 --tr 2 --ts 3",
+        "graded dims --max 10", "graded phi", "graded gram",
+        "graded sos-identity --points 10",
+        "expander run --n 3 --q 2,3,4,5 --p-rule coprime --cap 400000",
+    )
+    jobs = [] if args.jobs is None else ["--jobs", str(args.jobs)]
     failures = []
-    jobs = args.jobs
-
-    def run(label, fn):
+    for check in checks:
+        argv = jobs + shlex.split(check)
+        if check.startswith("verify"):
+            argv += ["--tol", repr(args.tol)]
         t0 = time.perf_counter()
-        code = fn()
+        code = main(argv)
         if code != EXIT_PASS:
-            failures.append(label)
-        print(f"  -> {label}: {'ok' if code == EXIT_PASS else 'FAILED'} "
+            failures.append(check)
+        print(f"  -> {check}: {'ok' if code == EXIT_PASS else 'FAILED'} "
               f"({time.perf_counter() - t0:.1f}s)")
-
-    ns = argparse.Namespace(out=None, csv=None, jobs=jobs, tol=args.tol)
-    for ineq in ("bz", "xyz1", "xyz2", "prodnorm", "xsmall",
-                 "smalltheta", "formula"):
-        run(f"verify {ineq}", lambda i=ineq: cmd_verify(argparse.Namespace(
-            inequality=i, qmax=None, tol=args.tol, jobs=jobs, out=None,
-            csv=None)))
-    for R, kappa in ((1.0, 0.5), (4.0, 0.5), (16.0, 0.25)):
-        run(f"verify zzz R={R} kappa={kappa}",
-            lambda R=R, k=kappa: cmd_verify(argparse.Namespace(
-                inequality="zzz", qmax=None, tol=args.tol, jobs=jobs,
-                R=R, kappa=k, out=None, csv=None)))
-    for m, n in ((4, 5), (4, 6), (5, 6)):
-        for d in (1, 2):
-            run(f"symmetry orbit m={m} n={n} d={d}",
-                lambda m=m, n=n, d=d: cmd_symmetry(argparse.Namespace(
-                    what="orbit", m=m, n=n, d=d, out=None)))
-    run("symmetry census m=4", lambda: cmd_symmetry(argparse.Namespace(
-        what="census", m=4, out=None)))
-    run("symmetry spade m=5 d=1", lambda: cmd_symmetry(argparse.Namespace(
-        what="spade", m=5, d=1, out=None)))
-    run("symmetry threshold", lambda: cmd_symmetry(argparse.Namespace(
-        what="threshold", m=5, R_exact="6", eps_exact="1", n=15, out=None)))
-    run("symmetry el5", lambda: cmd_symmetry(argparse.Namespace(
-        what="el5", q=5, tr=2, ts=3, out=None)))
-    run("graded dims", lambda: cmd_graded(argparse.Namespace(
-        what="dims", max=10, out=None, csv=None)))
-    run("graded phi", lambda: cmd_graded(argparse.Namespace(
-        what="phi", out=None, csv=None)))
-    run("graded gram", lambda: cmd_graded(argparse.Namespace(
-        what="gram", out=None, csv=None)))
-    run("graded sos-identity", lambda: cmd_graded(argparse.Namespace(
-        what="sos-identity", points=10, out=None, csv=None)))
-    run("expander run", lambda: cmd_expander(argparse.Namespace(
-        n=3, q=(2, 3, 4, 5), p_rule="coprime", cap=400000, out=None,
-        csv=None)))
     if failures:
         print(f"FAILED: {len(failures)} component(s): {', '.join(failures)}")
         return EXIT_FAIL
@@ -303,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verification sweeps for rotation-representation "
                     "inequalities, exact symmetrization identities, graded "
                     "augmentation arithmetic, and Cayley spectral gaps.")
-    top.add_argument("--jobs", type=int, default=None,
+    top.add_argument("--jobs", type=int, default=SweepConfig.jobs,
                      help="worker threads for angle sweeps (default: cores)")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -311,16 +292,16 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("inequality",
                     choices=["bz", "xyz1", "zzz", "xyz2", "prodnorm",
                              "xsmall", "smalltheta", "formula"])
-    pv.add_argument("--qmax", type=int, default=None,
+    pv.add_argument("--qmax", type=_positive_int, default=SweepConfig.qmax,
                     help="Farey grid order (default per inequality)")
-    pv.add_argument("--tol", type=float, default=1e-9)
+    pv.add_argument("--tol", type=float, default=SweepConfig.tol)
     pv.add_argument("--lambda", dest="lambdas", type=_float_list,
-                    default=(1.0, 2.0, 4.0), help="couplings, comma separated")
-    pv.add_argument("--R", type=float, default=None)
-    pv.add_argument("--kappa", type=float, default=None)
-    pv.add_argument("--epsilon", type=_fraction, default=None)
-    pv.add_argument("--theta0", type=_fraction, default=None)
-    pv.add_argument("--deltas", type=_float_list, default=(0.1, 0.3, 0.5))
+                    default=SweepConfig.lambdas, help="couplings, comma separated")
+    pv.add_argument("--R", type=float, default=SweepConfig.R)
+    pv.add_argument("--kappa", type=float, default=SweepConfig.kappa)
+    pv.add_argument("--epsilon", type=_fraction, default=SweepConfig.epsilon)
+    pv.add_argument("--theta0", type=_fraction, default=SweepConfig.theta0)
+    pv.add_argument("--deltas", type=_float_list, default=SweepConfig.deltas)
     pv.add_argument("--full-circle", action="store_true",
                     help="sweep all of [0,1) instead of [0,1/2]")
     pv.add_argument("--out", default=None, help="write JSON summary here")
@@ -362,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.set_defaults(fn=cmd_expander)
 
     pa = sub.add_parser("all", help="run the full verification suite")
-    pa.add_argument("--tol", type=float, default=1e-9)
+    pa.add_argument("--tol", type=float, default=SweepConfig.tol)
     pa.set_defaults(fn=cmd_all)
     return top
 

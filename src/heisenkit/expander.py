@@ -216,6 +216,10 @@ def spectral_gap(graph: CayleyGraph | "FixtureGraph",
         if nw == 0.0:
             break
         v = w / nw
+    if not res < tol:
+        # the Rayleigh quotient is only a lower estimate of lambda_2 here
+        raise ValueError(f"power iteration did not converge in {iterations} "
+                         f"iterations (residual {res:.3e}, tol {tol:.1e})")
     lam2 = rho
     gap = deg - lam2
     connected = gap > max(10 * res, 1e-9)

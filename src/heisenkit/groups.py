@@ -34,14 +34,6 @@ class Heisenberg:
         a, b, c = g
         return (-a, -b, a * b - c)
 
-    @staticmethod
-    def pow(g: HeisElt, n: int) -> HeisElt:
-        out = Heisenberg.identity
-        step = g if n >= 0 else Heisenberg.inv(g)
-        for _ in range(abs(n)):
-            out = Heisenberg.mul(out, step)
-        return out
-
 
 class Heisenberg3:
     """Rank-3 Heisenberg group: triples (a, b, c) with integer 3-vectors

@@ -1,9 +1,9 @@
-"""Dense Hermitian linear algebra: eigendecomposition, norms, Kronecker
-products and spectral projections.
+"""Dense Hermitian linear algebra: validation, minimum eigenvalues, norms
+and spectral projections.
 
-Production eigensolves go through LAPACK (``numpy.linalg.eigh``); a cyclic
-Jacobi solver on the real-symmetric embedding is kept as an independent
-cross-check for small dimensions.
+Production eigensolves go through LAPACK (``numpy.linalg.eigh``).  A cyclic
+Jacobi solver on the real-symmetric embedding and a Faddeev-LeVerrier
+characteristic polynomial are kept as independent oracles for the tests.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-12
 CUT_AMBIGUITY_TOL = 1e-8
-KRON_DIM_CAP = 21952  # results of dimension >= cap are refused (28^3 refused)
 
 
 def hermitian_operator(entries) -> np.ndarray:
@@ -35,19 +34,6 @@ def hermitian_operator(entries) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def eig_hermitian(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and a unitary eigenvector matrix."""
-    h = hermitian_operator(op)
-    w, v = np.linalg.eigh(h)
-    return w, v
-
-
-def operator_norm(op: np.ndarray) -> float:
-    """max |eigenvalue| of a Hermitian matrix."""
-    w = np.linalg.eigvalsh(hermitian_operator(op))
-    return float(max(abs(w[0]), abs(w[-1]))) if w.size else 0.0
-
-
 def min_eigenvalue(op: np.ndarray) -> float:
     w = np.linalg.eigvalsh(hermitian_operator(op))
     return float(w[0])
@@ -60,16 +46,6 @@ def spectral_norm(m: np.ndarray) -> float:
         raise ValueError("matrix has non-finite entries")
     w = np.linalg.eigvalsh(m.conj().T @ m)
     return float(np.sqrt(max(w[-1], 0.0)))
-
-
-def kron(a: np.ndarray, b: np.ndarray, dim_cap: int = KRON_DIM_CAP) -> np.ndarray:
-    """Kronecker product with a hard dimension cap (dense eigensolve cost)."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    d = a.shape[0] * b.shape[0]
-    if d >= dim_cap:
-        raise ValueError(f"kron result dimension {d} exceeds cap {dim_cap}")
-    return np.kron(a, b)
 
 
 @dataclass(frozen=True)

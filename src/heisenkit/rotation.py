@@ -49,10 +49,6 @@ class RationalAngle:
         """sin(pi theta)"""
         return sin(pi * self.p / self.q)
 
-    def s_m(self, m: int) -> float:
-        """sin(2 m pi theta)"""
-        return sin(2 * m * pi * self.p / self.q)
-
     def c_m(self, m: int) -> float:
         """cos(2 m pi theta)"""
         return cos(2 * m * pi * self.p / self.q)
@@ -139,29 +135,6 @@ def evaluate3(angle: RationalAngle, xi: AlgebraElement) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class RotationRep:
-    """The whole representation package at one angle: X, Y and the scalar Z."""
-
-    angle: RationalAngle
-
-    @property
-    def dim(self) -> int:
-        return self.angle.q
-
-    @property
-    def x(self) -> np.ndarray:
-        return x_op(self.angle)
-
-    @property
-    def y(self) -> np.ndarray:
-        return y_op(self.angle)
-
-    @property
-    def z(self) -> float:
-        return z_scalar(self.angle)
-
-
 def x_op(angle: RationalAngle) -> np.ndarray:
     """X_theta = 2 - pi(x) - pi(x)*: diagonal with entries 2 b_j."""
     q = angle.q
@@ -193,30 +166,20 @@ def bz_bound(angle: RationalAngle, lam: float) -> float:
     return lam + 2.0 - (2.0 * lam / (lam + 2.0)) * angle.s
 
 
-def tensor_operator(angle: RationalAngle, factors: str) -> np.ndarray:
+def tensor_operator(angle: RationalAngle, word: str) -> np.ndarray:
     """Kronecker product of per-site operators at a common angle.
 
-    ``factors`` is a string over {X, Y, Z, I}, one letter per site (2 or 3
-    sites).  Z is central and contributes the scalar 4 sin^2(pi theta)
-    with an identity at its site.
+    ``word`` is a string over {X, Y, S, I}, one letter per site (2 or 3
+    sites); S is the on-site anticommutator XY + YX.
     """
-    if len(factors) not in (2, 3):
-        raise ValueError(f"expected 2 or 3 sites, got {len(factors)}")
-    scalar = 1.0
-    mats = []
-    for f in factors:
-        if f == "X":
-            mats.append(x_op(angle))
-        elif f == "Y":
-            mats.append(y_op(angle))
-        elif f == "I":
-            mats.append(np.eye(angle.q, dtype=complex))
-        elif f == "Z":
-            scalar *= z_scalar(angle)
-            mats.append(np.eye(angle.q, dtype=complex))
-        else:
-            raise ValueError(f"unknown factor {f!r}; use X, Y, Z or I")
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return scalar * out
+    if len(word) not in (2, 3):
+        raise ValueError(f"expected 2 or 3 sites, got {len(word)}")
+    x, y = x_op(angle), y_op(angle)
+    letters = {"X": x, "Y": y, "S": x @ y + y @ x,
+               "I": np.eye(angle.q, dtype=complex)}
+    if not set(word) <= set(letters):
+        raise ValueError(f"unknown factor in {word!r}; use X, Y, S or I")
+    out = letters[word[0]]
+    for letter in word[1:]:
+        out = np.kron(out, letters[letter])
+    return out

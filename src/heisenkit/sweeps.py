@@ -12,6 +12,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import asin, cos, pi, sin, sqrt
 
 import numpy as np
@@ -154,6 +155,8 @@ def _map_angles(fn, angles, jobs: int | None):
 
 
 def _finish(name, records, cfg, constants=None, notes=None, t0=0.0) -> SweepReport:
+    if not records:
+        notes = (notes or []) + ["FAIL: sweep produced no records"]
     return SweepReport(name=name, records=records, tol=cfg.tol,
                        constants=constants or {}, notes=notes or [],
                        wall_time_s=time.perf_counter() - t0)
@@ -333,37 +336,73 @@ def verify_xsmall(cfg: SweepConfig) -> SweepReport:
 
 def two_site_operator(angle: RationalAngle, R: float) -> np.ndarray:
     """R(X(x)Y + Y(x)X) + X(x)X + Y(x)Y + (XY+YX)(x)1 at a common angle."""
-    x, y = rotation.x_op(angle), rotation.y_op(angle)
-    eye = np.eye(angle.q, dtype=complex)
-    return (R * (np.kron(x, y) + np.kron(y, x)) + np.kron(x, x) + np.kron(y, y)
-            + np.kron(x @ y + y @ x, eye))
+    word = partial(rotation.tensor_operator, angle)
+    return R * (word("XY") + word("YX")) + word("XX") + word("YY") + word("SI")
 
 
 def three_site_operator(angle: RationalAngle, R: float) -> np.ndarray:
     """R(X1 Y2 + Y1 X2 + X1 Y3 + Y1 X3) + X1 X2 + Y1 Y2 + X1 Y1 + Y1 X1
     realized as Kronecker products at a common angle."""
-    x, y = rotation.x_op(angle), rotation.y_op(angle)
-    eye = np.eye(angle.q, dtype=complex)
-    cross = (np.kron(np.kron(x, y), eye) + np.kron(np.kron(y, x), eye)
-             + np.kron(np.kron(x, eye), y) + np.kron(np.kron(y, eye), x))
-    straight = np.kron(np.kron(x, x), eye) + np.kron(np.kron(y, y), eye)
-    onsite = np.kron(np.kron(x @ y + y @ x, eye), eye)
-    return R * cross + straight + onsite
+    word = partial(rotation.tensor_operator, angle)
+    cross = word("XYI") + word("YXI") + word("XIY") + word("YIX")
+    return R * cross + (word("XXI") + word("YYI")) + word("SII")
 
 
-def _tensor_sweep(builder, grid, R: float, epsilon: Fraction, jobs,
-                  mineig_cache: dict | None = None):
-    """Margins min eig(builder(theta, R)) - epsilon * 4 sin^2(pi theta)."""
-    cache = mineig_cache if mineig_cache is not None else {}
+def _tensor_sweep(builder, grid, R: float, jobs) -> list:
+    """One record per angle whose margin is min eig(builder(theta, R))."""
+    return _map_angles(
+        lambda a: [AngleRecord(a.p, a.q, min_eigenvalue(builder(a, R)))],
+        grid, jobs)
 
-    def work(a: RationalAngle):
-        key = (a, R)
-        if key not in cache:
-            cache[key] = min_eigenvalue(builder(a, R))
-        margin = cache[key] - float(epsilon) * rotation.z_scalar(a)
-        return [AngleRecord(a.p, a.q, margin)]
 
-    return _map_angles(work, grid, jobs)
+def _search_constants(name, builder, grid, th0_list, cfg, qmax, t0) -> SweepReport:
+    """First-pass-wins scan of R, then epsilon, then theta0.
+
+    Unset R and epsilon scan R_SCAN and EPS_SCAN; a theta0 of ``None``
+    means the whole grid.  The minimum eigenvalues are computed once per R,
+    and the margin at (R, epsilon) is min eig - epsilon * 4 sin^2(pi theta).
+    """
+    r_list = [cfg.R] if cfg.R is not None else list(R_SCAN)
+    eps_list = [cfg.epsilon] if cfg.epsilon is not None else list(EPS_SCAN)
+    explicit = len(r_list) == len(eps_list) == len(th0_list) == 1
+    if None not in th0_list:
+        grid = [a for a in grid if a.fraction <= max(th0_list)]
+
+    def scan():
+        for R in r_list:
+            mineigs = _tensor_sweep(builder, grid, R, cfg.jobs)
+            for eps in eps_list:
+                margins = [AngleRecord(r.p, r.q, r.margin - float(eps)
+                                       * rotation.z_scalar(RationalAngle(r.p, r.q)))
+                           for r in mineigs]
+                for th0 in th0_list:
+                    combo = {"R": R, "epsilon": eps}
+                    if th0 is not None:
+                        combo["theta0"] = th0
+                    yield combo, [r for r in margins
+                                  if th0 is None or Fraction(r.p, r.q) <= th0]
+
+    scanned, notes = {}, []
+    best = (-float("inf"), None, [])  # (min margin, constants, records)
+    for combo, records in scan():
+        key = f"R={combo['R']},eps={combo['epsilon']}"
+        if "theta0" in combo:
+            key += f",theta0={combo['theta0']}"
+            if all(r.p == 0 for r in records):
+                notes.append(f"empty sweep: no positive angle <= "
+                             f"theta0={combo['theta0']} at qmax={qmax}")
+        worst = min((r.margin for r in records), default=float("inf"))
+        scanned[key] = worst
+        if worst > best[0]:
+            best = (worst, combo, records)
+        if worst >= -cfg.tol:
+            break
+    else:
+        params = "theta0, R, epsilon" if th0_list != [None] else "R, epsilon"
+        notes.insert(0, f"FAIL: no passing ({params}) in scan range")
+    constants = {"scan": scanned, "qmax": qmax,
+                 "mode": "explicit" if explicit else "search", **(best[1] or {})}
+    return _finish(name, best[2], cfg, constants=constants, notes=notes, t0=t0)
 
 
 def verify_smalltheta(cfg: SweepConfig) -> SweepReport:
@@ -377,50 +416,9 @@ def verify_smalltheta(cfg: SweepConfig) -> SweepReport:
     """
     t0 = time.perf_counter()
     qmax = _qmax(cfg, 24)
-    full = farey_angles(qmax)
-    cache: dict = {}
-    r_list = [cfg.R] if cfg.R is not None else list(R_SCAN)
-    eps_list = [cfg.epsilon] if cfg.epsilon is not None else list(EPS_SCAN)
     th0_list = [cfg.theta0] if cfg.theta0 is not None else list(THETA0_SCAN)
-    explicit = len(r_list) == len(eps_list) == len(th0_list) == 1
-
-    scanned = {}
-    found = None
-    found_records = None
-    best = (-float("inf"), None, None)  # (min margin, triple, records)
-    notes_extra = []
-    for R in r_list:
-        for eps in eps_list:
-            for th0 in th0_list:
-                grid = [a for a in full if a.fraction <= Fraction(th0)]
-                if all(a.p == 0 for a in grid):
-                    notes_extra = [f"empty sweep: no positive angle <= "
-                                   f"theta0={th0} at qmax={qmax}"]
-                records = _tensor_sweep(two_site_operator, grid, R, eps,
-                                        cfg.jobs, cache)
-                worst = min((r.margin for r in records), default=float("inf"))
-                scanned[f"R={R},eps={eps},theta0={th0}"] = worst
-                if worst > best[0]:
-                    best = (worst, (th0, R, eps), records)
-                if worst >= -cfg.tol:
-                    found = (th0, R, eps)
-                    found_records = records
-                    break
-            if found:
-                break
-        if found:
-            break
-    notes = [] if found else ["FAIL: no passing (theta0, R, epsilon) in scan range"]
-    notes += notes_extra
-    constants = {"scan": scanned, "qmax": qmax,
-                 "mode": "explicit" if explicit else "search"}
-    chosen = found or best[1]
-    if chosen:
-        constants.update({"theta0": chosen[0], "R": chosen[1],
-                          "epsilon": chosen[2]})
-    records = found_records if found_records is not None else (best[2] or [])
-    return _finish("smalltheta", records, cfg, constants=constants,
-                   notes=notes, t0=t0)
+    return _search_constants("smalltheta", two_site_operator, farey_angles(qmax),
+                             th0_list, cfg, qmax, t0)
 
 
 def verify_formula(cfg: SweepConfig) -> SweepReport:
@@ -430,42 +428,8 @@ def verify_formula(cfg: SweepConfig) -> SweepReport:
     geometric grids as the two-site search (first-pass-wins)."""
     t0 = time.perf_counter()
     qmax = _qmax(cfg, 12)
-    grid = farey_angles(qmax)
-    cache: dict = {}
-    r_list = [cfg.R] if cfg.R is not None else list(R_SCAN)
-    eps_list = [cfg.epsilon] if cfg.epsilon is not None else list(EPS_SCAN)
-    explicit = len(r_list) == len(eps_list) == 1
-
-    scanned = {}
-    found = None
-    found_records = None
-    best = (-float("inf"), None, None)
-    for R in r_list:
-        per_r = _tensor_sweep(three_site_operator, grid, R, Fraction(0),
-                              cfg.jobs, cache)
-        for eps in eps_list:
-            margins = [AngleRecord(r.p, r.q,
-                                   r.margin - float(eps) * rotation.z_scalar(
-                                       RationalAngle(r.p, r.q)))
-                       for r in per_r]
-            worst = min(r.margin for r in margins)
-            scanned[f"R={R},eps={eps}"] = worst
-            if worst > best[0]:
-                best = (worst, (R, eps), margins)
-            if worst >= -cfg.tol:
-                found = (R, eps)
-                found_records = margins
-                break
-        if found:
-            break
-    notes = [] if found else ["FAIL: no passing (R, epsilon) in scan range"]
-    constants = {"scan": scanned, "qmax": qmax,
-                 "mode": "explicit" if explicit else "search"}
-    chosen = found or best[1]
-    if chosen:
-        constants.update({"R": chosen[0], "epsilon": chosen[1]})
-    records = found_records if found_records is not None else (best[2] or [])
-    return _finish("formula", records, cfg, constants=constants, notes=notes, t0=t0)
+    return _search_constants("formula", three_site_operator, farey_angles(qmax),
+                             [None], cfg, qmax, t0)
 
 
 def _qmax(cfg: SweepConfig, default: int) -> int:

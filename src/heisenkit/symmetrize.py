@@ -15,7 +15,6 @@ from itertools import permutations
 from math import factorial
 from typing import NamedTuple
 
-from .algebra import AlgebraElement, e_term
 from .groups import SpecialLinear
 
 MAX_SYM_N = 8  # factorial enumeration guard
@@ -367,13 +366,3 @@ def instantiate_el5(q: int, t_r: int, t_s: int) -> dict:
     return {"q": q, "t_r": t_r, "t_s": t_s,
             "assignment": dict(EL5_ASSIGNMENT),
             "checks": checks, "pass": all(checks.values())}
-
-
-def spade_terms_el5(q: int, t_r: int, t_s: int) -> dict[str, AlgebraElement]:
-    """The actual group-algebra letters that the local inequality uses,
-    realized in R[SL_5(Z/qZ)] (for inspection and tests)."""
-    G = SpecialLinear(5, q)
-    return {
-        "E_x1": e_term(G, 1, 2, t_r), "E_y1": e_term(G, 2, 5, t_s),
-        "E_z": e_term(G, 1, 5, t_r * t_s),
-    }

@@ -2,7 +2,9 @@
 
 import json
 
-from heisenkit.cli import main
+from heisenkit import cli
+from heisenkit.cli import build_parser, main
+from heisenkit.sweeps import SweepConfig, verify_formula
 
 
 def test_verify_bz_passes(tmp_path):
@@ -129,3 +131,50 @@ def test_smalltheta_theta0_only_scans_and_fails(tmp_path):
     assert payload["constants"]["mode"] == "search"
     assert len(payload["constants"]["scan"]) == 15  # 5 R values x 3 epsilons
     assert any(w["q"] == 2 for w in payload["witnesses"])
+
+
+def test_qmax_below_one_is_a_usage_error():
+    assert main(["verify", "bz", "--qmax", "0"]) == 1
+    assert main(["verify", "xyz1", "--qmax", "-3"]) == 1
+    assert main(["verify", "formula", "--qmax", "0"]) == 1
+
+
+def test_sweep_without_records_fails(tmp_path):
+    out = tmp_path / "xsmall.json"
+    assert main(["verify", "xsmall", "--qmax", "1", "--out", str(out)]) == 2
+    payload = json.loads(out.read_text())
+    assert payload["n_records"] == 0 and payload["pass"] is False
+    assert "FAIL: sweep produced no records" in payload["notes"]
+    report = verify_formula(SweepConfig(qmax=0))
+    assert not report.records and not report.passed
+
+
+def _record_all(monkeypatch, code_of=lambda argv: 0):
+    calls = []
+
+    def recorder(argv):
+        calls.append(build_parser().parse_args(argv))
+        return code_of(argv)
+
+    monkeypatch.setattr(cli, "main", recorder)
+    return calls
+
+
+def test_all_table_parses_and_forwards(monkeypatch):
+    calls = _record_all(monkeypatch)
+    args = build_parser().parse_args(["--jobs", "2", "all", "--tol", "1e-7"])
+    assert cli.cmd_all(args) == 0
+    assert len(calls) == 25
+    assert all(c.jobs == 2 for c in calls)
+    verify = [c for c in calls if c.command == "verify"]
+    assert len(verify) == 10 and all(c.tol == 1e-7 for c in verify)
+    assert {c.command for c in calls} == {"verify", "symmetry", "graded",
+                                          "expander"}
+
+
+def test_all_fails_when_a_component_fails(monkeypatch):
+    args = build_parser().parse_args(["all"])
+    for code in (1, 2):
+        _record_all(monkeypatch,
+                    lambda argv, code=code: code if "gram" in argv else 0)
+        assert cli.cmd_all(args) == 2

@@ -89,6 +89,13 @@ def test_power_iteration_matches_dense(monkeypatch):
     assert power.lambda2 == pytest.approx(dense.lambda2, abs=1e-7)
 
 
+def test_power_iteration_refuses_unconverged_gap(monkeypatch):
+    g = enumerate_group(3, 2, 1)
+    monkeypatch.setattr(expander, "DENSE_EIG_LIMIT", 10)
+    with pytest.raises(ValueError, match="did not converge in 5 iterations"):
+        spectral_gap(g, maxiter=5)
+
+
 def test_gap_invariant_under_relabeling():
     a = enumerate_group(3, 3, 1)
     b = enumerate_group(3, 3, 1, shuffle_seed=99)

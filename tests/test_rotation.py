@@ -12,7 +12,7 @@ from heisenkit.algebra import (AlgebraElement, heis_laplacian,
                                sos_identity_sides)
 from heisenkit.groups import Heisenberg, Heisenberg3
 from heisenkit.linalg import spectral_norm
-from heisenkit.rotation import (RationalAngle, RotationRep, almost_mathieu, bz_bound,
+from heisenkit.rotation import (RationalAngle, almost_mathieu, bz_bound,
                                 evaluate, evaluate3, farey_angles, pi_theta,
                                 pi_theta3, pi_x, pi_y, tensor_operator, x_op,
                                 y_op, z_scalar)
@@ -134,12 +134,14 @@ def test_tensor_operator_basic():
     assert np.max(np.abs(xy_yx - xy_yx.conj().T)) <= 1e-14
     # trace multiplicativity: tr(X (x) Y + Y (x) X) = 2 tr X tr Y
     assert np.trace(xy_yx).real == pytest.approx(2 * 4 * 4, abs=1e-12)
-    z2 = tensor_operator(a, "ZI")
-    assert np.allclose(z2, 4.0 * np.eye(4), atol=1e-12)  # 4 sin^2(pi/2) = 4
+    # S = XY + YX with X = diag(0, 4), Y = [[2, -2], [-2, 2]]
+    assert np.array_equal(tensor_operator(a, "SI"),
+                          np.kron([[0.0, -8.0], [-8.0, 16.0]], np.eye(2)))
     with pytest.raises(ValueError):
         tensor_operator(a, "X")
-    with pytest.raises(ValueError):
-        tensor_operator(a, "XQ")
+    for word in ("XQ", "ZI"):
+        with pytest.raises(ValueError):
+            tensor_operator(a, word)
 
 
 def test_tensor_matches_rank3_evaluation():
@@ -215,8 +217,9 @@ def test_x_y_operator_ranges():
 
 
 def test_rotation_rep_bundle():
-    rep = RotationRep(RationalAngle(1, 4))
-    assert rep.dim == 4
-    assert np.allclose(rep.x, np.diag([0.0, 2.0, 4.0, 2.0]), atol=1e-12)
-    assert np.max(np.abs(rep.y - rep.y.conj().T)) == 0.0
-    assert rep.z == pytest.approx(2.0, abs=1e-12)  # 4 sin^2(pi/4)
+    a = RationalAngle(1, 4)
+    x, y = x_op(a), y_op(a)
+    assert x.shape == y.shape == (4, 4)
+    assert np.allclose(x, np.diag([0.0, 2.0, 4.0, 2.0]), atol=1e-12)
+    assert np.max(np.abs(y - y.conj().T)) == 0.0
+    assert z_scalar(a) == pytest.approx(2.0, abs=1e-12)  # 4 sin^2(pi/4)

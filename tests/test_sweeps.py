@@ -7,7 +7,9 @@ from math import asin, pi, sqrt
 import numpy as np
 import pytest
 
-from heisenkit.rotation import RationalAngle, x_op, y_op
+from heisenkit.algebra import hermitian_square
+from heisenkit.groups import Heisenberg3
+from heisenkit.rotation import RationalAngle, evaluate3, x_op, y_op
 from heisenkit.sweeps import (SweepConfig, three_site_operator,
                               two_site_operator, verify_bz, verify_formula,
                               verify_prodnorm, verify_smalltheta,
@@ -172,6 +174,24 @@ def test_tensor_margin_monotone_in_R():
             if prev is not None:
                 assert all(v >= p - 1e-12 for v, p in zip(vals, prev))
             prev = vals
+
+
+def test_tensor_operators_match_group_algebra():
+    """Both production operators equal the rank-3 group-algebra element
+    they stand for, evaluated through the rotation representation."""
+    G3 = Heisenberg3
+    X = [hermitian_square(G3, G3.x(i)) for i in range(3)]
+    Y = [hermitian_square(G3, G3.y(i)) for i in range(3)]
+    onsite = X[0] * X[1] + Y[0] * Y[1] + X[0] * Y[0] + Y[0] * X[0]
+    for angle in (RationalAngle(1, 2), RationalAngle(1, 3)):
+        eye = np.eye(angle.q)
+        for R in (2, 3):
+            two = R * (X[0] * Y[1] + Y[0] * X[1]) + onsite
+            three = two + R * (X[0] * Y[2] + Y[0] * X[2])
+            assert np.max(np.abs(three_site_operator(angle, R)
+                                 - evaluate3(angle, three))) <= 1e-12
+            assert np.max(np.abs(np.kron(two_site_operator(angle, R), eye)
+                                 - evaluate3(angle, two))) <= 1e-12
 
 
 def test_reports_are_deterministic():
