@@ -20,7 +20,7 @@ import numpy as np
 
 from . import graded, symmetrize
 from .algebra import sos_identity_sides, steinberg_check
-from .expander import family_report
+from .expander import DEFAULT_ORDER_CAP, family_report
 from .rotation import evaluate, farey_angles
 from .sweeps import (SweepConfig, verify_bz, verify_formula, verify_prodnorm,
                      verify_smalltheta, verify_xsmall, verify_xyz1,
@@ -257,7 +257,7 @@ def cmd_all(args) -> int:
         "symmetry el5 --q 5 --tr 2 --ts 3",
         "graded dims --max 10", "graded phi", "graded gram",
         "graded sos-identity --points 10",
-        "expander run --n 3 --q 2,3,4,5 --p-rule coprime --cap 400000",
+        "expander run --n 3 --q 2,3,4,5 --p-rule coprime",
     )
     jobs = [] if args.jobs is None else ["--jobs", str(args.jobs)]
     failures = []
@@ -325,8 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pg = sub.add_parser("graded", help="augmentation-quotient computations")
     pg.add_argument("what", choices=["dims", "phi", "gram", "sos-identity"])
-    pg.add_argument("--max", type=int, default=10, help="largest degree for dims")
-    pg.add_argument("--points", type=int, default=10,
+    pg.add_argument("--max", type=_positive_int, default=10,
+                    help="largest degree for dims")
+    pg.add_argument("--points", type=_positive_int, default=10,
                     help="numeric grid size for sos-identity")
     pg.add_argument("--out", default=None)
     pg.add_argument("--csv", default=None)
@@ -337,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--n", type=int, default=3)
     pe.add_argument("--q", type=_int_list, default=(2, 3, 4, 5))
     pe.add_argument("--p-rule", choices=["unit", "coprime"], default="coprime")
-    pe.add_argument("--cap", type=int, default=400000)
+    pe.add_argument("--cap", type=int, default=DEFAULT_ORDER_CAP)
     pe.add_argument("--out", default=None)
     pe.add_argument("--csv", default=None)
     pe.set_defaults(fn=cmd_expander)

@@ -183,7 +183,7 @@ def test_criterion_11_augmentation():
 
 def test_criterion_12_cayley_family():
     t0 = time.perf_counter()
-    rows = family_report(3, [2, 3, 4, 5], p_rule="coprime", order_cap=400000)
+    rows = family_report(3, [2, 3, 4, 5], p_rule="coprime")
     dt = time.perf_counter() - t0
     orders_ok = all(r["order_matches"] for r in rows)
     gaps_ok = all(r["connected"] and r["normalized_gap"] > 0.01 for r in rows)

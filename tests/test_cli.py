@@ -1,6 +1,7 @@
 """Exit codes, report files and end-to-end determinism of the CLI."""
 
 import json
+import time
 
 from heisenkit import cli
 from heisenkit.cli import build_parser, main
@@ -55,6 +56,13 @@ def test_graded_dims(tmp_path):
     assert payload["pass"] is True
 
 
+def test_nonpositive_counts_are_usage_errors():
+    assert main(["graded", "sos-identity", "--points", "0"]) == 1
+    assert main(["graded", "sos-identity", "--points", "-3"]) == 1
+    assert main(["graded", "dims", "--max", "-1"]) == 1
+    assert main(["graded", "dims", "--max", "0"]) == 1
+
+
 def test_graded_phi_gram_sos():
     assert main(["graded", "phi"]) == 0
     assert main(["graded", "gram"]) == 0
@@ -97,6 +105,14 @@ def test_expander_cli(tmp_path):
     header = csv.read_text().splitlines()[0].split(",")
     assert header == ["n", "q", "p", "order", "degree", "lambda2", "gap",
                       "normalized_gap"]
+
+
+def test_oversize_expander_run_is_refused_quickly(capsys):
+    # |SL_3(Z/30)| is past the default cap; BFS would need 17.9 TiB
+    t0 = time.perf_counter()
+    assert main(["expander", "run", "--n", "3", "--q", "30"]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    assert "exceeds the order cap 400000" in capsys.readouterr().err
 
 
 def test_byte_identical_reports(tmp_path):

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
-import heisenkit.expander as expander
+from heisenkit.cli import main
 from heisenkit.expander import (complete_graph, coprime_residues,
                                 disjoint_union, elementary_generators,
                                 enumerate_group, family_report, sl_order,
@@ -46,11 +47,16 @@ def test_enumerate_rejects_large_n():
         enumerate_group(4, 2, 1)
 
 
+def _dense_adjacency(graph):
+    adj = np.zeros((graph.order, graph.order))
+    rows = np.repeat(np.arange(graph.order), graph.neighbors.shape[1])
+    np.add.at(adj, (rows, graph.neighbors.ravel()), 1.0)
+    return adj
+
+
 def test_adjacency_symmetric_and_regular():
     g = enumerate_group(3, 2, 1)
-    adj = np.zeros((g.order, g.order))
-    rows = np.repeat(np.arange(g.order), g.neighbors.shape[1])
-    np.add.at(adj, (rows, g.neighbors.ravel()), 1.0)
+    adj = _dense_adjacency(g)
     assert np.array_equal(adj, adj.T)
     assert np.all(adj.sum(axis=1) == g.degree)
     w = np.linalg.eigvalsh(adj)
@@ -66,34 +72,54 @@ def test_complete_graph_gap():
 
 
 def test_disconnected_fixture_rejected():
-    union = disjoint_union(complete_graph(6), complete_graph(6))
-    res = spectral_gap(union)
-    assert not res.connected
-    assert res.gap == 0.0
+    sl3_f2 = enumerate_group(3, 2, 1)
+    for a, b in [(complete_graph(6), complete_graph(6)), (sl3_f2, sl3_f2)]:
+        res = spectral_gap(disjoint_union(a, b))
+        assert res.connected is False
+        assert res.gap == 0.0
 
 
 def test_gap_positive_sl3_f2():
     g = enumerate_group(3, 2, 1)
     res = spectral_gap(g)
-    assert res.method == "dense"
+    assert res.method == "lanczos"
+    assert res.iterations > 0 and res.residual < 1e-12
     assert res.connected and res.gap > 0
     assert res.normalized_gap > 0.01
 
 
-def test_power_iteration_matches_dense(monkeypatch):
-    g = enumerate_group(3, 2, 1)
-    dense = spectral_gap(g)
-    monkeypatch.setattr(expander, "DENSE_EIG_LIMIT", 10)
-    power = spectral_gap(g)
-    assert power.method == "power"
-    assert power.lambda2 == pytest.approx(dense.lambda2, abs=1e-7)
+def test_lanczos_matches_dense_oracle():
+    graphs = [enumerate_group(3, 2, 1)]
+    graphs += [enumerate_group(2, q, 1) for q in (2, 3, 5)]
+    graphs += [complete_graph(m) for m in (4, 9, 25)]
+    for g in graphs:
+        res = spectral_gap(g)
+        dense = np.linalg.eigvalsh(_dense_adjacency(g))
+        assert res.lambda2 == pytest.approx(dense[-2], abs=1e-9)
+        assert res.connected and res.gap == g.degree - res.lambda2
 
 
-def test_power_iteration_refuses_unconverged_gap(monkeypatch):
-    g = enumerate_group(3, 2, 1)
-    monkeypatch.setattr(expander, "DENSE_EIG_LIMIT", 10)
-    with pytest.raises(ValueError, match="did not converge in 5 iterations"):
-        spectral_gap(g, maxiter=5)
+def test_multiplicity_two_lambda2_sl2_z3():
+    g = enumerate_group(2, 3, 1)
+    w = np.linalg.eigvalsh(_dense_adjacency(g))
+    assert w[-2] == pytest.approx(w[-3], abs=1e-9)  # lambda_2 is double
+    assert spectral_gap(g).lambda2 == pytest.approx(1 + np.sqrt(3), abs=1e-9)
+
+
+def test_gap_is_bitwise_repeatable():
+    g = enumerate_group(3, 3, 1)
+    assert spectral_gap(g).lambda2 == spectral_gap(g).lambda2
+
+
+def test_unconverged_lanczos_is_an_error(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.empty(0),
+                                  np.empty((0, 0)))
+
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", no_convergence)
+    with pytest.raises(ValueError, match="did not converge after 0 operator"):
+        spectral_gap(enumerate_group(3, 2, 1))
+    assert main(["expander", "run", "--n", "3", "--q", "2"]) == 1
 
 
 def test_gap_invariant_under_relabeling():
