@@ -11,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import shlex
 import sys
 import time
@@ -43,6 +44,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _float_list(text: str) -> tuple:
     return tuple(float(v) for v in text.split(","))
 
@@ -65,7 +73,8 @@ def _write_csv(path: str | None, rows):
         csv.writer(fh).writerows(rows)
 
 
-def _report_outcome(name: str, report, args, extra_params=None) -> int:
+def _report_outcome(name: str, report, args, seconds: float,
+                    extra_params=None) -> int:
     params = {k: str(v) for k, v in sorted((extra_params or {}).items())}
     payload = {"command": name, "params": params, **report.to_json_dict()}
     _write_json(args.out, payload)
@@ -75,7 +84,7 @@ def _report_outcome(name: str, report, args, extra_params=None) -> int:
     amin = report.argmin
     where = f" at theta={amin.p}/{amin.q}" if amin else ""
     print(f"[{verdict}] {name}: min margin {report.min_margin:+.3e}{where} "
-          f"({len(report.records)} records, {report.wall_time_s:.2f}s)")
+          f"({len(report.records)} records, {seconds:.2f}s)")
     for note in report.notes:
         print(f"    note: {note}")
     return EXIT_PASS if report.passed else EXIT_FAIL
@@ -94,8 +103,10 @@ def cmd_verify(args) -> int:
         "xsmall": verify_xsmall, "smalltheta": verify_smalltheta,
         "formula": verify_formula,
     }
+    t0 = time.perf_counter()
     report = runners[args.inequality](cfg)
     return _report_outcome(f"verify {args.inequality}", report, args,
+                           time.perf_counter() - t0,
                            extra_params={"qmax": cfg.qmax, "tol": cfg.tol})
 
 
@@ -259,10 +270,9 @@ def cmd_all(args) -> int:
         "graded sos-identity --points 10",
         "expander run --n 3 --q 2,3,4,5 --p-rule coprime",
     )
-    jobs = [] if args.jobs is None else ["--jobs", str(args.jobs)]
     failures = []
     for check in checks:
-        argv = jobs + shlex.split(check)
+        argv = shlex.split(check)
         if check.startswith("verify"):
             argv += ["--tol", repr(args.tol)]
         t0 = time.perf_counter()
@@ -284,8 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verification sweeps for rotation-representation "
                     "inequalities, exact symmetrization identities, graded "
                     "augmentation arithmetic, and Cayley spectral gaps.")
-    top.add_argument("--jobs", type=int, default=SweepConfig.jobs,
-                     help="worker threads for angle sweeps (default: cores)")
     sub = top.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("verify", help="rotation-representation inequality sweeps")
@@ -294,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "xsmall", "smalltheta", "formula"])
     pv.add_argument("--qmax", type=_positive_int, default=SweepConfig.qmax,
                     help="Farey grid order (default per inequality)")
-    pv.add_argument("--tol", type=float, default=SweepConfig.tol)
+    pv.add_argument("--tol", type=_finite_float, default=SweepConfig.tol)
     pv.add_argument("--lambda", dest="lambdas", type=_float_list,
                     default=SweepConfig.lambdas, help="couplings, comma separated")
     pv.add_argument("--R", type=float, default=SweepConfig.R)
@@ -344,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.set_defaults(fn=cmd_expander)
 
     pa = sub.add_parser("all", help="run the full verification suite")
-    pa.add_argument("--tol", type=float, default=SweepConfig.tol)
+    pa.add_argument("--tol", type=_finite_float, default=SweepConfig.tol)
     pa.set_defaults(fn=cmd_all)
     return top
 
@@ -357,7 +365,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -8,8 +8,6 @@ margin clears ``-tol``; the grid order is the accuracy knob.
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -46,7 +44,6 @@ class SweepConfig:
     theta0: Fraction | None = None
     deltas: tuple = (0.1, 0.3, 0.5)
     full_circle: bool = False
-    jobs: int | None = None
 
 
 @dataclass
@@ -73,7 +70,6 @@ class SweepReport:
     tol: float
     constants: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
-    wall_time_s: float = 0.0
 
     @property
     def min_margin(self) -> float:
@@ -92,8 +88,7 @@ class SweepReport:
         return [r for r in self.records if r.margin < -self.tol]
 
     def to_json_dict(self) -> dict:
-        """Machine report; excludes wall time so identical configs yield
-        byte-identical files."""
+        """Machine report; identical configs yield byte-identical files."""
         amin = self.argmin
         return {
             "name": self.name,
@@ -141,25 +136,19 @@ def _json_safe(v):
     return str(v)
 
 
-def _map_angles(fn, angles, jobs: int | None):
-    """Run fn over angles (possibly in parallel) and flatten the records
-    in deterministic sorted-angle order."""
-    if jobs is not None and jobs <= 1:
-        chunks = [fn(a) for a in angles]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            chunks = list(ex.map(fn, angles))
-    records = [r for chunk in chunks for r in chunk]
+def _map_angles(fn, angles):
+    """Run fn over angles and flatten the records in deterministic
+    sorted-angle order."""
+    records = [r for a in angles for r in fn(a)]
     records.sort(key=AngleRecord.sort_key)
     return records
 
 
-def _finish(name, records, cfg, constants=None, notes=None, t0=0.0) -> SweepReport:
+def _finish(name, records, cfg, constants=None, notes=None) -> SweepReport:
     if not records:
         notes = (notes or []) + ["FAIL: sweep produced no records"]
     return SweepReport(name=name, records=records, tol=cfg.tol,
-                       constants=constants or {}, notes=notes or [],
-                       wall_time_s=time.perf_counter() - t0)
+                       constants=constants or {}, notes=notes or [])
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +156,6 @@ def _finish(name, records, cfg, constants=None, notes=None, t0=0.0) -> SweepRepo
 
 def verify_bz(cfg: SweepConfig) -> SweepReport:
     """Almost Mathieu norm bound: ||H|| <= lam+2 - (2 lam/(lam+2)) sin(pi theta)."""
-    t0 = time.perf_counter()
     qmax = _qmax(cfg, 60)
     grid = farey_angles(qmax, max_value=None if cfg.full_circle else Fraction(1, 2))
 
@@ -179,14 +167,13 @@ def verify_bz(cfg: SweepConfig) -> SweepReport:
             out.append(AngleRecord(a.p, a.q, slack, {"lambda": float(lam)}))
         return out
 
-    records = _map_angles(work, grid, cfg.jobs)
+    records = _map_angles(work, grid)
     return _finish("bz", records, cfg,
-                   constants={"lambdas": list(cfg.lambdas), "qmax": qmax}, t0=t0)
+                   constants={"lambdas": list(cfg.lambdas), "qmax": qmax})
 
 
 def verify_xyz1(cfg: SweepConfig) -> SweepReport:
     """X + Y >= sqrt(Z)/2, i.e. min eig(X + Y - sin(pi theta)) >= 0."""
-    t0 = time.perf_counter()
     qmax = _qmax(cfg, 60)
     grid = farey_angles(qmax, max_value=None if cfg.full_circle else Fraction(1, 2))
 
@@ -194,8 +181,8 @@ def verify_xyz1(cfg: SweepConfig) -> SweepReport:
         m = rotation.x_op(a) + rotation.y_op(a) - a.s * np.eye(a.q)
         return [AngleRecord(a.p, a.q, min_eigenvalue(m))]
 
-    records = _map_angles(work, grid, cfg.jobs)
-    return _finish("xyz1", records, cfg, constants={"qmax": qmax}, t0=t0)
+    records = _map_angles(work, grid)
+    return _finish("xyz1", records, cfg, constants={"qmax": qmax})
 
 
 def zzz_theta0(R: float, kappa: float) -> float:
@@ -209,7 +196,6 @@ def verify_zzz(cfg: SweepConfig) -> SweepReport:
         raise ValueError("verify_zzz needs R and kappa")
     if cfg.R < 1 or not (0 < cfg.kappa < 1):
         raise ValueError(f"need R >= 1 and kappa in (0,1), got R={cfg.R}, kappa={cfg.kappa}")
-    t0 = time.perf_counter()
     qmax = _qmax(cfg, 60)
     theta0 = zzz_theta0(cfg.R, cfg.kappa)
     coeff = sqrt((1.0 - cfg.kappa) * cfg.R)
@@ -222,10 +208,10 @@ def verify_zzz(cfg: SweepConfig) -> SweepReport:
         m = cfg.R * rotation.x_op(a) + rotation.y_op(a) - coeff * a.s * np.eye(a.q)
         return [AngleRecord(a.p, a.q, min_eigenvalue(m))]
 
-    records = _map_angles(work, grid, cfg.jobs)
+    records = _map_angles(work, grid)
     return _finish("zzz", records, cfg, notes=notes,
                    constants={"R": cfg.R, "kappa": cfg.kappa, "theta0": theta0,
-                              "qmax": qmax}, t0=t0)
+                              "qmax": qmax})
 
 
 def xyz2_block(angle: RationalAngle, m: int) -> np.ndarray:
@@ -241,7 +227,6 @@ def verify_xyz2(cfg: SweepConfig) -> SweepReport:
     """(X+Y) sqrt(Z) + (XY+YX)/2 >= 0, via the operator sweep and the exact
     2x2 block determinants, plus the corrected difference identity
     b_{m-1} - b_m = -2 sin(pi theta) sin((2m-1) pi theta)."""
-    t0 = time.perf_counter()
     qmax = _qmax(cfg, 60)
     grid = farey_angles(qmax, max_value=None if cfg.full_circle else Fraction(1, 2))
     notes = []
@@ -262,7 +247,7 @@ def verify_xyz2(cfg: SweepConfig) -> SweepReport:
                             {"det_min": det_min, "trace_min": trace_min,
                              "identity_residual": resid})]
 
-    records = _map_angles(work, grid, cfg.jobs)
+    records = _map_angles(work, grid)
     bad_det = [r for r in records if r.extras["det_min"] < -cfg.tol
                or r.extras["trace_min"] < -cfg.tol]
     bad_id = [r for r in records if r.extras["identity_residual"] > IDENTITY_TOL]
@@ -272,12 +257,11 @@ def verify_xyz2(cfg: SweepConfig) -> SweepReport:
         notes.append(f"FAIL: {len(bad_id)} angle(s) violate the corrected "
                      f"difference identity beyond {IDENTITY_TOL}")
     return _finish("xyz2", records, cfg, notes=notes,
-                   constants={"qmax": qmax}, t0=t0)
+                   constants={"qmax": qmax})
 
 
 def verify_prodnorm(cfg: SweepConfig) -> SweepReport:
     """||pi((1-x)(1-y))|| <= 4 cos(pi theta / 2)."""
-    t0 = time.perf_counter()
     qmax = _qmax(cfg, 60)
     grid = farey_angles(qmax)
 
@@ -287,15 +271,14 @@ def verify_prodnorm(cfg: SweepConfig) -> SweepReport:
         margin = 4.0 * cos(pi * a.theta / 2.0) - spectral_norm(m)
         return [AngleRecord(a.p, a.q, margin)]
 
-    records = _map_angles(work, grid, cfg.jobs)
-    return _finish("prodnorm", records, cfg, constants={"qmax": qmax}, t0=t0)
+    records = _map_angles(work, grid)
+    return _finish("prodnorm", records, cfg, constants={"qmax": qmax})
 
 
 def verify_xsmall(cfg: SweepConfig) -> SweepReport:
     """Spectral-projection facts for 0 < delta < 2(1 - cos(pi theta)):
     the low-X subspace sees Y as 2 (no consecutive residues), and
     ||P_{Y<=d} P_{X<=d}|| <= sqrt(2/(4-d))."""
-    t0 = time.perf_counter()
     qmax = _qmax(cfg, 40)
     grid = [a for a in farey_angles(qmax) if a.p != 0]
     notes = []
@@ -319,7 +302,7 @@ def verify_xsmall(cfg: SweepConfig) -> SweepReport:
                                     "consecutive": consecutive}))
         return out
 
-    records = _map_angles(work, grid, cfg.jobs)
+    records = _map_angles(work, grid)
     bad_eq = [r for r in records if r.extras["eq_residual"] > cfg.tol]
     bad_cons = [r for r in records if r.extras["consecutive"]]
     if bad_eq:
@@ -328,7 +311,7 @@ def verify_xsmall(cfg: SweepConfig) -> SweepReport:
         notes.append(f"FAIL: low-X residue set has consecutive members at "
                      f"{len(bad_cons)} point(s)")
     return _finish("xsmall", records, cfg, notes=notes,
-                   constants={"deltas": list(cfg.deltas), "qmax": qmax}, t0=t0)
+                   constants={"deltas": list(cfg.deltas), "qmax": qmax})
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +331,14 @@ def three_site_operator(angle: RationalAngle, R: float) -> np.ndarray:
     return R * cross + (word("XXI") + word("YYI")) + word("SII")
 
 
-def _tensor_sweep(builder, grid, R: float, jobs) -> list:
+def _tensor_sweep(builder, grid, R: float) -> list:
     """One record per angle whose margin is min eig(builder(theta, R))."""
     return _map_angles(
         lambda a: [AngleRecord(a.p, a.q, min_eigenvalue(builder(a, R)))],
-        grid, jobs)
+        grid)
 
 
-def _search_constants(name, builder, grid, th0_list, cfg, qmax, t0) -> SweepReport:
+def _search_constants(name, builder, grid, th0_list, cfg, qmax) -> SweepReport:
     """First-pass-wins scan of R, then epsilon, then theta0.
 
     Unset R and epsilon scan R_SCAN and EPS_SCAN; a theta0 of ``None``
@@ -370,7 +353,7 @@ def _search_constants(name, builder, grid, th0_list, cfg, qmax, t0) -> SweepRepo
 
     def scan():
         for R in r_list:
-            mineigs = _tensor_sweep(builder, grid, R, cfg.jobs)
+            mineigs = _tensor_sweep(builder, grid, R)
             for eps in eps_list:
                 margins = [AngleRecord(r.p, r.q, r.margin - float(eps)
                                        * rotation.z_scalar(RationalAngle(r.p, r.q)))
@@ -402,7 +385,7 @@ def _search_constants(name, builder, grid, th0_list, cfg, qmax, t0) -> SweepRepo
         notes.insert(0, f"FAIL: no passing ({params}) in scan range")
     constants = {"scan": scanned, "qmax": qmax,
                  "mode": "explicit" if explicit else "search", **(best[1] or {})}
-    return _finish(name, best[2], cfg, constants=constants, notes=notes, t0=t0)
+    return _finish(name, best[2], cfg, constants=constants, notes=notes)
 
 
 def verify_smalltheta(cfg: SweepConfig) -> SweepReport:
@@ -414,11 +397,10 @@ def verify_smalltheta(cfg: SweepConfig) -> SweepReport:
     triple are kept in the report constants; with no passing triple the
     report carries the best candidate's records and fails.
     """
-    t0 = time.perf_counter()
     qmax = _qmax(cfg, 24)
     th0_list = [cfg.theta0] if cfg.theta0 is not None else list(THETA0_SCAN)
     return _search_constants("smalltheta", two_site_operator, farey_angles(qmax),
-                             th0_list, cfg, qmax, t0)
+                             th0_list, cfg, qmax)
 
 
 def verify_formula(cfg: SweepConfig) -> SweepReport:
@@ -426,10 +408,9 @@ def verify_formula(cfg: SweepConfig) -> SweepReport:
 
     Pinned (R, epsilon) sweep directly; unset constants scan the same
     geometric grids as the two-site search (first-pass-wins)."""
-    t0 = time.perf_counter()
     qmax = _qmax(cfg, 12)
     return _search_constants("formula", three_site_operator, farey_angles(qmax),
-                             [None], cfg, qmax, t0)
+                             [None], cfg, qmax)
 
 
 def _qmax(cfg: SweepConfig, default: int) -> int:

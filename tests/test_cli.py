@@ -1,9 +1,10 @@
 """Exit codes, report files and end-to-end determinism of the CLI."""
 
 import json
+import threading
 import time
 
-from heisenkit import cli
+from heisenkit import cli, expander
 from heisenkit.cli import build_parser, main
 from heisenkit.sweeps import SweepConfig, verify_formula
 
@@ -42,6 +43,13 @@ def test_usage_errors():
     assert main(["verify", "nonsense"]) == 1
     assert main(["frobnicate"]) == 1
     assert main(["verify", "zzz", "--qmax", "10"]) == 1  # missing R/kappa
+    assert main(["--jobs", "2", "verify", "bz"]) == 1
+    # non-finite tolerances are refused; inf would pass this known failure
+    known_failure = ["verify", "smalltheta", "--theta0", "1/2", "--R", "8",
+                     "--epsilon", "1/16", "--qmax", "8"]
+    for tol in ("inf", "-inf", "nan"):
+        assert main(known_failure + ["--tol", tol]) == 1
+    assert main(["all", "--tol", "inf"]) == 1
 
 
 def test_graded_dims(tmp_path):
@@ -115,6 +123,16 @@ def test_oversize_expander_run_is_refused_quickly(capsys):
     assert "exceeds the order cap 400000" in capsys.readouterr().err
 
 
+def test_out_of_memory_is_a_one_line_error(monkeypatch, capsys):
+    def oversize(*args, **kwargs):
+        raise MemoryError("Unable to allocate 17.9 TiB")
+
+    monkeypatch.setattr(expander, "enumerate_group", oversize)
+    assert main(["expander", "run", "--n", "3", "--q", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: Unable to allocate 17.9 TiB\n"
+
+
 def test_byte_identical_reports(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["verify", "xyz1", "--qmax", "15", "--out"]
@@ -127,13 +145,13 @@ def test_byte_identical_reports(tmp_path):
     assert c.read_bytes() == d.read_bytes()
 
 
-def test_jobs_flag_does_not_change_output(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(["--jobs", "1", "verify", "bz", "--qmax", "10",
-                 "--csv", str(a)]) == 0
-    assert main(["--jobs", "4", "verify", "bz", "--qmax", "10",
-                 "--csv", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+def test_sweeps_start_no_thread(monkeypatch):
+    def refuse(self):
+        raise RuntimeError(f"sweep started thread {self.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert main(["verify", "bz", "--qmax", "10"]) == 0
+    assert main(["verify", "formula", "--qmax", "3"]) == 0
 
 
 def test_smalltheta_theta0_only_scans_and_fails(tmp_path):
@@ -178,10 +196,9 @@ def _record_all(monkeypatch, code_of=lambda argv: 0):
 
 def test_all_table_parses_and_forwards(monkeypatch):
     calls = _record_all(monkeypatch)
-    args = build_parser().parse_args(["--jobs", "2", "all", "--tol", "1e-7"])
+    args = build_parser().parse_args(["all", "--tol", "1e-7"])
     assert cli.cmd_all(args) == 0
     assert len(calls) == 25
-    assert all(c.jobs == 2 for c in calls)
     verify = [c for c in calls if c.command == "verify"]
     assert len(verify) == 10 and all(c.tol == 1e-7 for c in verify)
     assert {c.command for c in calls} == {"verify", "symmetry", "graded",

