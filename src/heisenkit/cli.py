@@ -37,6 +37,20 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
+def _positive_fraction(text: str) -> Fraction:
+    value = _fraction(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -305,10 +319,12 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--tol", type=_finite_float, default=SweepConfig.tol)
     pv.add_argument("--lambda", dest="lambdas", type=_float_list,
                     default=SweepConfig.lambdas, help="couplings, comma separated")
-    pv.add_argument("--R", type=float, default=SweepConfig.R)
+    pv.add_argument("--R", type=_positive_float, default=SweepConfig.R)
     pv.add_argument("--kappa", type=float, default=SweepConfig.kappa)
-    pv.add_argument("--epsilon", type=_fraction, default=SweepConfig.epsilon)
-    pv.add_argument("--theta0", type=_fraction, default=SweepConfig.theta0)
+    pv.add_argument("--epsilon", type=_positive_fraction,
+                    default=SweepConfig.epsilon)
+    pv.add_argument("--theta0", type=_positive_fraction,
+                    default=SweepConfig.theta0)
     pv.add_argument("--deltas", type=_float_list, default=SweepConfig.deltas)
     pv.add_argument("--full-circle", action="store_true",
                     help="sweep all of [0,1) instead of [0,1/2]")

@@ -1,9 +1,11 @@
 """Dense Hermitian linear algebra: validation, minimum eigenvalues, norms
 and spectral projections.
 
-Production eigensolves go through LAPACK (``numpy.linalg.eigh``).  A cyclic
-Jacobi solver on the real-symmetric embedding and a Faddeev-LeVerrier
-characteristic polynomial are kept as independent oracles for the tests.
+Production eigensolves go through LAPACK (``numpy.linalg.eigh``).  Real
+input stays real and is solved as float64 symmetric; complex input is
+solved as complex128 Hermitian.  A cyclic Jacobi solver on the
+real-symmetric embedding and a Faddeev-LeVerrier characteristic
+polynomial are kept as independent oracles for the tests.
 """
 
 from __future__ import annotations
@@ -16,16 +18,23 @@ HERMITICITY_TOL = 1e-12
 CUT_AMBIGUITY_TOL = 1e-8
 
 
+def _float_array(entries) -> np.ndarray:
+    """``entries`` as float64, or as complex128 when they are complex."""
+    a = np.asarray(entries)
+    return a.astype(complex if np.iscomplexobj(a) else float, copy=False)
+
+
 def hermitian_operator(entries) -> np.ndarray:
     """Validate and exactly symmetrize a Hermitian matrix.
 
     Rejects non-finite input and asymmetry beyond 1e-12 relative to the
-    matrix scale; the returned array satisfies A == A.conj().T exactly.
+    matrix scale; the returned array satisfies A == A.conj().T exactly and
+    is float64 for real input, complex128 otherwise.
     """
-    a = np.asarray(entries, dtype=complex)
+    a = _float_array(entries)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     scale = max(1.0, float(np.max(np.abs(a))))
     skew = np.max(np.abs(a - a.conj().T))
@@ -41,8 +50,8 @@ def min_eigenvalue(op: np.ndarray) -> float:
 
 def spectral_norm(m: np.ndarray) -> float:
     """Largest singular value; works for non-Hermitian products too."""
-    m = np.asarray(m, dtype=complex)
-    if not np.all(np.isfinite(m.view(float))):
+    m = _float_array(m)
+    if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
     w = np.linalg.eigvalsh(m.conj().T @ m)
     return float(np.sqrt(max(w[-1], 0.0)))
@@ -78,7 +87,7 @@ def spectral_projection(op: np.ndarray, delta: float, mode: str = "le") -> Spect
     if mode == "le":
         matrix, rank = p_le, int(np.sum(keep))
     else:
-        matrix, rank = np.eye(h.shape[0], dtype=complex) - p_le, int(np.sum(~keep))
+        matrix, rank = np.eye(h.shape[0], dtype=h.dtype) - p_le, int(np.sum(~keep))
     return SpectralProjection(source=h, threshold=float(delta), mode=mode,
                               matrix=matrix, rank=rank)
 

@@ -4,6 +4,12 @@ For a reduced angle p/q the generators act on l_2(Z/qZ) by a diagonal
 phase and a cyclic shift; every algebra element evaluates to a dense
 q x q complex matrix.  Rank-3 elements evaluate on the triple tensor
 power with the three central generators identified.
+
+The positive combinations X = 2 - x - x* and Y = 2 - y - y* are real
+symmetric (X diagonal, Y a cyclic second difference), so their builders
+and every Kronecker word over them are float64.  Both commute with the
+parity j -> -j, which splits l_2(Z/qZ) into an even and an odd part and
+every Kronecker word into one real block per choice of part at each site.
 """
 
 from __future__ import annotations
@@ -136,15 +142,20 @@ def evaluate3(angle: RationalAngle, xi: AlgebraElement) -> np.ndarray:
 
 
 def x_op(angle: RationalAngle) -> np.ndarray:
-    """X_theta = 2 - pi(x) - pi(x)*: diagonal with entries 2 b_j."""
+    """X_theta = 2 - pi(x) - pi(x)*: diagonal with entries 2 b_j.
+
+    Entry q - j is a copy of entry j, so X commutes with j -> -j exactly
+    in floating point, not only up to the rounding of the cosine.
+    """
     q = angle.q
-    return np.diag([2.0 * angle.b_m(j) for j in range(q)]).astype(complex)
+    half = [2.0 * angle.b_m(j) for j in range(q // 2 + 1)]
+    return np.diag([half[min(j, q - j)] for j in range(q)])
 
 
 def y_op(angle: RationalAngle) -> np.ndarray:
     """Y_theta = 2 - pi(y) - pi(y)*: circulant second difference."""
-    s = pi_y(angle)
-    return 2.0 * np.eye(angle.q, dtype=complex) - s - s.conj().T
+    s = pi_y(angle).real
+    return 2.0 * np.eye(angle.q) - s - s.T
 
 
 def z_scalar(angle: RationalAngle) -> float:
@@ -156,14 +167,68 @@ def almost_mathieu(angle: RationalAngle, lam: float) -> np.ndarray:
     """H = pi((lam/2)(x + x*) + y + y*) = (lam+2) - (lam/2 X + Y)."""
     if lam <= 0:
         raise ValueError(f"coupling must be positive, got {lam}")
-    q = angle.q
-    return ((lam + 2.0) * np.eye(q, dtype=complex)
+    return ((lam + 2.0) * np.eye(angle.q)
             - (lam / 2.0) * x_op(angle) - y_op(angle))
 
 
 def bz_bound(angle: RationalAngle, lam: float) -> float:
     """Norm bound lam + 2 - (2 lam / (lam+2)) sin(pi theta)."""
     return lam + 2.0 - (2.0 * lam / (lam + 2.0)) * angle.s
+
+
+def letters(angle: RationalAngle) -> dict[str, np.ndarray]:
+    """The one-site letters of the Kronecker words: X, Y, the on-site
+    anticommutator S = XY + YX and the identity I."""
+    x, y = x_op(angle), y_op(angle)
+    return {"X": x, "Y": y, "S": x @ y + y @ x, "I": np.eye(angle.q)}
+
+
+def parity_bases(q: int) -> list[np.ndarray]:
+    """Orthogonal bases, as columns, of the even and the odd part of
+    l_2(Z/qZ) under j -> -j.
+
+    Columns are e_j + e_{-j} (e_j alone at a fixed point j = -j) and
+    e_j - e_{-j}, so every entry is 0 or +-1 and a column has squared norm
+    1 or 2.  For q <= 2 every point is fixed and only the even part is
+    returned.
+    """
+    bases = []
+    for sign, reps in ((1, range(q // 2 + 1)), (-1, range(1, (q + 1) // 2))):
+        v = np.zeros((q, len(reps)))
+        for col, j in enumerate(reps):
+            v[j, col] = 1.0
+            if -j % q != j:
+                v[-j % q, col] = sign
+        if v.size:
+            bases.append(v)
+    return bases
+
+
+def parity_letters(angle: RationalAngle) -> list[dict[str, np.ndarray]]:
+    """``letters(angle)`` restricted to each nonempty parity part, in the
+    orthonormal bases ``parity_bases(q) / column norm``.
+
+    Every letter commutes with j -> -j, so its cross-parity part is zero
+    and a Kronecker word is the direct sum of the words over these blocks,
+    one block per choice of part at each site.
+    """
+    table, out = letters(angle), []
+    for v in parity_bases(angle.q):
+        n = np.sum(v * v, axis=0)  # squared column norms, 1 or 2
+        scale = 1.0 / np.sqrt(np.outer(n, n))
+        out.append({k: (v.T @ m @ v) * scale for k, m in table.items()})
+    return out
+
+
+def kron_word(sites, word: str) -> np.ndarray:
+    """Kronecker product of ``sites[i][word[i]]`` over the sites, where each
+    site is a letter table such as ``letters(angle)``."""
+    out = sites[0][word[0]]
+    for site, letter in zip(sites[1:], word[1:]):
+        b = site[letter]  # np.kron of two matrices, without its n-d overhead
+        out = (out[:, None, :, None] * b[None, :, None, :]).reshape(
+            out.shape[0] * b.shape[0], out.shape[1] * b.shape[1])
+    return out
 
 
 def tensor_operator(angle: RationalAngle, word: str) -> np.ndarray:
@@ -174,12 +239,7 @@ def tensor_operator(angle: RationalAngle, word: str) -> np.ndarray:
     """
     if len(word) not in (2, 3):
         raise ValueError(f"expected 2 or 3 sites, got {len(word)}")
-    x, y = x_op(angle), y_op(angle)
-    letters = {"X": x, "Y": y, "S": x @ y + y @ x,
-               "I": np.eye(angle.q, dtype=complex)}
-    if not set(word) <= set(letters):
+    table = letters(angle)
+    if not set(word) <= set(table):
         raise ValueError(f"unknown factor in {word!r}; use X, Y, S or I")
-    out = letters[word[0]]
-    for letter in word[1:]:
-        out = np.kron(out, letters[letter])
-    return out
+    return kron_word([table] * len(word), word)

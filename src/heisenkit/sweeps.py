@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from itertools import product
 from math import asin, cos, pi, sin, sqrt
 
 import numpy as np
@@ -31,8 +32,9 @@ class SweepConfig:
 
     ``qmax=None`` selects the per-command default grid order: 60 for the
     single-site sweeps, 40 for the projection sweep, 24 for the two-site
-    inequality, 12 for the three-site inequality (dense eigensolve cost
-    q, q^2, q^3).
+    inequality, 12 for the three-site inequality (dense eigensolves of
+    dimension q; four parity blocks of about (q/2)^2; eight of about
+    (q/2)^3).
     """
 
     qmax: int | None = None
@@ -317,28 +319,55 @@ def verify_xsmall(cfg: SweepConfig) -> SweepReport:
 # ---------------------------------------------------------------------------
 # tensor-product sweeps and constant searches
 
+# Each tensor inequality is described once, as ((coefficient, Kronecker
+# word), ...) at coupling R; the dense operators and the parity-block sweep
+# are both derived from the description.
+
+def two_site_terms(R: float) -> tuple:
+    """R(X(x)Y + Y(x)X) + X(x)X + Y(x)Y + (XY+YX)(x)1."""
+    return ((R, "XY"), (R, "YX"), (1.0, "XX"), (1.0, "YY"), (1.0, "SI"))
+
+
+def three_site_terms(R: float) -> tuple:
+    """R(X1 Y2 + Y1 X2 + X1 Y3 + Y1 X3) + X1 X2 + Y1 Y2 + X1 Y1 + Y1 X1."""
+    return ((R, "XYI"), (R, "YXI"), (R, "XIY"), (R, "YIX"),
+            (1.0, "XXI"), (1.0, "YYI"), (1.0, "SII"))
+
+
+def _assemble(word_operator, terms) -> np.ndarray:
+    return sum(c * word_operator(word) for c, word in terms)
+
+
 def two_site_operator(angle: RationalAngle, R: float) -> np.ndarray:
-    """R(X(x)Y + Y(x)X) + X(x)X + Y(x)Y + (XY+YX)(x)1 at a common angle."""
-    word = partial(rotation.tensor_operator, angle)
-    return R * (word("XY") + word("YX")) + word("XX") + word("YY") + word("SI")
+    """The dense q^2 x q^2 two-site operator (``two_site_terms``)."""
+    return _assemble(partial(rotation.tensor_operator, angle), two_site_terms(R))
 
 
 def three_site_operator(angle: RationalAngle, R: float) -> np.ndarray:
-    """R(X1 Y2 + Y1 X2 + X1 Y3 + Y1 X3) + X1 X2 + Y1 Y2 + X1 Y1 + Y1 X1
-    realized as Kronecker products at a common angle."""
-    word = partial(rotation.tensor_operator, angle)
-    cross = word("XYI") + word("YXI") + word("XIY") + word("YIX")
-    return R * cross + (word("XXI") + word("YYI")) + word("SII")
+    """The dense q^3 x q^3 three-site operator (``three_site_terms``)."""
+    return _assemble(partial(rotation.tensor_operator, angle),
+                     three_site_terms(R))
 
 
-def _tensor_sweep(builder, grid, R: float) -> list:
-    """One record per angle whose margin is min eig(builder(theta, R))."""
+def _block_min_eigenvalue(angle: RationalAngle, terms) -> float:
+    """min eig of the operator ``terms`` as the minimum over its real
+    parity blocks, one dense solve per choice of part at each site."""
+    sites = len(terms[0][1])
+    return min(min_eigenvalue(_assemble(partial(rotation.kron_word, choice), terms))
+               for choice in product(rotation.parity_letters(angle), repeat=sites))
+
+
+def _tensor_sweep(inequality, grid, R: float) -> list:
+    """One record per angle whose margin is the minimum eigenvalue, at that
+    angle, of the operator whose terms ``inequality(R)`` gives (such as
+    ``two_site_terms``)."""
+    terms = inequality(R)
     return _map_angles(
-        lambda a: [AngleRecord(a.p, a.q, min_eigenvalue(builder(a, R)))],
+        lambda a: [AngleRecord(a.p, a.q, _block_min_eigenvalue(a, terms))],
         grid)
 
 
-def _search_constants(name, builder, grid, th0_list, cfg, qmax) -> SweepReport:
+def _search_constants(name, inequality, grid, th0_list, cfg, qmax) -> SweepReport:
     """First-pass-wins scan of R, then epsilon, then theta0.
 
     Unset R and epsilon scan R_SCAN and EPS_SCAN; a theta0 of ``None``
@@ -353,7 +382,7 @@ def _search_constants(name, builder, grid, th0_list, cfg, qmax) -> SweepReport:
 
     def scan():
         for R in r_list:
-            mineigs = _tensor_sweep(builder, grid, R)
+            mineigs = _tensor_sweep(inequality, grid, R)
             for eps in eps_list:
                 margins = [AngleRecord(r.p, r.q, r.margin - float(eps)
                                        * rotation.z_scalar(RationalAngle(r.p, r.q)))
@@ -399,7 +428,7 @@ def verify_smalltheta(cfg: SweepConfig) -> SweepReport:
     """
     qmax = _qmax(cfg, 24)
     th0_list = [cfg.theta0] if cfg.theta0 is not None else list(THETA0_SCAN)
-    return _search_constants("smalltheta", two_site_operator, farey_angles(qmax),
+    return _search_constants("smalltheta", two_site_terms, farey_angles(qmax),
                              th0_list, cfg, qmax)
 
 
@@ -409,7 +438,7 @@ def verify_formula(cfg: SweepConfig) -> SweepReport:
     Pinned (R, epsilon) sweep directly; unset constants scan the same
     geometric grids as the two-site search (first-pass-wins)."""
     qmax = _qmax(cfg, 12)
-    return _search_constants("formula", three_site_operator, farey_angles(qmax),
+    return _search_constants("formula", three_site_terms, farey_angles(qmax),
                              [None], cfg, qmax)
 
 

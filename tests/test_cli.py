@@ -4,7 +4,7 @@ import json
 import threading
 import time
 
-from heisenkit import cli, expander
+from heisenkit import cli, expander, sweeps
 from heisenkit.cli import build_parser, main
 from heisenkit.sweeps import SweepConfig, verify_formula
 
@@ -50,6 +50,14 @@ def test_usage_errors():
     for tol in ("inf", "-inf", "nan"):
         assert main(known_failure + ["--tol", tol]) == 1
     assert main(["all", "--tol", "inf"]) == 1
+    # search constants must be positive; these used to print [PASS]
+    assert main(["verify", "formula", "--qmax", "4", "--R", "2",
+                 "--epsilon", "-1"]) == 1
+    assert main(["verify", "smalltheta", "--qmax", "6", "--R", "-5",
+                 "--epsilon", "1/4", "--theta0", "1/8"]) == 1
+    for flag, value in (("--R", "0"), ("--R", "inf"), ("--R", "nan"),
+                        ("--epsilon", "0"), ("--theta0", "-1/8")):
+        assert main(["verify", "smalltheta", "--qmax", "4", flag, value]) == 1
 
 
 def test_graded_dims(tmp_path):
@@ -152,6 +160,16 @@ def test_sweeps_start_no_thread(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", refuse)
     assert main(["verify", "bz", "--qmax", "10"]) == 0
     assert main(["verify", "formula", "--qmax", "3"]) == 0
+
+
+def test_searches_assemble_no_full_operator(monkeypatch):
+    def refuse(angle, R):
+        raise RuntimeError(f"assembled a full operator at {angle}")
+
+    monkeypatch.setattr(sweeps, "two_site_operator", refuse)
+    monkeypatch.setattr(sweeps, "three_site_operator", refuse)
+    assert main(["verify", "smalltheta", "--qmax", "8"]) == 0
+    assert main(["verify", "formula", "--qmax", "5"]) == 0
 
 
 def test_smalltheta_theta0_only_scans_and_fails(tmp_path):

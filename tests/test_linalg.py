@@ -56,6 +56,60 @@ def test_eig_rejects_bad_input():
         min_eigenvalue(np.zeros((2, 3)))
 
 
+def test_real_input_stays_real(monkeypatch):
+    solved = []
+
+    def spy(a, *args, **kwargs):
+        solved.append(a.dtype)
+        return eigvalsh(a, *args, **kwargs)
+
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    a = np.array([[2.0, 2.0], [2.0, -2.0]])
+    assert hermitian_operator(a).dtype == np.float64
+    assert hermitian_operator(np.eye(2, dtype=int)).dtype == np.float64
+    assert min_eigenvalue(a) == pytest.approx(-2 * SQRT2, abs=1e-12)
+    assert spectral_norm(a) == pytest.approx(2 * SQRT2, abs=1e-12)
+    assert solved == [np.float64, np.float64]
+    for mode in ("le", "gt"):
+        proj = spectral_projection(a, 0.0, mode)
+        assert proj.source.dtype == proj.matrix.dtype == np.float64
+
+
+def test_complex_input_is_solved_as_before():
+    rng = np.random.default_rng(5)
+    for dim in (1, 3, 6):
+        a = random_hermitian(rng, dim)
+        h = hermitian_operator(a)
+        assert h.dtype == np.complex128
+        assert np.array_equal(h, (a + a.conj().T) / 2)
+        assert min_eigenvalue(a) == float(np.linalg.eigvalsh(h)[0])
+        m = a + 1j * np.eye(dim)  # not Hermitian
+        assert spectral_norm(m) == float(np.sqrt(max(
+            np.linalg.eigvalsh(m.conj().T @ m)[-1], 0.0)))
+        proj = spectral_projection(a, 0.05, "gt")
+        assert proj.source.dtype == proj.matrix.dtype == np.complex128
+    # complex dtype with zero imaginary part and complex64 both stay complex
+    assert hermitian_operator(np.eye(2, dtype=complex)).dtype == np.complex128
+    assert hermitian_operator(np.eye(2, dtype=np.complex64)).dtype == np.complex128
+
+
+def test_bad_input_rejected_for_real_and_complex():
+    for dtype in (float, complex):
+        asym = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=dtype)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            min_eigenvalue(asym)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            spectral_projection(asym, 0.5)
+        for bad in (np.nan, np.inf):
+            m = np.array([[1.0, bad], [bad, 1.0]], dtype=dtype)
+            for fn in (min_eigenvalue, spectral_norm, hermitian_operator):
+                with pytest.raises(ValueError, match="non-finite"):
+                    fn(m)
+            with pytest.raises(ValueError, match="non-finite"):
+                spectral_projection(m, 0.5)
+
+
 def test_operator_norm_examples():
     assert spectral_norm(np.zeros((3, 3))) == 0.0
     assert spectral_norm(np.array([[2.0, 2.0], [2.0, -2.0]])) == pytest.approx(2 * SQRT2, abs=1e-12)

@@ -13,7 +13,8 @@ from heisenkit.algebra import (AlgebraElement, heis_laplacian,
 from heisenkit.groups import Heisenberg, Heisenberg3
 from heisenkit.linalg import spectral_norm
 from heisenkit.rotation import (RationalAngle, almost_mathieu, bz_bound,
-                                evaluate, evaluate3, farey_angles, pi_theta,
+                                evaluate, evaluate3, farey_angles, letters,
+                                parity_bases, parity_letters, pi_theta,
                                 pi_theta3, pi_x, pi_y, tensor_operator, x_op,
                                 y_op, z_scalar)
 
@@ -144,6 +145,33 @@ def test_tensor_operator_basic():
             tensor_operator(a, word)
 
 
+def test_parity_bases_split_every_letter():
+    """The parity bases are orthonormal after scaling, X, Y and S commute
+    with j -> -j exactly in floats, so their cross-parity part is exactly
+    zero, and the restricted letters are the letters in those bases."""
+    for q in range(1, 10):
+        bases = parity_bases(q)
+        dims = [q // 2 + 1] + ([(q - 1) // 2] if q > 2 else [])
+        assert [b.shape for b in bases] == [(q, d) for d in dims]
+        onb = [b / np.linalg.norm(b, axis=0) for b in bases]
+        full = np.hstack(onb)
+        assert np.max(np.abs(full.T @ full - np.eye(q))) <= 1e-15
+        neg = -np.arange(q) % q
+        for angle in (a for a in farey_angles(9, max_value=None) if a.q == q):
+            table, blocks = letters(angle), parity_letters(angle)
+            assert len(blocks) == len(bases)
+            for k in "XYS":
+                assert np.array_equal(table[k][np.ix_(neg, neg)], table[k])
+                if len(bases) == 2:
+                    assert not np.any(bases[1].T @ table[k] @ bases[0])
+            for basis, block in zip(onb, blocks):
+                assert np.array_equal(block["I"], np.eye(basis.shape[1]))
+                for k in "XYS":
+                    assert block[k].dtype == np.float64
+                    assert np.max(np.abs(basis.T @ table[k] @ basis
+                                         - block[k])) <= 1e-14
+
+
 def test_tensor_matches_rank3_evaluation():
     """Kronecker factors must agree with genuine rank-3 group-algebra words."""
     G3 = Heisenberg3
@@ -220,6 +248,8 @@ def test_rotation_rep_bundle():
     a = RationalAngle(1, 4)
     x, y = x_op(a), y_op(a)
     assert x.shape == y.shape == (4, 4)
+    assert x.dtype == y.dtype == almost_mathieu(a, 1.0).dtype == np.float64
+    assert tensor_operator(a, "SYI").dtype == np.float64
     assert np.allclose(x, np.diag([0.0, 2.0, 4.0, 2.0]), atol=1e-12)
     assert np.max(np.abs(y - y.conj().T)) == 0.0
     assert z_scalar(a) == pytest.approx(2.0, abs=1e-12)  # 4 sin^2(pi/4)

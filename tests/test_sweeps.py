@@ -10,8 +10,9 @@ import pytest
 from heisenkit.algebra import hermitian_square
 from heisenkit.groups import Heisenberg3
 from heisenkit.rotation import RationalAngle, evaluate3, x_op, y_op
-from heisenkit.sweeps import (SweepConfig, three_site_operator,
-                              two_site_operator, verify_bz, verify_formula,
+from heisenkit.sweeps import (SweepConfig, _tensor_sweep, three_site_operator,
+                              three_site_terms, two_site_operator,
+                              two_site_terms, verify_bz, verify_formula,
                               verify_prodnorm, verify_smalltheta,
                               verify_xsmall, verify_xyz1, verify_xyz2,
                               verify_zzz, xyz2_block, zzz_theta0)
@@ -178,20 +179,34 @@ def test_tensor_margin_monotone_in_R():
 
 def test_tensor_operators_match_group_algebra():
     """Both production operators equal the rank-3 group-algebra element
-    they stand for, evaluated through the rotation representation."""
+    they stand for, evaluated through the rotation representation, and the
+    sweep's minimum over parity blocks is the minimum eigenvalue of both.
+    One angle per q = 1..9: q = 1, 2 have no odd block, even q has the
+    fixed point q/2."""
     G3 = Heisenberg3
     X = [hermitian_square(G3, G3.x(i)) for i in range(3)]
     Y = [hermitian_square(G3, G3.y(i)) for i in range(3)]
     onsite = X[0] * X[1] + Y[0] * Y[1] + X[0] * Y[0] + Y[0] * X[0]
-    for angle in (RationalAngle(1, 2), RationalAngle(1, 3)):
-        eye = np.eye(angle.q)
-        for R in (2, 3):
-            two = R * (X[0] * Y[1] + Y[0] * X[1]) + onsite
-            three = two + R * (X[0] * Y[2] + Y[0] * X[2])
-            assert np.max(np.abs(three_site_operator(angle, R)
-                                 - evaluate3(angle, three))) <= 1e-12
-            assert np.max(np.abs(np.kron(two_site_operator(angle, R), eye)
-                                 - evaluate3(angle, two))) <= 1e-12
+    cross2 = X[0] * Y[1] + Y[0] * X[1]
+    cross3 = X[0] * Y[2] + Y[0] * X[2]
+    for p, q in ((0, 1), (1, 2), (1, 3), (1, 4), (2, 5), (1, 6), (3, 7),
+                 (3, 8), (4, 9)):
+        angle = RationalAngle(p, q)
+        eye = np.eye(q)
+        # evaluate3 is linear, so the R-free parts are evaluated once
+        on, c2, c3 = (evaluate3(angle, e) for e in (onsite, cross2, cross3))
+        for R in (2, 3, 16):
+            two, three = R * c2 + on, R * (c2 + c3) + on
+            dense2 = two_site_operator(angle, R)
+            dense3 = three_site_operator(angle, R)
+            assert dense2.dtype == dense3.dtype == np.float64
+            assert np.max(np.abs(dense3 - three)) <= 1e-12
+            assert np.max(np.abs(np.kron(dense2, eye) - two)) <= 1e-12
+            for inequality, dense, oracle in ((two_site_terms, dense2, two),
+                                              (three_site_terms, dense3, three)):
+                block_min = _tensor_sweep(inequality, [angle], R)[0].margin
+                assert abs(block_min - np.linalg.eigvalsh(dense)[0]) <= 1e-12
+                assert abs(block_min - np.linalg.eigvalsh(oracle)[0]) <= 1e-12
 
 
 def test_reports_are_deterministic():
