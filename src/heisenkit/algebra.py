@@ -14,23 +14,90 @@ from typing import Iterable
 from .groups import Heisenberg, SpecialLinear
 
 
-class AlgebraElement:
+def accumulate(out: dict, pairs) -> dict:
+    """Add each ``(key, coefficient)`` of ``pairs`` into ``out`` in place,
+    deleting a key whose sum is zero; returns ``out``."""
+    for k, c in pairs:
+        s = out.get(k, 0) + c
+        if s:
+            out[k] = s
+        elif k in out:
+            del out[k]
+    return out
+
+
+class TermDict:
+    """Finite formal sum: ``terms`` maps basis keys to nonzero coefficients.
+
+    A subclass fixes the coefficient type (``coerce`` maps every coefficient
+    given to the constructor onto it), the context both operands of a binary
+    operation must share (``context``; ``None`` when there is none), how to
+    make a sum over the same context (``_like``) and its product
+    (``_product``).  Elements are dict backed and therefore not hashable.
+    """
+
+    __slots__ = ("terms",)
+    coerce = Fraction
+
+    def __init__(self, terms: dict | None = None):
+        self.terms: dict = {}
+        if terms:
+            coerce = self.coerce
+            for k, c in terms.items():
+                c = coerce(c)
+                if c:
+                    self.terms[k] = c
+
+    def context(self):
+        return None
+
+    def _check(self, other: "TermDict"):
+        if self.context() != other.context():
+            raise ValueError(f"mixed contexts {self.context()!r} and "
+                             f"{other.context()!r}")
+
+    def __add__(self, other: "TermDict") -> "TermDict":
+        self._check(other)
+        return self._like(accumulate(dict(self.terms), other.terms.items()))
+
+    def __sub__(self, other: "TermDict") -> "TermDict":
+        return self + (-1) * other
+
+    def __rmul__(self, scalar) -> "TermDict":
+        c = self.coerce(scalar)
+        return self._like({k: c * v for k, v in self.terms.items()} if c else {})
+
+    def __mul__(self, other) -> "TermDict":
+        if not isinstance(other, TermDict):
+            return self.__rmul__(other)  # scalar on the right
+        self._check(other)
+        return self._product(other)
+
+    def __neg__(self) -> "TermDict":
+        return (-1) * self
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and self.context() == other.context()
+                and self.terms == other.terms)
+
+    __hash__ = None
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+
+class AlgebraElement(TermDict):
     """Finite formal sum over a group, with exact rational coefficients.
 
     ``group`` must expose ``identity``, ``mul`` and ``inv``; elements must be
     hashable canonical forms.  Zero coefficients are never stored.
     """
 
-    __slots__ = ("group", "terms")
+    __slots__ = ("group",)
 
     def __init__(self, group, terms: dict | None = None):
         self.group = group
-        self.terms: dict = {}
-        if terms:
-            for g, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[g] = c
+        super().__init__(terms)
 
     @classmethod
     def one(cls, group) -> "AlgebraElement":
@@ -40,64 +107,24 @@ class AlgebraElement:
     def from_elt(cls, group, g) -> "AlgebraElement":
         return cls(group, {g: 1})
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
-        out = dict(self.terms)
-        for g, c in other.terms.items():
-            s = out.get(g, Fraction(0)) + c
-            if s:
-                out[g] = s
-            elif g in out:
-                del out[g]
-        return AlgebraElement(self.group, out)
+    def context(self):
+        return self.group
 
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-1) * other
+    def _like(self, terms: dict) -> "AlgebraElement":
+        return AlgebraElement(self.group, terms)
 
-    def __rmul__(self, scalar) -> "AlgebraElement":
-        c = Fraction(scalar)
-        if not c:
-            return AlgebraElement(self.group)
-        return AlgebraElement(self.group, {g: c * v for g, v in self.terms.items()})
-
-    def __mul__(self, other) -> "AlgebraElement":
-        if not isinstance(other, AlgebraElement):
-            return self.__rmul__(other)  # scalar on the right
-        self._check(other)
+    def _product(self, other: "AlgebraElement") -> "AlgebraElement":
         mul = self.group.mul
-        out: dict = {}
-        for g, cg in self.terms.items():
-            for h, ch in other.terms.items():
-                k = mul(g, h)
-                s = out.get(k, Fraction(0)) + cg * ch
-                if s:
-                    out[k] = s
-                elif k in out:
-                    del out[k]
-        return AlgebraElement(self.group, out)
+        return self._like(accumulate({}, ((mul(g, h), cg * ch)
+                                          for g, cg in self.terms.items()
+                                          for h, ch in other.terms.items())))
 
     def star(self) -> "AlgebraElement":
         inv = self.group.inv
-        return AlgebraElement(self.group, {inv(g): c for g, c in self.terms.items()})
-
-    def __neg__(self) -> "AlgebraElement":
-        return (-1) * self
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, AlgebraElement) and self.terms == other.terms
-
-    def __hash__(self):
-        raise TypeError("AlgebraElement is mutable-dict backed; not hashable")
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return self._like({inv(g): c for g, c in self.terms.items()})
 
     def coefficient(self, g) -> Fraction:
         return self.terms.get(g, Fraction(0))
-
-    def _check(self, other: "AlgebraElement"):
-        if self.group is not other.group:
-            raise ValueError("elements live over different groups")
 
     def __repr__(self):
         items = ", ".join(f"{g}: {c}" for g, c in sorted(self.terms.items(), key=repr))

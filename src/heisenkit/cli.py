@@ -130,12 +130,10 @@ def cmd_symmetry(args) -> int:
         parts_m = symmetrize.build_parts(args.m, args.d)
         parts_n = symmetrize.build_parts(args.n, args.d)
         results = []
-        for name, expected in [
-            ("Delta2", args.m * (args.m - 1) * _fact(args.n - 2)),
-            ("Adj", args.m * (args.m - 1) * (args.m - 2) * _fact(args.n - 3)),
-            ("Op", args.m * (args.m - 1) * (args.m - 2) * (args.m - 3)
-                 * _fact(args.n - 4)),
-        ]:
+        for name, k in (("Delta2", 2), ("Adj", 3), ("Op", 4)):
+            # a part needs k distinct indices, so it is zero when k > m
+            expected = (math.perm(args.m, k) * math.factorial(args.n - k)
+                        if k <= args.m else 0)
             scalar = symmetrize.orbit_sum(parts_m[name], args.n).divides_exactly(
                 parts_n[name])
             results.append({"identity": name, "m": args.m, "n": args.n,
@@ -176,13 +174,6 @@ def cmd_symmetry(args) -> int:
     status = "PASS" if payload["pass"] else "FAIL"
     print(f"[{status}] {payload['command']} ({time.perf_counter() - t0:.2f}s)")
     return EXIT_PASS if payload["pass"] else EXIT_FAIL
-
-
-def _fact(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def _plainify(obj):
@@ -277,6 +268,7 @@ def cmd_all(args) -> int:
         "symmetry orbit --m 4 --n 5 --d 1", "symmetry orbit --m 4 --n 5 --d 2",
         "symmetry orbit --m 4 --n 6 --d 1", "symmetry orbit --m 4 --n 6 --d 2",
         "symmetry orbit --m 5 --n 6 --d 1", "symmetry orbit --m 5 --n 6 --d 2",
+        "symmetry orbit --m 6 --n 12 --d 1",
         "symmetry census --m 4", "symmetry spade --m 5 --d 1",
         "symmetry threshold --m 5 --R 6 --eps 1 --n 15",
         "symmetry el5 --q 5 --tr 2 --ts 3",
@@ -334,9 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("symmetry", help="exact orbit-sum and threshold checks")
     ps.add_argument("what", choices=["orbit", "census", "spade", "threshold", "el5"])
-    ps.add_argument("--m", type=int, default=4)
-    ps.add_argument("--n", type=int, default=5)
-    ps.add_argument("--d", type=int, default=1)
+    ps.add_argument("--m", type=_positive_int, default=4)
+    ps.add_argument("--n", type=_positive_int, default=5)
+    ps.add_argument("--d", type=_positive_int, default=1)
     ps.add_argument("--R", dest="R_exact", default="6",
                     help="certificate R (exact rational)")
     ps.add_argument("--eps", dest="eps_exact", default="1",

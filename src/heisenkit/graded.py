@@ -14,7 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import AlgebraElement, heis_laplacian, one_minus
+from .algebra import (AlgebraElement, TermDict, accumulate, heis_laplacian,
+                      one_minus)
 from .groups import Heisenberg
 
 MAX_TRUNCATION = 10
@@ -40,71 +41,36 @@ def basis_monomials(n: int) -> list:
     return sorted(out)
 
 
-class GradedElement:
+class GradedElement(TermDict):
     """Truncated element of R[H] in the normal-ordered monomial basis."""
 
-    __slots__ = ("truncation", "terms")
+    __slots__ = ("truncation",)
 
     def __init__(self, truncation: int, terms: dict | None = None):
         if not 0 <= truncation <= MAX_TRUNCATION:
             raise ValueError(f"truncation must be in 0..{MAX_TRUNCATION}")
         self.truncation = truncation
-        self.terms: dict = {}
-        if terms:
-            for m, c in terms.items():
-                c = Fraction(c)
-                if c and degree(m) <= truncation:
-                    self.terms[m] = c
+        super().__init__({m: c for m, c in (terms or {}).items()
+                          if degree(m) <= truncation})
 
     @classmethod
     def monomial(cls, truncation: int, m: Monomial, coeff=1) -> "GradedElement":
         return cls(truncation, {tuple(m): coeff})
 
-    def __add__(self, other: "GradedElement") -> "GradedElement":
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
-        return GradedElement(self.truncation, out)
+    def context(self):
+        return self.truncation
 
-    def __sub__(self, other: "GradedElement") -> "GradedElement":
-        return self + (-1) * other
+    def _like(self, terms: dict) -> "GradedElement":
+        return GradedElement(self.truncation, terms)
 
-    def __rmul__(self, scalar) -> "GradedElement":
-        c = Fraction(scalar)
-        if not c:
-            return GradedElement(self.truncation)
-        return GradedElement(self.truncation,
-                             {m: c * v for m, v in self.terms.items()})
-
-    def __mul__(self, other) -> "GradedElement":
-        if not isinstance(other, GradedElement):
-            return self.__rmul__(other)
-        self._check(other)
+    def _product(self, other: "GradedElement") -> "GradedElement":
         return graded_mul(self, other)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, GradedElement)
-                and self.truncation == other.truncation
-                and self.terms == other.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def lowest_degree(self) -> int | None:
         return min((degree(m) for m in self.terms), default=None)
 
     def degree_component(self, n: int) -> "GradedElement":
-        return GradedElement(self.truncation,
-                             {m: c for m, c in self.terms.items() if degree(m) == n})
-
-    def _check(self, other: "GradedElement"):
-        if self.truncation != other.truncation:
-            raise ValueError("mixed truncations")
+        return self._like({m: c for m, c in self.terms.items() if degree(m) == n})
 
     def __repr__(self):
         parts = [f"{c}*x^{m[0]}y^{m[1]}z^{m[2]}" for m, c in sorted(self.terms.items())]
@@ -115,7 +81,7 @@ def normal_form(word, zpow: int, truncation: int) -> dict:
     """Normal-order a word over letters 'x', 'y' with an attached central
     zbar power; leftmost 'yx' inversion rewritten first, branches above the
     truncation dropped."""
-    out: dict = {}
+    leaves = []
     stack = [(tuple(word), zpow, Fraction(1))]
     while stack:
         w, k, c = stack.pop()
@@ -124,12 +90,7 @@ def normal_form(word, zpow: int, truncation: int) -> dict:
         pos = next((t for t in range(len(w) - 1)
                     if w[t] == "y" and w[t + 1] == "x"), None)
         if pos is None:
-            key = (w.count("x"), w.count("y"), k)
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
+            leaves.append(((w.count("x"), w.count("y"), k), c))
             continue
         pre, post = w[:pos], w[pos + 2:]
         stack.append((pre + ("x", "y") + post, k, c))
@@ -137,7 +98,7 @@ def normal_form(word, zpow: int, truncation: int) -> dict:
         stack.append((pre + ("x",) + post, k + 1, -c))
         stack.append((pre + ("y",) + post, k + 1, -c))
         stack.append((pre + ("y", "x") + post, k + 1, c))
-    return out
+    return accumulate({}, leaves)
 
 
 def graded_mul(a: GradedElement, b: GradedElement) -> GradedElement:
@@ -148,12 +109,9 @@ def graded_mul(a: GradedElement, b: GradedElement) -> GradedElement:
             if i1 + j1 + i2 + j2 + 2 * (k1 + k2) > n:
                 continue
             word = ("x",) * i1 + ("y",) * j1 + ("x",) * i2 + ("y",) * j2
-            for key, c in normal_form(word, k1 + k2, n).items():
-                s = out.get(key, Fraction(0)) + c1 * c2 * c
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
+            c12 = c1 * c2
+            accumulate(out, ((key, c12 * c) for key, c
+                             in normal_form(word, k1 + k2, n).items()))
     return GradedElement(n, out)
 
 

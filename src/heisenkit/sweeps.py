@@ -437,6 +437,9 @@ def verify_formula(cfg: SweepConfig) -> SweepReport:
 
     Pinned (R, epsilon) sweep directly; unset constants scan the same
     geometric grids as the two-site search (first-pass-wins)."""
+    if cfg.theta0 is not None:
+        raise ValueError("verify formula sweeps the whole grid; it takes no "
+                         "theta0")
     qmax = _qmax(cfg, 12)
     return _search_constants("formula", three_site_terms, farey_angles(qmax),
                              [None], cfg, qmax)

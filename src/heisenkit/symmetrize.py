@@ -3,21 +3,22 @@
 The objects here are integer combinations of one- and two-letter words in
 self-adjoint symbols E_{i,j}(label), where the label is a commutative
 monomial of degree one (t_r) or two (t_r t_s).  The symmetric group acts by
-relabeling indices; orbit sums are computed by full enumeration, so every
-identity check below is an exact coefficient match.
+relabeling indices; an orbit sum is taken once per orbit of words, over
+the injective relabelings of one representative, so every identity check
+below is an exact coefficient match without enumerating Sym(n).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
 from typing import NamedTuple
 
+from .algebra import TermDict, accumulate
 from .groups import SpecialLinear
-
-MAX_SYM_N = 8  # factorial enumeration guard
 
 
 class EdgeSymbol(NamedTuple):
@@ -36,70 +37,29 @@ class EdgeSymbol(NamedTuple):
         return EdgeSymbol(i, j, tuple(sorted(variables)))
 
 
-class FormalQuadratic:
+class FormalQuadratic(TermDict):
     """Integer combination of words of length <= 2 over EdgeSymbol."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        self.terms: dict = {}
-        if terms:
-            for w, c in terms.items():
-                if c:
-                    self.terms[w] = c
+    __slots__ = ()
+    coerce = staticmethod(operator.index)
 
     @classmethod
     def letter(cls, sym: EdgeSymbol, coeff=1) -> "FormalQuadratic":
         return cls({(sym,): coeff})
 
-    def __add__(self, other: "FormalQuadratic") -> "FormalQuadratic":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            elif w in out:
-                del out[w]
-        return FormalQuadratic(out)
+    def _like(self, terms: dict) -> "FormalQuadratic":
+        return FormalQuadratic(terms)
 
-    def __sub__(self, other: "FormalQuadratic") -> "FormalQuadratic":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar) -> "FormalQuadratic":
-        if not scalar:
-            return FormalQuadratic()
-        return FormalQuadratic({w: scalar * c for w, c in self.terms.items()})
-
-    def __mul__(self, other: "FormalQuadratic") -> "FormalQuadratic":
-        out: dict = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                if len(w) > 2:
-                    raise ValueError("product would exceed two-letter words")
-                s = out.get(w, 0) + c1 * c2
-                if s:
-                    out[w] = s
-                elif w in out:
-                    del out[w]
-        return FormalQuadratic(out)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FormalQuadratic) and self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _product(self, other: "FormalQuadratic") -> "FormalQuadratic":
+        if (self.terms and other.terms and max(map(len, self.terms))
+                + max(map(len, other.terms)) > 2):
+            raise ValueError("product would exceed two-letter words")
+        return FormalQuadratic(accumulate({}, ((w1 + w2, c1 * c2)
+                                               for w1, c1 in self.terms.items()
+                                               for w2, c2 in other.terms.items())))
 
     def term_count(self) -> int:
         return len(self.terms)
-
-    def apply_perm(self, sigma: tuple) -> "FormalQuadratic":
-        """Relabel indices by sigma (sigma[i-1] is the image of i)."""
-        out: dict = {}
-        for w, c in self.terms.items():
-            nw = tuple(EdgeSymbol(sigma[s.i - 1], sigma[s.j - 1], s.label) for s in w)
-            out[nw] = out.get(nw, 0) + c
-        return FormalQuadratic({w: c for w, c in out.items() if c})
 
     def divides_exactly(self, other: "FormalQuadratic"):
         """Return the integer scalar c with self == c * other, else None."""
@@ -122,15 +82,17 @@ class FormalQuadratic:
 
 def delta_edge(i: int, j: int, d: int) -> FormalQuadratic:
     """Edge Laplacian contribution: sum_r E_{i,j}(t_r) + E_{j,i}(t_r)."""
-    out = FormalQuadratic()
-    for r in range(1, d + 1):
-        out = out + FormalQuadratic.letter(EdgeSymbol.make(i, j, r))
-        out = out + FormalQuadratic.letter(EdgeSymbol.make(j, i, r))
-    return out
+    return FormalQuadratic({(EdgeSymbol.make(a, b, r),): 1
+                            for r in range(1, d + 1) for a, b in ((i, j), (j, i))})
 
 
 def edges(m: int) -> list:
     return [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+
+
+def _words(words) -> FormalQuadratic:
+    """The sum of the given words, each with coefficient one."""
+    return FormalQuadratic(accumulate({}, ((w, 1) for w in words)))
 
 
 def build_parts(m: int, d: int) -> dict:
@@ -144,61 +106,62 @@ def build_parts(m: int, d: int) -> dict:
         raise ValueError("need m >= 2")
     es = edges(m)
     de = {e: delta_edge(e[0], e[1], d) for e in es}
-    delta = FormalQuadratic()
-    for e in es:
-        delta = delta + de[e]
-    sq = FormalQuadratic()
-    adj = FormalQuadratic()
-    op = FormalQuadratic()
+    delta = _words(w for e in es for w in de[e].terms)
+    by_common = ({}, {}, {})  # products of edge pairs sharing 0, 1, 2 indices
     for e in es:
         for f in es:
-            prod = de[e] * de[f]
-            common = len(set(e) & set(f))
-            if common == 2:
-                sq = sq + prod
-            elif common == 1:
-                adj = adj + prod
-            else:
-                op = op + prod
-    delta2_low = FormalQuadratic()
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            if i == j:
-                continue
-            for r in range(1, d + 1):
-                for s in range(1, d + 1):
-                    delta2_low = delta2_low + FormalQuadratic.letter(
-                        EdgeSymbol.make(i, j, r, s))
-    adj_expanded = FormalQuadratic()
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            for k in range(1, m + 1):
-                if len({i, j, k}) != 3:
-                    continue
-                for r in range(1, d + 1):
-                    for s in range(1, d + 1):
-                        eij = FormalQuadratic.letter(EdgeSymbol.make(i, j, r))
-                        ejk = FormalQuadratic.letter(EdgeSymbol.make(j, k, s))
-                        eik = FormalQuadratic.letter(EdgeSymbol.make(i, k, s))
-                        eik_r = FormalQuadratic.letter(EdgeSymbol.make(i, k, r))
-                        adj_expanded = (adj_expanded + eij * ejk + ejk * eij
-                                        + eij * eik + ejk * eik_r)
+            accumulate(by_common[len(set(e) & set(f))],
+                       (de[e] * de[f]).terms.items())
+    op, adj, sq = map(FormalQuadratic, by_common)
+    idx = range(1, m + 1)
+    var = range(1, d + 1)
+    delta2_low = _words((EdgeSymbol.make(i, j, r, s),)
+                        for i in idx for j in idx if i != j
+                        for r in var for s in var)
+    adj_words = []
+    for i, j, k in permutations(idx, 3):
+        for r in var:
+            for s in var:
+                eij, ejk = EdgeSymbol.make(i, j, r), EdgeSymbol.make(j, k, s)
+                adj_words += [(eij, ejk), (ejk, eij),
+                              (eij, EdgeSymbol.make(i, k, s)),
+                              (ejk, EdgeSymbol.make(i, k, r))]
+    adj_expanded = _words(adj_words)
     return {"Delta": delta, "Delta_sq": delta * delta, "Sq": sq, "Adj": adj,
             "Op": op, "Delta2": delta2_low, "Adj_four_term": adj_expanded}
 
 
+def _canonical(word: tuple) -> tuple:
+    """The word with its k distinct indices renamed 1..k in order of first
+    occurrence, and k."""
+    rename: dict = {}
+    for s in word:
+        rename.setdefault(s.i, len(rename) + 1)
+        rename.setdefault(s.j, len(rename) + 1)
+    return (tuple(EdgeSymbol(rename[s.i], rename[s.j], s.label) for s in word),
+            len(rename))
+
+
 def orbit_sum(xi: FormalQuadratic, n: int) -> FormalQuadratic:
-    """sum_{sigma in Sym(n)} sigma(xi), by full enumeration."""
-    if n > MAX_SYM_N:
-        raise ValueError(f"Sym({n}) enumeration exceeds the n <= {MAX_SYM_N} cap")
+    """sum_{sigma in Sym(n)} sigma(xi), one orbit at a time.
+
+    A word with k distinct indices is fixed by exactly the (n-k)!
+    permutations that fix its support pointwise, so its orbit sum is (n-k)!
+    times the sum of its images under the injective relabelings of its
+    support into 1..n.  Coefficients are first collected on one
+    representative per orbit; distinct representatives have disjoint
+    images.
+    """
     if xi.max_index() > n:
         raise ValueError("element uses indices beyond 1..n")
+    reps = accumulate({}, ((_canonical(w), c) for w, c in xi.terms.items()))
     out: dict = {}
-    for sigma in permutations(range(1, n + 1)):
-        for w, c in xi.terms.items():
-            nw = tuple(EdgeSymbol(sigma[s.i - 1], sigma[s.j - 1], s.label) for s in w)
-            out[nw] = out.get(nw, 0) + c
-    return FormalQuadratic({w: c for w, c in out.items() if c})
+    for (rep, k), c in reps.items():
+        c *= factorial(n - k)
+        for f in permutations(range(1, n + 1), k):
+            out[tuple(EdgeSymbol(f[s.i - 1], f[s.j - 1], s.label)
+                      for s in rep)] = c
+    return FormalQuadratic(out)
 
 
 def edge_pair_census(m: int) -> dict:
@@ -209,6 +172,8 @@ def edge_pair_census(m: int) -> dict:
     convention (it counts index triangles); discrepancies are reported,
     not asserted.
     """
+    if m < 2:
+        raise ValueError("need m >= 2")
     es = edges(m)
     adjacent = sum(1 for e in es for f in es if len(set(e) & set(f)) == 1)
     disjoint = sum(1 for e in es for f in es if not set(e) & set(f))
@@ -232,6 +197,22 @@ def edge_pair_census(m: int) -> dict:
     }
 
 
+def spade_blocks(d: int) -> tuple:
+    """The local four-term block E_ij(r) E_jk(s) + E_jk(s) E_ij(r) +
+    E_ij(r) E_il(s) + E_jk(s) E_lk(r) on (i, j, k, l) = (1, 2, 3, 4) and its
+    right-hand letter E_ik(t_r t_s), each summed over the variable pairs
+    (r, s)."""
+    i, j, k, l = 1, 2, 3, 4
+    block, rhs = [], []
+    for r in range(1, d + 1):
+        for s in range(1, d + 1):
+            eij, ejk = EdgeSymbol.make(i, j, r), EdgeSymbol.make(j, k, s)
+            block += [(eij, ejk), (ejk, eij), (eij, EdgeSymbol.make(i, l, s)),
+                      (ejk, EdgeSymbol.make(l, k, r))]
+            rhs.append((EdgeSymbol.make(i, k, r, s),))
+    return _words(block), _words(rhs)
+
+
 def spade_to_heart(m: int, d: int) -> dict:
     """Orbit-sum bookkeeping from the four-term local inequality to the
     stabilized one.
@@ -246,26 +227,14 @@ def spade_to_heart(m: int, d: int) -> dict:
         raise ValueError("need m >= 4 (four distinct indices)")
     if d < 0:
         raise ValueError("need d >= 0")
-    parts = build_parts(m, d) if d > 0 else None
-    i, j, k, l = 1, 2, 3, 4
-    block_orbit = FormalQuadratic()
-    rhs_orbit = FormalQuadratic()
-    for r in range(1, d + 1):
-        for s in range(1, d + 1):
-            eij = FormalQuadratic.letter(EdgeSymbol.make(i, j, r))
-            ejk = FormalQuadratic.letter(EdgeSymbol.make(j, k, s))
-            eil = FormalQuadratic.letter(EdgeSymbol.make(i, l, s))
-            elk = FormalQuadratic.letter(EdgeSymbol.make(l, k, r))
-            block = eij * ejk + ejk * eij + eij * eil + ejk * elk
-            block_orbit = block_orbit + orbit_sum(block, m)
-            rhs_orbit = rhs_orbit + orbit_sum(
-                FormalQuadratic.letter(EdgeSymbol.make(i, k, r, s)), m)
     if d == 0:
         return {"m": m, "d": 0, "adj_multiplicity": 0, "rhs_multiplicity": 0,
                 "op_multiplicity": 0, "adj_match": True, "rhs_match": True,
                 "all_zero": True}
-    adj_mult = block_orbit.divides_exactly(parts["Adj"])
-    rhs_mult = rhs_orbit.divides_exactly(parts["Delta2"])
+    parts = build_parts(m, d)
+    block, rhs = spade_blocks(d)
+    adj_mult = orbit_sum(block, m).divides_exactly(parts["Adj"])
+    rhs_mult = orbit_sum(rhs, m).divides_exactly(parts["Delta2"])
     op_mult = factorial(m) * d * d  # Op_m is Sym(m)-invariant; (r,s) sum is free
     record = {
         "m": m, "d": d,

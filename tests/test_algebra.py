@@ -3,11 +3,16 @@
 import random
 from fractions import Fraction
 
-from heisenkit.algebra import (AlgebraElement, e_term, heis_laplacian,
-                               heis_xyz, hermitian_square, laplacian,
+import pytest
+
+from heisenkit.algebra import (AlgebraElement, accumulate, e_term,
+                               heis_laplacian, heis_xyz, hermitian_square,
+                               laplacian,
                                laplacian_as_squares, one_minus,
                                sos_identity_sides, steinberg_check)
+from heisenkit.graded import GradedElement
 from heisenkit.groups import Heisenberg, Heisenberg3, SpecialLinear
+from heisenkit.symmetrize import EdgeSymbol, FormalQuadratic
 
 H = Heisenberg
 
@@ -168,3 +173,26 @@ def test_scalar_arithmetic():
     assert (xi * 2).terms == {H.x: 1}
     assert (0 * xi).is_zero()
     assert (-xi).terms == {H.x: Fraction(-1, 2)}
+
+
+def test_accumulate_drops_cancelled_keys():
+    out = accumulate({"a": 1, "b": 2}, [("b", -2), ("c", 0), ("d", 3), ("a", 1)])
+    assert out == {"a": 2, "d": 3}
+    assert list(out) == ["a", "d"]
+
+
+def test_term_dicts_share_one_base():
+    xi = AlgebraElement(H, {H.x: 1})
+    other_group = AlgebraElement(Heisenberg3, {H.x: 1})
+    assert xi != other_group
+    for a, b in ((xi, other_group),
+                 (GradedElement(4, {(1, 0, 0): 1}), GradedElement(5, {(1, 0, 0): 1}))):
+        with pytest.raises(ValueError):
+            a + b
+        with pytest.raises(ValueError):
+            a * b
+    fq = FormalQuadratic.letter(EdgeSymbol.make(1, 2, 1))
+    assert (fq * 3).terms == {w: 3 for w in fq.terms}
+    with pytest.raises(TypeError):
+        Fraction(1, 2) * fq  # integer coefficients only
+    assert (xi - xi).is_zero() and (-fq + fq).is_zero()

@@ -58,6 +58,12 @@ def test_usage_errors():
     for flag, value in (("--R", "0"), ("--R", "inf"), ("--R", "nan"),
                         ("--epsilon", "0"), ("--theta0", "-1/8")):
         assert main(["verify", "smalltheta", "--qmax", "4", flag, value]) == 1
+    # each of these would check nothing: an ignored theta0, no variables,
+    # no index pairs
+    assert main(["verify", "formula", "--qmax", "4", "--theta0", "1/8"]) == 1
+    assert main(["symmetry", "spade", "--m", "5", "--d", "0"]) == 1
+    assert main(["symmetry", "census", "--m", "0"]) == 1
+    assert main(["symmetry", "census", "--m", "1"]) == 1
 
 
 def test_graded_dims(tmp_path):
@@ -98,6 +104,14 @@ def test_symmetry_commands(tmp_path):
     assert main(["symmetry", "threshold", "--m", "5", "--R", "6",
                  "--eps", "1", "--n", "15"]) == 0
     assert main(["symmetry", "el5", "--q", "5", "--tr", "2", "--ts", "3"]) == 0
+
+
+def test_orbit_past_sym8(tmp_path):
+    out = tmp_path / "orbit9.json"
+    assert main(["symmetry", "orbit", "--m", "4", "--n", "9", "--d", "1",
+                 "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["pass"] and all(r["match"] for r in payload["identities"])
 
 
 def test_symmetry_threshold_payload(tmp_path):
@@ -216,7 +230,7 @@ def test_all_table_parses_and_forwards(monkeypatch):
     calls = _record_all(monkeypatch)
     args = build_parser().parse_args(["all", "--tol", "1e-7"])
     assert cli.cmd_all(args) == 0
-    assert len(calls) == 25
+    assert len(calls) == 26
     verify = [c for c in calls if c.command == "verify"]
     assert len(verify) == 10 and all(c.tol == 1e-7 for c in verify)
     assert {c.command for c in calls} == {"verify", "symmetry", "graded",

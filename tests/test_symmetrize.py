@@ -1,11 +1,11 @@
 """Orbit-sum identities, pair censuses, the local-to-global summation and
 the stability threshold calculator."""
 
-import random
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
+import numpy as np
 import pytest
 
 from heisenkit.groups import SpecialLinear
@@ -13,7 +13,8 @@ from heisenkit.symmetrize import (EdgeSymbol, FormalQuadratic,
                                   StabilityCertificate, build_parts,
                                   delta_edge, edge_pair_census,
                                   instantiate_el5, n_threshold, orbit_sum,
-                                  spade_to_heart, stability_threshold)
+                                  spade_blocks, spade_to_heart,
+                                  stability_threshold)
 
 
 def test_edge_symbol_normalizes_label():
@@ -99,19 +100,60 @@ def test_orbit_sum_adj_op():
             assert s_op == m * (m - 1) * (m - 2) * (m - 3) * factorial(n - 4)
 
 
+def _orbit_sum_by_enumeration(xi, n):
+    """Reference: sum_{sigma in Sym(n)} sigma(xi), relabeling every word by
+    every one of the n! permutations (vectorized over the (sigma, word)
+    pairs) and summing equal images exactly in int64."""
+    if not xi.terms:
+        return FormalQuadratic()
+    pad = EdgeSymbol(0, 0, ())  # second letter of a one-letter word
+    words = [w + (pad,) * (2 - len(w)) for w in xi.terms]
+    labels = sorted({s.label for w in words for s in w})
+    base = max(n + 1, len(labels))
+    # a word (i1, j1, l1, i2, j2, l2) is the base-`base` number of its digits
+    index = np.array([[s.i, s.j] for w in words for s in w]).reshape(-1, 4)
+    key = np.array([labels.index(a.label) * base ** 3 + labels.index(b.label)
+                    for a, b in words])
+    # column 0 maps the pad index 0 to itself under every sigma
+    sigmas = np.array([(0,) + p for p in permutations(range(1, n + 1))])
+    key = key + sigmas[:, index] @ np.array([base ** 5, base ** 4, base ** 2, base])
+    keys, inverse = np.unique(key, return_inverse=True)
+    sums = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(sums, inverse.ravel(), np.broadcast_to(
+        np.array(list(xi.terms.values())), key.shape).ravel())
+    out = {}
+    for k, c in zip(keys.tolist(), sums.tolist()):
+        i1, j1, l1, i2, j2, l2 = (k // base ** p % base for p in range(5, -1, -1))
+        out[(EdgeSymbol(i1, j1, labels[l1]),)
+            + ((EdgeSymbol(i2, j2, labels[l2]),) if i2 else ())] = c
+    return FormalQuadratic(out)
+
+
+def test_orbit_sum_matches_enumeration():
+    for d in (1, 2):
+        for m in range(2, 7):
+            parts = build_parts(m, d)
+            for n in range(m, 7):
+                for name, part in parts.items():
+                    assert orbit_sum(part, n) == _orbit_sum_by_enumeration(
+                        part, n), (name, m, n, d)
+        for block in spade_blocks(d):
+            for n in (4, 5, 6):
+                assert orbit_sum(block, n) == _orbit_sum_by_enumeration(block, n)
+
+
 def test_orbit_sum_is_invariant():
+    # T is Sym(n)-invariant exactly when its orbit sum is n! T
     parts = build_parts(4, 1)
     total = orbit_sum(parts["Adj"], 5)
-    rng = random.Random(3)
-    perms = list(permutations(range(1, 6)))
-    for sigma in rng.sample(perms, 10):
-        assert total.apply_perm(sigma) == total
+    assert orbit_sum(total, 5) == factorial(5) * total
+    assert orbit_sum(parts["Adj"], 5) != factorial(5) * parts["Adj"]
+    assert orbit_sum(parts["Adj"], 4) == factorial(4) * parts["Adj"]
 
 
 def test_orbit_sum_empty_and_caps():
     assert orbit_sum(FormalQuadratic(), 5).is_zero()
-    with pytest.raises(ValueError):
-        orbit_sum(FormalQuadratic(), 9)
+    assert orbit_sum(FormalQuadratic(), 9).is_zero()  # no cap on n
     sym = FormalQuadratic.letter(EdgeSymbol.make(1, 6, 1))
     with pytest.raises(ValueError):
         orbit_sum(sym, 5)
