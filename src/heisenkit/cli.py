@@ -1,20 +1,26 @@
 """Command-line front end: every verification as a reproducible run.
 
-Exit codes: 0 all checks pass, 2 a check failed, 1 usage error.  Reports
-are deterministic (identical argv gives byte-identical files); wall time
-goes to stdout only.
+Each command handler returns one ``Result``; ``main`` times the handler and
+hands the result to ``_emit``, which normalizes its values once, writes the
+payload to ``--out`` (JSON) and the rows to ``--csv``, prints the verdict
+line ``[PASS]``/``[FAIL] <command>[: summary] (N.NNs)`` and the note lines,
+and picks the exit code: 0 all checks pass, 2 a check failed, 1 usage error
+(a malformed or out-of-range option, an option the chosen inequality does
+not read, or a workload refused before it runs).  Reports are
+deterministic (identical argv gives byte-identical files); wall time goes
+to stdout only.  No other module knows the report format.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import shlex
 import sys
 import time
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -30,15 +36,11 @@ from .sweeps import (SweepConfig, verify_bz, verify_formula, verify_prodnorm,
 EXIT_PASS, EXIT_USAGE, EXIT_FAIL = 0, 1, 2
 
 
-def _fraction(text: str) -> Fraction:
+def _positive_fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
-
-
-def _positive_fraction(text: str) -> Fraction:
-    value = _fraction(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
     return value
@@ -73,59 +75,111 @@ def _int_list(text: str) -> tuple:
     return tuple(int(v) for v in text.split(","))
 
 
-def _write_json(path: str | None, payload: dict):
-    text = json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+@dataclass
+class Result:
+    """What one command found.
+
+    ``payload`` is the ``--out`` report and carries the ``command`` and
+    ``pass`` keys; ``rows`` are the ``--csv`` rows, header first; ``summary``
+    follows the command name on the verdict line and ``lines`` are printed
+    under it.
+    """
+
+    payload: dict
+    rows: list | None = None
+    summary: str = ""
+    lines: list = field(default_factory=list)
 
 
-def _write_csv(path: str | None, rows):
-    if not path:
-        return
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+def _plain(value):
+    """The report form of a value: string keys, lists, exact rationals as
+    strings and numpy scalars as Python numbers."""
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, np.generic):
+        return value.item()
+    return value
 
 
-def _report_outcome(name: str, report, args, seconds: float,
-                    extra_params=None) -> int:
-    params = {k: str(v) for k, v in sorted((extra_params or {}).items())}
-    payload = {"command": name, "params": params, **report.to_json_dict()}
-    _write_json(args.out, payload)
-    if args.csv:
-        _write_csv(args.csv, report.csv_rows())
-    verdict = "PASS" if report.passed else "FAIL"
-    amin = report.argmin
-    where = f" at theta={amin.p}/{amin.q}" if amin else ""
-    print(f"[{verdict}] {name}: min margin {report.min_margin:+.3e}{where} "
-          f"({len(report.records)} records, {seconds:.2f}s)")
-    for note in report.notes:
-        print(f"    note: {note}")
-    return EXIT_PASS if report.passed else EXIT_FAIL
+def _emit(result: Result, args, seconds: float) -> int:
+    """Write --out and --csv, print the verdict, return the exit code."""
+    payload = _plain(result.payload)
+    if getattr(args, "out", None):
+        with open(args.out, "w") as fh:
+            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    if getattr(args, "csv", None) and result.rows is not None:
+        with open(args.csv, "w", newline="") as fh:
+            csv.writer(fh).writerows(_plain(result.rows))
+    summary = f": {result.summary}" if result.summary else ""
+    print(f"[{'PASS' if payload['pass'] else 'FAIL'}] {payload['command']}"
+          f"{summary} ({seconds:.2f}s)")
+    for line in result.lines:
+        print(f"    {line}")
+    return EXIT_PASS if payload["pass"] else EXIT_FAIL
 
 
-def _sweep_config(args) -> SweepConfig:
-    return SweepConfig(**{f.name: getattr(args, f.name)
-                          for f in dataclasses.fields(SweepConfig)})
+def _runners() -> dict:
+    """Each inequality's sweep and the ``SweepConfig`` fields it reads.
 
-
-def cmd_verify(args) -> int:
-    cfg = _sweep_config(args)
-    runners = {
-        "bz": verify_bz, "xyz1": verify_xyz1, "zzz": verify_zzz,
-        "xyz2": verify_xyz2, "prodnorm": verify_prodnorm,
-        "xsmall": verify_xsmall, "smalltheta": verify_smalltheta,
-        "formula": verify_formula,
+    Built at call time, so a sweep replaced in this module's namespace
+    (as a tracer does) is the one that runs."""
+    grid = ("qmax", "tol")
+    return {
+        "bz": (verify_bz, grid + ("lambdas", "full_circle")),
+        "xyz1": (verify_xyz1, grid + ("full_circle",)),
+        "zzz": (verify_zzz, grid + ("R", "kappa")),
+        "xyz2": (verify_xyz2, grid + ("full_circle",)),
+        "prodnorm": (verify_prodnorm, grid),
+        "xsmall": (verify_xsmall, grid + ("deltas",)),
+        "smalltheta": (verify_smalltheta, grid + ("R", "epsilon", "theta0")),
+        "formula": (verify_formula, grid + ("R", "epsilon")),
     }
-    t0 = time.perf_counter()
-    report = runners[args.inequality](cfg)
-    return _report_outcome(f"verify {args.inequality}", report, args,
-                           time.perf_counter() - t0,
-                           extra_params={"qmax": cfg.qmax, "tol": cfg.tol})
 
 
-def cmd_symmetry(args) -> int:
-    t0 = time.perf_counter()
+def cmd_verify(args) -> Result:
+    name = f"verify {args.inequality}"
+    run, reads = _runners()[args.inequality]
+    unread = [f.name for f in fields(SweepConfig)
+              if f.name not in reads and getattr(args, f.name) != f.default]
+    if unread:
+        flags = ", ".join("--" + {"lambdas": "lambda"}.get(f, f).replace("_", "-")
+                          for f in unread)
+        raise ValueError(f"{name} does not read {flags}")
+    report = run(SweepConfig(**{f: getattr(args, f) for f in reads}))
+    amin = report.argmin
+    cols = sorted({k for r in report.records for k in r.extras})
+    payload = {
+        "command": name,
+        "params": {"qmax": str(args.qmax), "tol": str(args.tol)},
+        "name": report.name,
+        "pass": report.passed,
+        "min_margin": report.min_margin if report.records else None,
+        "argmin_theta": f"{amin.p}/{amin.q}" if amin else None,
+        "constants": report.constants,
+        "tol": report.tol,
+        "n_records": len(report.records),
+        "notes": report.notes,
+        # floats among the extras are kept as their repr strings
+        "witnesses": [{"p": r.p, "q": r.q, "margin": r.margin,
+                       **{k: repr(v) if isinstance(v, float) else v
+                          for k, v in r.extras.items()}}
+                      for r in report.witnesses()[:20]],
+    }
+    rows = [["p", "q", "theta", "margin", *cols]] + [
+        [r.p, r.q, r.theta, r.margin, *(r.extras.get(c, "") for c in cols)]
+        for r in report.records]
+    where = f" at theta={amin.p}/{amin.q}" if amin else ""
+    return Result(payload, rows,
+                  f"min margin {report.min_margin:+.3e}{where}, "
+                  f"{len(report.records)} records",
+                  [f"note: {note}" for note in report.notes])
+
+
+def cmd_symmetry(args) -> Result:
     if args.what == "orbit":
         parts_m = symmetrize.build_parts(args.m, args.d)
         parts_n = symmetrize.build_parts(args.n, args.d)
@@ -144,77 +198,44 @@ def cmd_symmetry(args) -> int:
                             "match": scalar == expected})
         split = parts_m["Delta_sq"] == (parts_m["Sq"] + parts_m["Adj"]
                                         + parts_m["Op"])
-        ok = split and all(r["match"] for r in results)
-        payload = {"command": "symmetry orbit", "pass": ok,
+        payload = {"pass": split and all(r["match"] for r in results),
                    "split_exact": split, "identities": results}
     elif args.what == "census":
-        payload = {"command": "symmetry census",
-                   **symmetrize.edge_pair_census(args.m)}
+        payload = symmetrize.edge_pair_census(args.m)
         payload["pass"] = payload["edges_match"] and payload["disjoint_matches_ordered"]
     elif args.what == "spade":
-        rec = symmetrize.spade_to_heart(args.m, args.d)
-        payload = {"command": "symmetry spade", **_plainify(rec),
-                   "pass": bool(rec.get("adj_match") and rec.get("rhs_match"))}
+        payload = symmetrize.spade_to_heart(args.m, args.d)
+        payload["pass"] = bool(payload.get("adj_match") and payload.get("rhs_match"))
     elif args.what == "threshold":
-        cert = symmetrize.StabilityCertificate(args.m, _fraction(args.R_exact),
-                                               _fraction(args.eps_exact))
-        rec = symmetrize.stability_threshold(cert, args.n)
-        rec["n_threshold"] = symmetrize.n_threshold(cert)
-        payload = {"command": "symmetry threshold", **_plainify(rec),
-                   "pass": True}
+        cert = symmetrize.StabilityCertificate(args.m, args.R_exact,
+                                               args.eps_exact)
+        payload = {**symmetrize.stability_threshold(cert, args.n),
+                   "n_threshold": symmetrize.n_threshold(cert), "pass": True}
     elif args.what == "el5":
         rec = symmetrize.instantiate_el5(args.q, args.tr, args.ts)
         steinberg = steinberg_check(3, min(args.q, 5))
-        payload = {"command": "symmetry el5", **_plainify(rec),
-                   "steinberg_pass": steinberg["pass"],
+        payload = {**rec, "steinberg_pass": steinberg["pass"],
                    "pass": rec["pass"] and steinberg["pass"]}
     else:  # pragma: no cover
         raise ValueError(args.what)
-    _write_json(args.out, payload)
-    status = "PASS" if payload["pass"] else "FAIL"
-    print(f"[{status}] {payload['command']} ({time.perf_counter() - t0:.2f}s)")
-    return EXIT_PASS if payload["pass"] else EXIT_FAIL
+    return Result({"command": f"symmetry {args.what}", **payload})
 
 
-def _plainify(obj):
-    if isinstance(obj, dict):
-        return {str(k): _plainify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plainify(v) for v in obj]
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, (np.integer, np.floating, np.bool_)):
-        return obj.item()
-    return obj
-
-
-def cmd_graded(args) -> int:
-    t0 = time.perf_counter()
+def cmd_graded(args) -> Result:
+    rows = None
     if args.what == "dims":
-        rows = graded.dimension_table(args.max)
-        ok = all(r[1] == r[2] for r in rows)
-        _write_csv(args.csv, [("n", "formula", "enumerated")] + rows)
-        payload = {"command": "graded dims", "pass": ok,
-                   "rows": [list(r) for r in rows]}
+        table = graded.dimension_table(args.max)
+        rows = [("n", "formula", "enumerated")] + table
+        payload = {"pass": all(r[1] == r[2] for r in table), "rows": table}
     elif args.what == "phi":
         rec = graded.phi_report()
         lines = graded.rederive_square_swap_lines()
-        payload = {"command": "graded phi",
-                   "phi_delta_sq": str(rec["phi_delta_sq"]),
-                   "phi_box": str(rec["phi_box"]),
-                   "phi_zstar_z": str(rec["phi_zstar_z"]),
-                   "witness_value": str(rec["witness_value"]),
-                   "selfadjoint": graded.phi_selfadjoint_check(),
+        payload = {**rec, "selfadjoint": graded.phi_selfadjoint_check(),
                    "square_swap_lines_pass": lines["pass"],
                    "pass": rec["pass"] and lines["pass"]}
     elif args.what == "gram":
-        rec = graded.gram_matrix_check()
-        payload = {"command": "graded gram",
-                   "matrix": [[str(v) for v in row] for row in rec["matrix"]],
-                   "eigenvalues": rec["eigenvalues"],
-                   "matches_expected": rec["matches_expected"],
-                   "psd": rec["psd"],
-                   "pass": rec["matches_expected"] and rec["psd"]}
+        payload = graded.gram_matrix_check()
+        payload["pass"] = payload["matches_expected"] and payload["psd"]
     elif args.what == "sos-identity":
         lhs, rhs = sos_identity_sides()
         exact = lhs == rhs
@@ -222,44 +243,33 @@ def cmd_graded(args) -> int:
         for angle in farey_angles(args.points, max_value=None)[:args.points]:
             diff = evaluate(angle, lhs - rhs)
             worst = max(worst, float(np.max(np.abs(diff))) if diff.size else 0.0)
-        payload = {"command": "graded sos-identity", "exact_match": exact,
-                   "max_numeric_residual": worst,
+        payload = {"exact_match": exact, "max_numeric_residual": worst,
                    "pass": exact and worst <= 1e-12}
     else:  # pragma: no cover
         raise ValueError(args.what)
-    _write_json(args.out, payload)
-    status = "PASS" if payload["pass"] else "FAIL"
-    print(f"[{status}] {payload['command']} ({time.perf_counter() - t0:.2f}s)")
-    return EXIT_PASS if payload["pass"] else EXIT_FAIL
+    return Result({"command": f"graded {args.what}", **payload}, rows)
 
 
-def cmd_expander(args) -> int:
-    t0 = time.perf_counter()
+def cmd_expander(args) -> Result:
     rows = family_report(args.n, args.q, p_rule=args.p_rule,
                          order_cap=args.cap)
     ok = all(r["order_matches"] and r["connected"] and r["normalized_gap"] > 0.01
              for r in rows)
     header = ["n", "q", "p", "order", "degree", "lambda2", "gap",
               "normalized_gap"]
-    csv_rows = [header] + [[r[k] if not isinstance(r[k], float) else repr(r[k])
-                            for k in header] for r in rows]
-    _write_csv(args.csv, csv_rows)
     payload = {"command": "expander run", "pass": ok,
-               "rows": [{k: _plainify(v) for k, v in r.items()
-                         if k != "seconds"} for r in rows]}
-    _write_json(args.out, payload)
-    status = "PASS" if ok else "FAIL"
-    print(f"[{status}] expander run: {len(rows)} graphs "
-          f"({time.perf_counter() - t0:.2f}s)")
-    for r in rows:
-        print(f"    n={r['n']} q={r['q']} p={r['p']}: order {r['order']} "
-              f"gap {r['gap']:.4f} normalized {r['normalized_gap']:.4f}")
-    return EXIT_PASS if ok else EXIT_FAIL
+               "rows": [{k: v for k, v in r.items() if k != "seconds"}
+                        for r in rows]}
+    return Result(payload, [header] + [[r[k] for k in header] for r in rows],
+                  f"{len(rows)} graphs",
+                  [f"n={r['n']} q={r['q']} p={r['p']}: order {r['order']} "
+                   f"gap {r['gap']:.4f} normalized {r['normalized_gap']:.4f}"
+                   for r in rows])
 
 
-def cmd_all(args) -> int:
-    """Full verification suite; exit code is the conjunction.  A component
-    that exits 1 (usage error) counts as failed."""
+def cmd_all(args) -> Result:
+    """Full verification suite; it passes when every component passes.  A
+    component that exits 1 (usage error) counts as failed."""
     checks = (
         "verify bz", "verify xyz1", "verify xyz2", "verify prodnorm",
         "verify xsmall", "verify smalltheta", "verify formula",
@@ -287,11 +297,10 @@ def cmd_all(args) -> int:
             failures.append(check)
         print(f"  -> {check}: {'ok' if code == EXIT_PASS else 'FAILED'} "
               f"({time.perf_counter() - t0:.1f}s)")
-    if failures:
-        print(f"FAILED: {len(failures)} component(s): {', '.join(failures)}")
-        return EXIT_FAIL
-    print("All verifications passed.")
-    return EXIT_PASS
+    return Result({"command": "all", "pass": not failures},
+                  summary=f"{len(checks) - len(failures)} of {len(checks)} "
+                          f"components passed",
+                  lines=[f"failed: {check}" for check in failures])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,10 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--m", type=_positive_int, default=4)
     ps.add_argument("--n", type=_positive_int, default=5)
     ps.add_argument("--d", type=_positive_int, default=1)
-    ps.add_argument("--R", dest="R_exact", default="6",
-                    help="certificate R (exact rational)")
-    ps.add_argument("--eps", dest="eps_exact", default="1",
-                    help="certificate epsilon (exact rational)")
+    ps.add_argument("--R", dest="R_exact", type=_positive_fraction,
+                    default=Fraction(6),
+                    help="certificate R (positive rational)")
+    ps.add_argument("--eps", dest="eps_exact", type=_positive_fraction,
+                    default=Fraction(1),
+                    help="certificate epsilon (positive rational)")
     ps.add_argument("--q", type=int, default=5)
     ps.add_argument("--tr", type=int, default=2)
     ps.add_argument("--ts", type=int, default=3)
@@ -371,8 +382,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    t0 = time.perf_counter()
     try:
-        return args.fn(args)
+        return _emit(args.fn(args), args, time.perf_counter() - t0)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

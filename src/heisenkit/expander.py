@@ -11,7 +11,7 @@ adjacency eigenvalues at every graph size.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
@@ -76,7 +76,6 @@ class CayleyGraph:
     degree: int
     codes: np.ndarray                      # encoded vertices, BFS discovery order
     neighbors: np.ndarray                  # (order, degree) vertex indices
-    generators: list = field(default_factory=list)
 
 
 def _encode(mats: np.ndarray, q: int, powers: np.ndarray) -> np.ndarray:
@@ -94,29 +93,22 @@ def _decode(codes: np.ndarray, n: int, q: int) -> np.ndarray:
 
 
 def enumerate_group(n: int, q: int, p: int = 1,
-                    order_cap: int = DEFAULT_ORDER_CAP,
-                    shuffle_seed: int | None = None) -> CayleyGraph:
+                    order_cap: int = DEFAULT_ORDER_CAP) -> CayleyGraph:
     """BFS closure of {e_{i,j}(+-p)} inside SL_n(Z/qZ).
 
-    Raises when the enumeration exceeds ``order_cap``.  The optional seed
-    shuffles the generator application order and the final vertex
-    labeling; the spectrum must not depend on it.
+    Raises when the enumeration exceeds ``order_cap``.
     """
     if not 2 <= n <= 3:
         raise ValueError("supported desk scale is n in {2, 3}")
     if q < 1:
         raise ValueError("q must be >= 1")
     gens = elementary_generators(n, q, p) if q > 1 else []
-    rng = None
-    if shuffle_seed is not None:
-        rng = np.random.default_rng(shuffle_seed)
-        gens = [gens[i] for i in rng.permutation(len(gens))]
     nn = n * n
     powers = q ** np.arange(nn, dtype=np.int64) if q > 1 else np.ones(nn, dtype=np.int64)
     if q == 1:
         ident = np.zeros((1,), dtype=np.int64)
         return CayleyGraph(n, q, p, 1, 0, ident,
-                           np.zeros((1, 0), dtype=np.int64), [])
+                           np.zeros((1, 0), dtype=np.int64))
     visited = np.zeros(q ** nn, dtype=bool)
     ident = np.eye(n, dtype=np.int64)[None]
     frontier = ident
@@ -138,8 +130,6 @@ def enumerate_group(n: int, q: int, p: int = 1,
         if codes.size:
             chunks.append(codes)
     all_codes = np.concatenate(chunks)
-    if rng is not None:
-        all_codes = all_codes[rng.permutation(all_codes.size)]
     order = all_codes.size
     index_of = np.full(q ** nn, -1, dtype=np.int64)
     index_of[all_codes] = np.arange(order)
@@ -152,8 +142,7 @@ def enumerate_group(n: int, q: int, p: int = 1,
             raise RuntimeError("BFS closure is not generator-closed")
         nbr_cols.append(col)
     neighbors = np.stack(nbr_cols, axis=1) if gens else np.zeros((order, 0), np.int64)
-    return CayleyGraph(n, q, p, order, len(gens), all_codes, neighbors,
-                       [g.copy() for g in gens])
+    return CayleyGraph(n, q, p, order, len(gens), all_codes, neighbors)
 
 
 @dataclass

@@ -10,8 +10,6 @@ polynomial are kept as independent oracles for the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
@@ -57,39 +55,16 @@ def spectral_norm(m: np.ndarray) -> float:
     return float(np.sqrt(max(w[-1], 0.0)))
 
 
-@dataclass(frozen=True)
-class SpectralProjection:
-    """Projection onto eig-space of ``source`` on one side of ``threshold``."""
-
-    source: np.ndarray
-    threshold: float
-    mode: str  # "le" (at most) or "gt" (greater than)
-    matrix: np.ndarray
-    rank: int
-
-
-def spectral_projection(op: np.ndarray, delta: float, mode: str = "le") -> SpectralProjection:
-    """P_{A<=delta} or P_{A>delta}; refuses cuts within 1e-8 of an eigenvalue.
-
-    The two modes are exactly complementary: P_gt is constructed as
-    I - P_le, so P_le + P_gt = I holds entrywise exactly.
-    """
-    if mode not in ("le", "gt"):
-        raise ValueError(f"mode must be 'le' or 'gt', got {mode!r}")
+def spectral_projection(op: np.ndarray, delta: float) -> np.ndarray:
+    """The projection P_{A<=delta} onto the eigenspaces of ``op`` at most
+    ``delta``; refuses cuts within 1e-8 of an eigenvalue."""
     h = hermitian_operator(op)
     w, v = np.linalg.eigh(h)
     if np.min(np.abs(w - delta)) < CUT_AMBIGUITY_TOL:
         raise ValueError(f"ambiguous spectral cut: eigenvalue within "
                          f"{CUT_AMBIGUITY_TOL} of delta={delta}")
-    keep = w <= delta
-    vsel = v[:, keep]
-    p_le = vsel @ vsel.conj().T
-    if mode == "le":
-        matrix, rank = p_le, int(np.sum(keep))
-    else:
-        matrix, rank = np.eye(h.shape[0], dtype=h.dtype) - p_le, int(np.sum(~keep))
-    return SpectralProjection(source=h, threshold=float(delta), mode=mode,
-                              matrix=matrix, rank=rank)
+    vsel = v[:, w <= delta]
+    return vsel @ vsel.conj().T
 
 
 def jacobi_eigenvalues(op: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60) -> np.ndarray:

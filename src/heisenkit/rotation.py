@@ -64,8 +64,8 @@ class RationalAngle:
         return 1.0 - cos(2 * m * pi * self.p / self.q)
 
 
-def farey_angles(qmax: int, max_value: Fraction | None = Fraction(1, 2),
-                 include_zero: bool = True) -> list[RationalAngle]:
+def farey_angles(qmax: int, max_value: Fraction | None = Fraction(1, 2)
+                 ) -> list[RationalAngle]:
     """All reduced p/q with q <= qmax up to ``max_value`` (None: all of [0,1)),
     sorted by value."""
     hi = Fraction(max_value) if max_value is not None else None
@@ -75,8 +75,6 @@ def farey_angles(qmax: int, max_value: Fraction | None = Fraction(1, 2),
             if gcd(p, q) != 1:
                 continue
             f = Fraction(p, q)
-            if not include_zero and p == 0:
-                continue
             if hi is not None and f > hi:
                 continue
             out.append(RationalAngle(p, q))

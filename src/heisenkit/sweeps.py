@@ -28,7 +28,9 @@ IDENTITY_TOL = 1e-12
 
 @dataclass
 class SweepConfig:
-    """Knobs shared by the sweeps; unused fields are ignored per command.
+    """Knobs of the sweeps.  Each ``verify_*`` reads only some of the
+    fields (the ``verify`` command refuses an option whose field the chosen
+    inequality does not read).
 
     ``qmax=None`` selects the per-command default grid order: 60 for the
     single-site sweeps, 40 for the projection sweep, 24 for the two-site
@@ -88,54 +90,6 @@ class SweepReport:
 
     def witnesses(self) -> list:
         return [r for r in self.records if r.margin < -self.tol]
-
-    def to_json_dict(self) -> dict:
-        """Machine report; identical configs yield byte-identical files."""
-        amin = self.argmin
-        return {
-            "name": self.name,
-            "pass": self.passed,
-            "min_margin": self.min_margin if self.records else None,
-            "argmin_theta": f"{amin.p}/{amin.q}" if amin else None,
-            "constants": _json_safe(self.constants),
-            "tol": self.tol,
-            "n_records": len(self.records),
-            "notes": list(self.notes),
-            "witnesses": [
-                {"p": r.p, "q": r.q, "margin": r.margin,
-                 **{k: _plain(v) for k, v in sorted(r.extras.items())}}
-                for r in self.witnesses()[:20]
-            ],
-        }
-
-    def csv_rows(self) -> list:
-        cols = sorted({k for r in self.records for k in r.extras})
-        header = ["p", "q", "theta", "margin"] + cols
-        rows = [header]
-        for r in self.records:
-            rows.append([r.p, r.q, repr(r.theta), repr(r.margin)]
-                        + [_plain(r.extras.get(c, "")) for c in cols])
-        return rows
-
-
-def _plain(v):
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, Fraction):
-        return str(v)
-    return v
-
-
-def _json_safe(v):
-    if isinstance(v, dict):
-        return {str(k): _json_safe(u) for k, u in sorted(v.items(), key=lambda t: str(t[0]))}
-    if isinstance(v, (list, tuple)):
-        return [_json_safe(u) for u in v]
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, (bool, int, float, str)) or v is None:
-        return v
-    return str(v)
 
 
 def _map_angles(fn, angles):
@@ -291,13 +245,12 @@ def verify_xsmall(cfg: SweepConfig) -> SweepReport:
         for delta in cfg.deltas:
             if not (0 < delta < 2.0 * (1.0 - cos(pi * a.theta))):
                 continue
-            px = spectral_projection(x, delta, "le")
-            py = spectral_projection(y, delta, "le")
+            px = spectral_projection(x, delta)
+            py = spectral_projection(y, delta)
             low = [m for m in range(a.q) if 2.0 * a.b_m(m) <= delta]
             consecutive = any((m + 1) % a.q in low for m in low) and len(low) > 1
-            eq_residual = float(np.max(np.abs(
-                px.matrix @ y @ px.matrix - 2.0 * px.matrix)))
-            margin = sqrt(2.0 / (4.0 - delta)) - spectral_norm(py.matrix @ px.matrix)
+            eq_residual = float(np.max(np.abs(px @ y @ px - 2.0 * px)))
+            margin = sqrt(2.0 / (4.0 - delta)) - spectral_norm(py @ px)
             out.append(AngleRecord(a.p, a.q, margin,
                                    {"delta": delta, "eq_residual": eq_residual,
                                     "low_set_size": len(low),
@@ -437,9 +390,6 @@ def verify_formula(cfg: SweepConfig) -> SweepReport:
 
     Pinned (R, epsilon) sweep directly; unset constants scan the same
     geometric grids as the two-site search (first-pass-wins)."""
-    if cfg.theta0 is not None:
-        raise ValueError("verify formula sweeps the whole grid; it takes no "
-                         "theta0")
     qmax = _qmax(cfg, 12)
     return _search_constants("formula", three_site_terms, farey_angles(qmax),
                              [None], cfg, qmax)

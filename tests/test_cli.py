@@ -1,6 +1,7 @@
 """Exit codes, report files and end-to-end determinism of the CLI."""
 
 import json
+import re
 import threading
 import time
 
@@ -64,6 +65,23 @@ def test_usage_errors():
     assert main(["symmetry", "spade", "--m", "5", "--d", "0"]) == 1
     assert main(["symmetry", "census", "--m", "0"]) == 1
     assert main(["symmetry", "census", "--m", "1"]) == 1
+    # certificate constants are positive rationals; these used to raise
+    # out of main with a traceback
+    for flag, value in (("--R", "abc"), ("--R", "1/0"), ("--eps", "x"),
+                        ("--R", "0")):
+        assert main(["symmetry", "threshold", flag, value]) == 1
+
+
+def test_verify_refuses_options_it_does_not_read(capsys):
+    # each of these used to pass with the option silently ignored
+    for argv, flags in ((["prodnorm", "--qmax", "6", "--full-circle"],
+                         "--full-circle"),
+                        (["bz", "--R", "4", "--deltas", "0.2"], "--R, --deltas"),
+                        (["xsmall", "--full-circle"], "--full-circle"),
+                        (["xyz1", "--lambda", "3"], "--lambda")):
+        assert main(["verify", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: verify {argv[0]} does not read {flags}\n"
 
 
 def test_graded_dims(tmp_path):
@@ -229,7 +247,10 @@ def _record_all(monkeypatch, code_of=lambda argv: 0):
 def test_all_table_parses_and_forwards(monkeypatch):
     calls = _record_all(monkeypatch)
     args = build_parser().parse_args(["all", "--tol", "1e-7"])
-    assert cli.cmd_all(args) == 0
+    result = cli.cmd_all(args)
+    assert result.payload == {"command": "all", "pass": True}
+    assert result.summary == "26 of 26 components passed"
+    assert result.lines == []
     assert len(calls) == 26
     verify = [c for c in calls if c.command == "verify"]
     assert len(verify) == 10 and all(c.tol == 1e-7 for c in verify)
@@ -242,4 +263,109 @@ def test_all_fails_when_a_component_fails(monkeypatch):
     for code in (1, 2):
         _record_all(monkeypatch,
                     lambda argv, code=code: code if "gram" in argv else 0)
-        assert cli.cmd_all(args) == 2
+        result = cli.cmd_all(args)
+        assert result.payload["pass"] is False
+        assert result.lines == ["failed: graded gram"]
+        assert cli._emit(result, args, 0.0) == 2
+
+
+# --out and --csv bytes as written before the report format moved into one
+# emitter
+PINNED_REPORTS = {
+    "symmetry threshold --m 5 --R 6 --eps 1 --n 15": ("""{
+  "R": "6",
+  "applies": true,
+  "command": "symmetry threshold",
+  "eps_prime": "13/45",
+  "epsilon": "1",
+  "epsilon_n": "13/3",
+  "m": 5,
+  "n": 15,
+  "n_threshold": 15,
+  "op_coefficient": "1",
+  "pass": true
+}
+""", None),
+    "symmetry census --m 4": ("""{
+  "adjacent_matches_ordered": false,
+  "adjacent_matches_unordered": false,
+  "adjacent_ordered": 24,
+  "adjacent_unordered": 12,
+  "closed_form_adjacent": 4,
+  "closed_form_disjoint": 6,
+  "closed_form_edges": 6,
+  "command": "symmetry census",
+  "disjoint_matches_ordered": true,
+  "disjoint_ordered": 6,
+  "disjoint_unordered": 3,
+  "edges": 6,
+  "edges_match": true,
+  "m": 4,
+  "pass": true
+}
+""", None),
+    "graded dims --max 3": ("""{
+  "command": "graded dims",
+  "pass": true,
+  "rows": [
+    [
+      0,
+      1,
+      1
+    ],
+    [
+      1,
+      2,
+      2
+    ],
+    [
+      2,
+      4,
+      4
+    ],
+    [
+      3,
+      6,
+      6
+    ]
+  ]
+}
+""", "n,formula,enumerated\r\n0,1,1\r\n1,2,2\r\n2,4,4\r\n3,6,6\r\n"),
+}
+
+
+def test_report_bytes_are_pinned(tmp_path):
+    out, csv = tmp_path / "r.json", tmp_path / "r.csv"
+    for check, (want_json, want_csv) in PINNED_REPORTS.items():
+        argv = check.split() + ["--out", str(out)]
+        if want_csv is not None:
+            argv += ["--csv", str(csv)]
+        assert main(argv) == 0
+        assert out.read_bytes() == want_json.encode()
+        if want_csv is not None:
+            assert csv.read_bytes() == want_csv.encode()
+    # witness extras stay the repr strings of their floats
+    assert main(["verify", "bz", "--qmax", "4", "--tol", "-1",
+                 "--out", str(out)]) == 2
+    witnesses = json.loads(out.read_text())["witnesses"]
+    assert len(witnesses) == 12
+    assert [w["lambda"] for w in witnesses[:3]] == ["1.0", "2.0", "4.0"]
+
+
+def test_stdout_verdict_notes_and_rows(capsys):
+    for argv, code, want in (
+            (["verify", "smalltheta", "--qmax", "8", "--theta0", "1/2",
+              "--R", "8", "--epsilon", "1/16"], 2,
+             [r"\[FAIL\] verify smalltheta: min margin -8\.004e-01 at "
+              r"theta=1/2, 12 records \(\d+\.\d\ds\)",
+              r"    note: FAIL: no passing \(theta0, R, epsilon\) in scan range"]),
+            (["expander", "run", "--n", "2", "--q", "3", "--p-rule", "unit"], 0,
+             [r"\[PASS\] expander run: 1 graphs \(\d+\.\d\ds\)",
+              r"    n=2 q=3 p=1: order 24 gap 1\.2679 normalized 0\.3170"]),
+            (["symmetry", "census", "--m", "4"], 0,
+             [r"\[PASS\] symmetry census \(\d+\.\d\ds\)"])):
+        assert main(argv) == code
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(want)
+        for line, pattern in zip(lines, want):
+            assert re.fullmatch(pattern, line), line

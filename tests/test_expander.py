@@ -5,10 +5,10 @@ import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from heisenkit.cli import main
-from heisenkit.expander import (complete_graph, coprime_residues,
-                                disjoint_union, elementary_generators,
-                                enumerate_group, family_report, sl_order,
-                                spectral_gap)
+from heisenkit.expander import (FixtureGraph, complete_graph,
+                                coprime_residues, disjoint_union,
+                                elementary_generators, enumerate_group,
+                                family_report, sl_order, spectral_gap)
 
 
 def test_sl_order_formula():
@@ -124,9 +124,12 @@ def test_unconverged_lanczos_is_an_error(monkeypatch):
 
 def test_gap_invariant_under_relabeling():
     a = enumerate_group(3, 3, 1)
-    b = enumerate_group(3, 3, 1, shuffle_seed=99)
-    assert a.order == b.order
-    assert not np.array_equal(a.codes, b.codes)  # genuinely different order
+    rng = np.random.default_rng(99)
+    label = rng.permutation(a.order)  # vertex v becomes label[v]
+    nbrs = np.empty_like(a.neighbors)
+    nbrs[label] = label[a.neighbors[:, rng.permutation(a.degree)]]
+    b = FixtureGraph(order=a.order, degree=a.degree, neighbors=nbrs)
+    assert not np.array_equal(a.neighbors, b.neighbors)
     ga, gb = spectral_gap(a), spectral_gap(b)
     assert abs(ga.lambda2 - gb.lambda2) <= 1e-9
 

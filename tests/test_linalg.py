@@ -71,9 +71,7 @@ def test_real_input_stays_real(monkeypatch):
     assert min_eigenvalue(a) == pytest.approx(-2 * SQRT2, abs=1e-12)
     assert spectral_norm(a) == pytest.approx(2 * SQRT2, abs=1e-12)
     assert solved == [np.float64, np.float64]
-    for mode in ("le", "gt"):
-        proj = spectral_projection(a, 0.0, mode)
-        assert proj.source.dtype == proj.matrix.dtype == np.float64
+    assert spectral_projection(a, 0.0).dtype == np.float64
 
 
 def test_complex_input_is_solved_as_before():
@@ -87,8 +85,7 @@ def test_complex_input_is_solved_as_before():
         m = a + 1j * np.eye(dim)  # not Hermitian
         assert spectral_norm(m) == float(np.sqrt(max(
             np.linalg.eigvalsh(m.conj().T @ m)[-1], 0.0)))
-        proj = spectral_projection(a, 0.05, "gt")
-        assert proj.source.dtype == proj.matrix.dtype == np.complex128
+        assert spectral_projection(a, 0.05).dtype == np.complex128
     # complex dtype with zero imaginary part and complex64 both stay complex
     assert hermitian_operator(np.eye(2, dtype=complex)).dtype == np.complex128
     assert hermitian_operator(np.eye(2, dtype=np.complex64)).dtype == np.complex128
@@ -179,40 +176,37 @@ def test_kron_associative_exact():
 
 def test_spectral_projection_diagonal():
     x = x_op(RationalAngle(1, 2))  # diag(0, 4)
-    proj = spectral_projection(x, 1.0, "le")
-    assert np.allclose(proj.matrix, np.diag([1.0, 0.0]), atol=1e-12)
-    assert proj.rank == 1
+    proj = spectral_projection(x, 1.0)
+    assert np.allclose(proj, np.diag([1.0, 0.0]), atol=1e-12)
+    assert np.linalg.matrix_rank(proj) == 1
 
 
 def test_spectral_projection_above_norm_is_identity():
     a = np.array([[1.0, 0.5], [0.5, -1.0]])
-    proj = spectral_projection(a, spectral_norm(a) + 1.0, "le")
-    assert np.allclose(proj.matrix, np.eye(2), atol=1e-12)
+    proj = spectral_projection(a, spectral_norm(a) + 1.0)
+    assert np.allclose(proj, np.eye(2), atol=1e-12)
 
 
-def test_spectral_projection_complement_exact():
+def test_spectral_projection_is_orthogonal():
     rng = np.random.default_rng(9)
     a = random_hermitian(rng, 6)
-    le = spectral_projection(a, 0.05, "le")
-    gt = spectral_projection(a, 0.05, "gt")
-    assert np.array_equal(le.matrix + gt.matrix, np.eye(6, dtype=complex))
-    assert le.rank + gt.rank == 6
-    for p in (le, gt):
-        assert np.max(np.abs(p.matrix - p.matrix.conj().T)) <= 1e-9
-        assert np.max(np.abs(p.matrix @ p.matrix - p.matrix)) <= 1e-9
+    p = spectral_projection(a, 0.05)
+    assert np.max(np.abs(p - p.conj().T)) <= 1e-9
+    assert np.max(np.abs(p @ p - p)) <= 1e-9
+    assert np.linalg.matrix_rank(p) == np.sum(np.linalg.eigvalsh(a) <= 0.05)
 
 
 def test_spectral_projection_ambiguous_cut():
     with pytest.raises(ValueError, match="ambiguous"):
-        spectral_projection(np.diag([0.0, 4.0]), 4.0 + 1e-10, "le")
+        spectral_projection(np.diag([0.0, 4.0]), 4.0 + 1e-10)
 
 
 def test_projection_product_bound_third():
     # ||P_{Y<=d} P_{X<=d}|| <= sqrt(2/(4-d)) at angle 1/3, d = 0.5
     a = RationalAngle(1, 3)
-    px = spectral_projection(x_op(a), 0.5, "le")
-    py = spectral_projection(y_op(a), 0.5, "le")
-    norm = spectral_norm(py.matrix @ px.matrix)
+    px = spectral_projection(x_op(a), 0.5)
+    py = spectral_projection(y_op(a), 0.5)
+    norm = spectral_norm(py @ px)
     assert norm <= np.sqrt(2.0 / 3.5) + 1e-9
 
 

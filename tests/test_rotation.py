@@ -231,7 +231,7 @@ def test_prodnorm_bound_small_grid():
 
 
 def test_trace_identity():
-    for angle in farey_angles(25, include_zero=False):
+    for angle in farey_angles(25):
         if angle.p == 0:
             continue
         assert np.trace(x_op(angle)).real == pytest.approx(2 * angle.q, abs=1e-9)

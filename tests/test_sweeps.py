@@ -1,6 +1,5 @@
 """Sweep margins against closed forms, search behavior and determinism."""
 
-import json
 from fractions import Fraction
 from math import asin, pi, sqrt
 
@@ -8,6 +7,7 @@ import numpy as np
 import pytest
 
 from heisenkit.algebra import hermitian_square
+from heisenkit.cli import main
 from heisenkit.groups import Heisenberg3
 from heisenkit.rotation import RationalAngle, evaluate3, x_op, y_op
 from heisenkit.sweeps import (SweepConfig, _tensor_sweep, three_site_operator,
@@ -209,15 +209,20 @@ def test_tensor_operators_match_group_algebra():
                 assert abs(block_min - np.linalg.eigvalsh(oracle)[0]) <= 1e-12
 
 
-def test_reports_are_deterministic():
-    cfg = SweepConfig(qmax=10, lambdas=(1.0, 2.0))
-    r1, r2 = verify_bz(cfg), verify_bz(cfg)
-    assert json.dumps(r1.to_json_dict(), sort_keys=True) == \
-        json.dumps(r2.to_json_dict(), sort_keys=True)
-    assert r1.csv_rows() == r2.csv_rows()
+def test_reports_are_deterministic(tmp_path):
+    reports = []
+    for run in ("a", "b"):
+        out, csv = tmp_path / f"{run}.json", tmp_path / f"{run}.csv"
+        assert main(["verify", "bz", "--qmax", "10", "--lambda", "1,2",
+                     "--out", str(out), "--csv", str(csv)]) == 0
+        reports.append((out.read_bytes(), csv.read_bytes()))
+    assert reports[0] == reports[1]
 
 
-def test_report_json_excludes_wall_time():
-    report = verify_xyz1(SweepConfig(qmax=6))
-    payload = report.to_json_dict()
-    assert "wall_time" not in json.dumps(payload)
+def test_report_json_excludes_wall_time(tmp_path):
+    out, csv = tmp_path / "xyz1.json", tmp_path / "xyz1.csv"
+    assert main(["verify", "xyz1", "--qmax", "6", "--out", str(out),
+                 "--csv", str(csv)]) == 0
+    for path in (out, csv):
+        text = path.read_text()
+        assert "wall_time" not in text and "seconds" not in text
