@@ -1,11 +1,14 @@
 """Cayley graphs of SL_n(Z/qZ) with elementary generators and their
 spectral gaps.
 
-Vertices are enumerated by BFS closure from the identity; matrices are
-encoded as base-q digit vectors so the whole frontier advances with a few
-vectorized column operations per generator.  The gap is degree - lambda_2,
-with lambda_2 from one sparse Lanczos solve (ARPACK) for the three largest
-adjacency eigenvalues at every graph size.
+Vertices are enumerated by one BFS pass from the identity.  Matrices are
+base-q codes, and each generator e_{i,j}(v) acts on a whole frontier as
+the column operation g[r, j] += v g[r, i] mod q, written as a change of
+code; a dense code -> vertex table numbers the new vertices and yields
+each level's neighbour rows as soon as the level closes.  The gap is
+degree - lambda_2, with lambda_2 the top eigenvalue of the adjacency with
+its constant eigenvector deflated, from one sparse Lanczos solve (ARPACK,
+k = 1).
 """
 
 from __future__ import annotations
@@ -48,22 +51,16 @@ def _sl_prime_power(n: int, p: int, k: int) -> int:
     return p ** ((k - 1) * (n * n - 1)) * base
 
 
-def elementary_generators(n: int, q: int, p: int) -> list[np.ndarray]:
-    """Symmetrized set {e_{i,j}(+-p) : i != j} as distinct residue matrices.
-    Collapses when p = -p mod q (e.g. q = 2)."""
-    seen = set()
+def elementary_generators(n: int, q: int, p: int) -> list[tuple[int, int, int]]:
+    """The symmetrized set {e_{i,j}(+-p) : i != j} as (i, j, v) entries,
+    v a residue mod q, one per distinct matrix.  Collapses when p = -p
+    mod q (e.g. q = 2), and to the identity alone when p = 0 mod q."""
     out = []
     for i in range(n):
         for j in range(n):
-            if i == j:
-                continue
-            for v in (p % q, (-p) % q):
-                g = np.eye(n, dtype=np.int64)
-                g[i, j] = v
-                key = tuple(g.ravel())
-                if key not in seen:
-                    seen.add(key)
-                    out.append(g)
+            for v in dict.fromkeys((p % q, (-p) % q)):
+                if i != j and (v or not out):
+                    out.append((i, j, v))
     return out
 
 
@@ -78,23 +75,18 @@ class CayleyGraph:
     neighbors: np.ndarray                  # (order, degree) vertex indices
 
 
-def _encode(mats: np.ndarray, q: int, powers: np.ndarray) -> np.ndarray:
-    return mats.reshape(mats.shape[0], -1) @ powers
-
-
-def _decode(codes: np.ndarray, n: int, q: int) -> np.ndarray:
-    nn = n * n
-    digits = np.empty((codes.size, nn), dtype=np.int64)
-    c = codes.copy()
-    for k in range(nn):
-        digits[:, k] = c % q
-        c //= q
-    return digits.reshape(codes.size, n, n)
-
-
 def enumerate_group(n: int, q: int, p: int = 1,
                     order_cap: int = DEFAULT_ORDER_CAP) -> CayleyGraph:
     """BFS closure of {e_{i,j}(+-p)} inside SL_n(Z/qZ).
+
+    A matrix is its base-q code sum_{r,c} g[r, c] q^{rn+c}.  Right
+    multiplication by e_{i,j}(v) is the column operation
+    g[r, j] += v g[r, i] mod q, so each level's products come from the
+    frontier's codes by one digit update per generator.  One dense table
+    maps every code to its vertex index (-1 while unseen); the unseen
+    products of a level are sorted and deduplicated, numbered in that
+    order and become the next frontier, and the level's neighbour rows are
+    read from the table as soon as the level closes.
 
     Raises when the enumeration exceeds ``order_cap``.
     """
@@ -102,47 +94,38 @@ def enumerate_group(n: int, q: int, p: int = 1,
         raise ValueError("supported desk scale is n in {2, 3}")
     if q < 1:
         raise ValueError("q must be >= 1")
-    gens = elementary_generators(n, q, p) if q > 1 else []
-    nn = n * n
-    powers = q ** np.arange(nn, dtype=np.int64) if q > 1 else np.ones(nn, dtype=np.int64)
     if q == 1:
-        ident = np.zeros((1,), dtype=np.int64)
-        return CayleyGraph(n, q, p, 1, 0, ident,
+        return CayleyGraph(n, q, p, 1, 0, np.zeros((1,), dtype=np.int64),
                            np.zeros((1, 0), dtype=np.int64))
-    visited = np.zeros(q ** nn, dtype=bool)
-    ident = np.eye(n, dtype=np.int64)[None]
-    frontier = ident
-    visited[_encode(ident, q, powers)] = True
-    chunks = [_encode(ident, q, powers)]
+    gens = elementary_generators(n, q, p)
+    powers = q ** np.arange(n * n, dtype=np.int64)
+    index_of = np.full(q ** (n * n), -1, dtype=np.int64)
+    frontier = np.array([powers[::n + 1].sum()], dtype=np.int64)  # identity
+    index_of[frontier] = 0
+    code_chunks, nbr_chunks = [frontier], []
     count = 1
-    while frontier.shape[0]:
-        prods = np.concatenate([(frontier @ g) % q for g in gens])
-        codes = _encode(prods, q, powers)
-        codes, first = np.unique(codes, return_index=True)
-        fresh = ~visited[codes]
-        codes = codes[fresh]
-        visited[codes] = True
-        frontier = prods[first[fresh]]
-        count += codes.size
+    while frontier.size:
+        digits = frontier // powers[:, None] % q
+        prods = np.empty((len(gens), frontier.size), dtype=np.int64)
+        for col, (i, j, v) in enumerate(gens):
+            src, dst = digits[i::n], digits[j::n]
+            prods[col] = frontier + powers[j::n] @ ((dst + v * src) % q - dst)
+        nbrs = index_of[prods]
+        unseen = nbrs < 0
+        candidates = prods[unseen]
+        fresh = np.sort(candidates)
+        fresh = fresh[np.diff(fresh, prepend=-1) != 0]
+        index_of[fresh] = np.arange(count, count + fresh.size)
+        count += fresh.size
         if count > order_cap:
             raise ValueError(f"group enumeration reached {count} elements, "
                              f"beyond the cap {order_cap}")
-        if codes.size:
-            chunks.append(codes)
-    all_codes = np.concatenate(chunks)
-    order = all_codes.size
-    index_of = np.full(q ** nn, -1, dtype=np.int64)
-    index_of[all_codes] = np.arange(order)
-    mats = _decode(all_codes, n, q)
-    nbr_cols = []
-    for g in gens:
-        codes_n = _encode((mats @ g) % q, q, powers)
-        col = index_of[codes_n]
-        if np.any(col < 0):
-            raise RuntimeError("BFS closure is not generator-closed")
-        nbr_cols.append(col)
-    neighbors = np.stack(nbr_cols, axis=1) if gens else np.zeros((order, 0), np.int64)
-    return CayleyGraph(n, q, p, order, len(gens), all_codes, neighbors)
+        nbrs[unseen] = index_of[candidates]
+        nbr_chunks.append(nbrs.T)
+        code_chunks.append(fresh)
+        frontier = fresh
+    return CayleyGraph(n, q, p, count, len(gens), np.concatenate(code_chunks),
+                       np.concatenate(nbr_chunks))
 
 
 @dataclass
@@ -157,14 +140,19 @@ class GapResult:
 
 
 def spectral_gap(graph: CayleyGraph | "FixtureGraph") -> GapResult:
-    """gap = degree - lambda_2 of the adjacency operator.
+    """gap = degree - lambda_2 of the adjacency operator A.
 
-    The three largest eigenvalues come from one implicitly restarted
-    Lanczos solve (ARPACK via ``eigsh``, tolerance at machine precision)
-    on the CSR adjacency, started from a fixed-seed vector so identical
-    input gives bitwise-identical output.  ``iterations`` counts adjacency
-    applications and ``residual`` is ||A v_2 - lambda_2 v_2||.  Apart from
-    the single vertex, ARPACK needs more than k = 3 vertices.
+    The constant vector is A's top eigenvector (eigenvalue ``degree``), so
+    it is deflated: B v = A v - 3 degree mean(v) 1 sends it to -2 degree,
+    strictly below every eigenvalue of A, and leaves the rest of A's
+    spectrum in place.  lambda_2 is then B's largest eigenvalue, from one
+    implicitly restarted Lanczos solve (ARPACK ``eigsh``, k = 1, tolerance
+    at machine precision) started from a fixed-seed vector, so identical
+    input gives bitwise-identical output.  ``iterations`` counts operator
+    applications and ``residual`` is ||B v_2 - lambda_2 v_2||.  (With a
+    shift of 2 degree the constant vector would tie with -degree, the
+    bottom eigenvalue of a bipartite graph such as K_2; 3 degree keeps it
+    strictly below.)
 
     A disconnected graph shows lambda_2 = degree (eigenvalue ``degree``
     with multiplicity > 1) and is flagged connected=False with gap 0.
@@ -182,24 +170,28 @@ def spectral_gap(graph: CayleyGraph | "FixtureGraph") -> GapResult:
     nbr = graph.neighbors
     adj = csr_matrix((np.ones(nbr.size), nbr.ravel(),
                       np.arange(0, nbr.size + 1, deg)), shape=(v_count, v_count))
+    shift = 3.0 * deg / v_count
+
+    def deflated(v):
+        return adj @ v - shift * v.sum()
+
     matvecs = 0
 
     def apply(v):
         nonlocal matvecs
         matvecs += 1
-        return adj @ v
+        return deflated(v)
 
     v0 = np.random.default_rng(START_SEED).standard_normal(v_count)
     try:
         w, vecs = eigsh(LinearOperator(adj.shape, matvec=apply, dtype=float),
-                        k=3, which="LA", tol=0, v0=v0)
+                        k=1, which="LA", tol=0, v0=v0)
     except ArpackNoConvergence as exc:
         raise ValueError(f"Lanczos did not converge after {matvecs} "
                          f"operator applications") from exc
-    second = np.argsort(w)[-2]
-    lam2 = float(w[second])
-    v2 = vecs[:, second]
-    res = float(np.linalg.norm(adj @ v2 - lam2 * v2))
+    lam2 = float(w[0])
+    v2 = vecs[:, 0]
+    res = float(np.linalg.norm(deflated(v2) - lam2 * v2))
     gap = deg - lam2
     connected = gap > max(10 * res, 1e-9)
     return GapResult(lambda2=lam2, gap=gap if connected else 0.0,
@@ -237,7 +229,8 @@ def coprime_residues(q: int) -> list[int]:
 def family_report(n: int, q_list, p_rule: str = "coprime",
                   order_cap: int = DEFAULT_ORDER_CAP) -> list[dict]:
     """One row per (q, p): BFS order vs the classical order, spectral gap,
-    normalized gap.  ``p_rule`` is "unit" (p = 1 only) or "coprime" (every
+    normalized gap, and the Lanczos residual and operator applications
+    behind lambda_2.  ``p_rule`` is "unit" (p = 1 only) or "coprime" (every
     residue prime to q).  Rows for p and q - p share one computation since
     the symmetrized generator sets coincide.
     """
@@ -273,6 +266,8 @@ def family_report(n: int, q_list, p_rule: str = "coprime",
                 "normalized_gap": gap.normalized_gap,
                 "connected": gap.connected,
                 "method": gap.method,
+                "residual": gap.residual,
+                "matvecs": gap.iterations,
                 "seconds": elapsed,
             })
     return rows

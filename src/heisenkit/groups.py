@@ -93,7 +93,8 @@ class SpecialLinear:
         self.n = n
         self.q = q
         self.identity: MatElt = tuple(
-            tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
+            tuple((1 if i == j else 0) % q for j in range(n))
+            for i in range(n)
         )
 
     def elementary(self, i: int, j: int, r: int) -> MatElt:

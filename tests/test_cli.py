@@ -122,6 +122,7 @@ def test_symmetry_commands(tmp_path):
     assert main(["symmetry", "threshold", "--m", "5", "--R", "6",
                  "--eps", "1", "--n", "15"]) == 0
     assert main(["symmetry", "el5", "--q", "5", "--tr", "2", "--ts", "3"]) == 0
+    assert main(["symmetry", "el5", "--q", "1"]) == 0   # the zero ring
 
 
 def test_orbit_past_sym8(tmp_path):
@@ -150,6 +151,8 @@ def test_expander_cli(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["pass"] is True
     assert payload["rows"][0]["order"] == 168
+    assert payload["rows"][0]["matvecs"] > 0           # how lambda_2 was reached
+    assert payload["rows"][0]["residual"] < 1e-12
     header = csv.read_text().splitlines()[0].split(",")
     assert header == ["n", "q", "p", "order", "degree", "lambda2", "gap",
                       "normalized_gap"]

@@ -25,6 +25,10 @@ def test_generator_collapse_mod2():
     assert len(elementary_generators(3, 2, 1)) == 6   # +p = -p mod 2
     assert len(elementary_generators(3, 5, 1)) == 12
     assert len(elementary_generators(2, 7, 2)) == 4
+    assert len(elementary_generators(3, 4, 4)) == 1   # e_{i,j}(0) = 1
+    # neighbour columns follow this order: (i, j) row-major, then +p, -p
+    assert elementary_generators(2, 5, 1) == [(0, 1, 1), (0, 1, 4),
+                                              (1, 0, 1), (1, 0, 4)]
 
 
 def test_enumerate_small_groups():
@@ -35,6 +39,55 @@ def test_enumerate_small_groups():
     g = enumerate_group(3, 3, 1)
     assert g.order == 5616
     assert enumerate_group(3, 1, 1).order == 1
+
+
+def _matmul_closure(n, q, p):
+    """Reference BFS: whole matrices, one batched matmul per generator,
+    np.unique per level, then every neighbour recomputed by matmul."""
+    gens = []
+    for i, j, v in elementary_generators(n, q, p):
+        gens.append(np.eye(n, dtype=np.int64))
+        gens[-1][i, j] = v
+    powers = q ** np.arange(n * n, dtype=np.int64)
+
+    def encode(mats):
+        return mats.reshape(mats.shape[0], -1) @ powers
+
+    visited = np.zeros(q ** (n * n), dtype=bool)
+    frontier = np.eye(n, dtype=np.int64)[None]
+    visited[encode(frontier)] = True
+    chunks = [encode(frontier)]
+    while frontier.shape[0]:
+        prods = np.concatenate([(frontier @ g) % q for g in gens])
+        codes, first = np.unique(encode(prods), return_index=True)
+        fresh = ~visited[codes]
+        visited[codes[fresh]] = True
+        frontier = prods[first[fresh]]
+        if fresh.any():
+            chunks.append(codes[fresh])
+    codes = np.concatenate(chunks)
+    index_of = np.full(q ** (n * n), -1, dtype=np.int64)
+    index_of[codes] = np.arange(codes.size)
+    mats = (codes[:, None] // powers % q).reshape(-1, n, n)
+    nbrs = np.stack([index_of[encode((mats @ g) % q)] for g in gens], axis=1)
+    assert (nbrs >= 0).all()
+    return codes, nbrs
+
+
+@pytest.mark.parametrize("n, q, p", [
+    (3, 2, 1), (3, 3, 1), (3, 4, 1),   # SL_3(Z/2..4); q = 2 collapses +-p
+    (2, 2, 1), (2, 16, 1),
+    (2, 4, 2), (3, 4, 2),              # non-coprime p: proper subgroups
+    (2, 3, 0),                         # p = 0: the identity generator only
+])
+def test_bfs_matches_matmul_closure(n, q, p):
+    g = enumerate_group(n, q, p)
+    codes, nbrs = _matmul_closure(n, q, p)
+    assert g.codes.dtype == codes.dtype and g.neighbors.dtype == nbrs.dtype
+    assert g.codes.tobytes() == codes.tobytes()
+    assert g.neighbors.shape == nbrs.shape
+    assert g.neighbors.tobytes() == nbrs.tobytes()
+    assert g.order == codes.size and g.degree == len(elementary_generators(n, q, p))
 
 
 def test_enumerate_order_cap():
@@ -65,7 +118,7 @@ def test_adjacency_symmetric_and_regular():
 
 
 def test_complete_graph_gap():
-    for m in (4, 9, 25):
+    for m in (2, 3, 4, 9, 25):   # K_2, K_3: too small for a k = 3 solve
         res = spectral_gap(complete_graph(m))
         assert res.connected
         assert res.gap == pytest.approx(m, abs=1e-9)  # K_m: degree+1
@@ -73,7 +126,8 @@ def test_complete_graph_gap():
 
 def test_disconnected_fixture_rejected():
     sl3_f2 = enumerate_group(3, 2, 1)
-    for a, b in [(complete_graph(6), complete_graph(6)), (sl3_f2, sl3_f2)]:
+    for a, b in [(complete_graph(2), complete_graph(2)),
+                 (complete_graph(6), complete_graph(6)), (sl3_f2, sl3_f2)]:
         res = spectral_gap(disjoint_union(a, b))
         assert res.connected is False
         assert res.gap == 0.0
@@ -164,3 +218,7 @@ def test_family_report_small():
     # p and q - p share the symmetrized generator set, hence the gap
     gaps3 = {r["p"]: r["gap"] for r in by_q[3]}
     assert gaps3[1] == gaps3[2]
+    for r in rows:   # each lambda_2 says how it was reached
+        assert r["method"] == ("trivial" if r["q"] == 1 else "lanczos")
+        assert r["residual"] < 1e-12
+        assert (r["matvecs"] > 0) == (r["q"] > 1)

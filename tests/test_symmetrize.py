@@ -240,6 +240,17 @@ def test_instantiate_el5_zero_variable():
     assert G.elementary(1, 5, 0) == G.identity
 
 
+def test_el5_in_the_zero_ring():
+    # Z/1 is the zero ring: SL_n(Z/1) is trivial and every relation holds
+    for n in (2, 3, 5):
+        G = SpecialLinear(n, 1)
+        assert G.mul(G.identity, G.identity) == G.identity
+        assert G.elementary(1, 2, 3) == G.identity
+    rec = instantiate_el5(1, 2, 3)
+    assert len(rec["checks"]) == 22 and all(rec["checks"].values())
+    assert rec["pass"]
+
+
 def test_el5_commutator_oracle():
     G = SpecialLinear(5, 5)
     comm = G.commutator(G.elementary(1, 2, 2), G.elementary(2, 5, 3))
