@@ -5,8 +5,8 @@ hands the result to ``_emit``, which normalizes its values once, writes the
 payload to ``--out`` (JSON) and the rows to ``--csv``, prints the verdict
 line ``[PASS]``/``[FAIL] <command>[: summary] (N.NNs)`` and the note lines,
 and picks the exit code: 0 all checks pass, 2 a check failed, 1 usage error
-(a malformed or out-of-range option, an option the chosen inequality does
-not read, or a workload refused before it runs).  Reports are
+(a malformed or out-of-range option, an option the chosen check does not
+read, or a workload refused before it runs).  Reports are
 deterministic (identical argv gives byte-identical files); wall time goes
 to stdout only.  No other module knows the report format.
 """
@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import shlex
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +30,7 @@ from . import graded, symmetrize
 from .algebra import sos_identity_sides, steinberg_check
 from .expander import DEFAULT_ORDER_CAP, family_report
 from .rotation import evaluate, farey_angles
-from .sweeps import (SweepConfig, verify_bz, verify_formula, verify_prodnorm,
+from .sweeps import (verify_bz, verify_formula, verify_prodnorm,
                      verify_smalltheta, verify_xsmall, verify_xyz1,
                      verify_xyz2, verify_zzz)
 
@@ -122,39 +123,122 @@ def _emit(result: Result, args, seconds: float) -> int:
     return EXIT_PASS if payload["pass"] else EXIT_FAIL
 
 
-def _runners() -> dict:
-    """Each inequality's sweep and the ``SweepConfig`` fields it reads.
+def symmetry_orbit(m: int = 4, n: int = 5, d: int = 1) -> dict:
+    parts_m = symmetrize.build_parts(m, d)
+    parts_n = symmetrize.build_parts(n, d)
+    results = []
+    for name, k in (("Delta2", 2), ("Adj", 3), ("Op", 4)):
+        # a part needs k distinct indices, so it is zero when k > m
+        expected = math.perm(m, k) * math.factorial(n - k) if k <= m else 0
+        scalar = symmetrize.orbit_sum(parts_m[name], n).divides_exactly(
+            parts_n[name])
+        results.append({"identity": name, "m": m, "n": n, "d": d,
+                        "lhs_terms": parts_m[name].term_count(),
+                        "rhs_terms": parts_n[name].term_count(),
+                        "scalar": scalar, "expected_scalar": expected,
+                        "match": scalar == expected})
+    split = parts_m["Delta_sq"] == parts_m["Sq"] + parts_m["Adj"] + parts_m["Op"]
+    return {"pass": split and all(r["match"] for r in results),
+            "split_exact": split, "identities": results}
 
-    Built at call time, so a sweep replaced in this module's namespace
-    (as a tracer does) is the one that runs."""
-    grid = ("qmax", "tol")
+
+def symmetry_census(m: int = 4) -> dict:
+    rec = symmetrize.edge_pair_census(m)
+    return {**rec, "pass": rec["edges_match"] and rec["disjoint_matches_ordered"]}
+
+
+def symmetry_spade(m: int = 4, d: int = 1) -> dict:
+    rec = symmetrize.spade_to_heart(m, d)
+    return {**rec, "pass": bool(rec.get("adj_match") and rec.get("rhs_match"))}
+
+
+def symmetry_threshold(m: int = 4, n: int = 5, R: Fraction = Fraction(6),
+                       eps: Fraction = Fraction(1)) -> dict:
+    cert = symmetrize.StabilityCertificate(m, R, eps)
+    return {**symmetrize.stability_threshold(cert, n),
+            "n_threshold": symmetrize.n_threshold(cert), "pass": True}
+
+
+def symmetry_el5(q: int = 5, tr: int = 2, ts: int = 3) -> dict:
+    rec = symmetrize.instantiate_el5(q, tr, ts)
+    steinberg = steinberg_check(3, min(q, 5))
+    return {**rec, "steinberg_pass": steinberg["pass"],
+            "pass": rec["pass"] and steinberg["pass"]}
+
+
+def graded_dims(max: int = 10) -> dict:
+    table = graded.dimension_table(max)
+    return {"pass": all(r[1] == r[2] for r in table), "rows": table}
+
+
+def graded_phi() -> dict:
+    rec = graded.phi_report()
+    lines = graded.rederive_square_swap_lines()
+    return {**rec, "selfadjoint": graded.phi_selfadjoint_check(),
+            "square_swap_lines_pass": lines["pass"],
+            "pass": rec["pass"] and lines["pass"]}
+
+
+def graded_gram() -> dict:
+    rec = graded.gram_matrix_check()
+    return {**rec, "pass": rec["matches_expected"] and rec["psd"]}
+
+
+def graded_sos_identity(points: int = 10) -> dict:
+    # the sides are evaluated apart: when they match exactly, lhs - rhs is
+    # the zero element and its image is zero whatever evaluate computes
+    lhs, rhs = sos_identity_sides()
+    exact = lhs == rhs
+    worst = 0.0
+    for angle in farey_angles(points, max_value=None)[:points]:
+        diff = evaluate(angle, lhs) - evaluate(angle, rhs)
+        worst = max(worst, float(np.max(np.abs(diff))))
+    return {"exact_match": exact, "max_numeric_residual": worst,
+            "pass": exact and worst <= 1e-12}
+
+
+def _checks() -> dict:
+    """command -> check name -> check, whose keyword parameters are its
+    options.  Built at call time, so a replaced function (a tracer's) runs."""
     return {
-        "bz": (verify_bz, grid + ("lambdas", "full_circle")),
-        "xyz1": (verify_xyz1, grid + ("full_circle",)),
-        "zzz": (verify_zzz, grid + ("R", "kappa")),
-        "xyz2": (verify_xyz2, grid + ("full_circle",)),
-        "prodnorm": (verify_prodnorm, grid),
-        "xsmall": (verify_xsmall, grid + ("deltas",)),
-        "smalltheta": (verify_smalltheta, grid + ("R", "epsilon", "theta0")),
-        "formula": (verify_formula, grid + ("R", "epsilon")),
+        "verify": {"bz": verify_bz, "xyz1": verify_xyz1, "zzz": verify_zzz,
+                   "xyz2": verify_xyz2, "prodnorm": verify_prodnorm,
+                   "xsmall": verify_xsmall, "smalltheta": verify_smalltheta,
+                   "formula": verify_formula},
+        "symmetry": {"orbit": symmetry_orbit, "census": symmetry_census,
+                     "spade": symmetry_spade, "threshold": symmetry_threshold,
+                     "el5": symmetry_el5},
+        "graded": {"dims": graded_dims, "phi": graded_phi, "gram": graded_gram,
+                   "sos-identity": graded_sos_identity},
     }
 
 
-def cmd_verify(args) -> Result:
-    name = f"verify {args.inequality}"
-    run, reads = _runners()[args.inequality]
-    unread = [f.name for f in fields(SweepConfig)
-              if f.name not in reads and getattr(args, f.name) != f.default]
+def _given(args) -> dict:
+    """The options given on the command line, by dest (all default to None)."""
+    return {k: v for k, v in vars(args).items() if v is not None
+            and k not in ("command", "fn", "inequality", "what", "out", "csv")}
+
+
+def _run_check(args):
+    """The chosen check called with the options given, or a usage error."""
+    name = args.inequality if args.command == "verify" else args.what
+    check = _checks()[args.command][name]
+    given = _given(args)
+    unread = [k for k in given if k not in inspect.signature(check).parameters]
     if unread:
-        flags = ", ".join("--" + {"lambdas": "lambda"}.get(f, f).replace("_", "-")
-                          for f in unread)
-        raise ValueError(f"{name} does not read {flags}")
-    report = run(SweepConfig(**{f: getattr(args, f) for f in reads}))
+        flags = ", ".join("--" + {"lambdas": "lambda"}.get(k, k).replace("_", "-")
+                          for k in unread)
+        raise ValueError(f"{args.command} {name} does not read {flags}")
+    return check(**given)
+
+
+def cmd_verify(args) -> Result:
+    report = _run_check(args)
     amin = report.argmin
     cols = sorted({k for r in report.records for k in r.extras})
     payload = {
-        "command": name,
-        "params": {"qmax": str(args.qmax), "tol": str(args.tol)},
+        "command": f"verify {args.inequality}",
+        "params": {"qmax": str(args.qmax), "tol": str(report.tol)},
         "name": report.name,
         "pass": report.passed,
         "min_margin": report.min_margin if report.records else None,
@@ -179,75 +263,12 @@ def cmd_verify(args) -> Result:
                   [f"note: {note}" for note in report.notes])
 
 
-def cmd_symmetry(args) -> Result:
-    if args.what == "orbit":
-        parts_m = symmetrize.build_parts(args.m, args.d)
-        parts_n = symmetrize.build_parts(args.n, args.d)
-        results = []
-        for name, k in (("Delta2", 2), ("Adj", 3), ("Op", 4)):
-            # a part needs k distinct indices, so it is zero when k > m
-            expected = (math.perm(args.m, k) * math.factorial(args.n - k)
-                        if k <= args.m else 0)
-            scalar = symmetrize.orbit_sum(parts_m[name], args.n).divides_exactly(
-                parts_n[name])
-            results.append({"identity": name, "m": args.m, "n": args.n,
-                            "d": args.d,
-                            "lhs_terms": parts_m[name].term_count(),
-                            "rhs_terms": parts_n[name].term_count(),
-                            "scalar": scalar, "expected_scalar": expected,
-                            "match": scalar == expected})
-        split = parts_m["Delta_sq"] == (parts_m["Sq"] + parts_m["Adj"]
-                                        + parts_m["Op"])
-        payload = {"pass": split and all(r["match"] for r in results),
-                   "split_exact": split, "identities": results}
-    elif args.what == "census":
-        payload = symmetrize.edge_pair_census(args.m)
-        payload["pass"] = payload["edges_match"] and payload["disjoint_matches_ordered"]
-    elif args.what == "spade":
-        payload = symmetrize.spade_to_heart(args.m, args.d)
-        payload["pass"] = bool(payload.get("adj_match") and payload.get("rhs_match"))
-    elif args.what == "threshold":
-        cert = symmetrize.StabilityCertificate(args.m, args.R_exact,
-                                               args.eps_exact)
-        payload = {**symmetrize.stability_threshold(cert, args.n),
-                   "n_threshold": symmetrize.n_threshold(cert), "pass": True}
-    elif args.what == "el5":
-        rec = symmetrize.instantiate_el5(args.q, args.tr, args.ts)
-        steinberg = steinberg_check(3, min(args.q, 5))
-        payload = {**rec, "steinberg_pass": steinberg["pass"],
-                   "pass": rec["pass"] and steinberg["pass"]}
-    else:  # pragma: no cover
-        raise ValueError(args.what)
-    return Result({"command": f"symmetry {args.what}", **payload})
-
-
-def cmd_graded(args) -> Result:
-    rows = None
-    if args.what == "dims":
-        table = graded.dimension_table(args.max)
-        rows = [("n", "formula", "enumerated")] + table
-        payload = {"pass": all(r[1] == r[2] for r in table), "rows": table}
-    elif args.what == "phi":
-        rec = graded.phi_report()
-        lines = graded.rederive_square_swap_lines()
-        payload = {**rec, "selfadjoint": graded.phi_selfadjoint_check(),
-                   "square_swap_lines_pass": lines["pass"],
-                   "pass": rec["pass"] and lines["pass"]}
-    elif args.what == "gram":
-        payload = graded.gram_matrix_check()
-        payload["pass"] = payload["matches_expected"] and payload["psd"]
-    elif args.what == "sos-identity":
-        lhs, rhs = sos_identity_sides()
-        exact = lhs == rhs
-        worst = 0.0
-        for angle in farey_angles(args.points, max_value=None)[:args.points]:
-            diff = evaluate(angle, lhs - rhs)
-            worst = max(worst, float(np.max(np.abs(diff))) if diff.size else 0.0)
-        payload = {"exact_match": exact, "max_numeric_residual": worst,
-                   "pass": exact and worst <= 1e-12}
-    else:  # pragma: no cover
-        raise ValueError(args.what)
-    return Result({"command": f"graded {args.what}", **payload}, rows)
+def cmd_exact(args) -> Result:
+    """A symmetry or graded check: its payload is the report."""
+    payload = {"command": f"{args.command} {args.what}", **_run_check(args)}
+    rows = ([("n", "formula", "enumerated")] + payload["rows"]
+            if payload["command"] == "graded dims" else None)
+    return Result(payload, rows)
 
 
 def cmd_expander(args) -> Result:
@@ -289,7 +310,7 @@ def cmd_all(args) -> Result:
     failures = []
     for check in checks:
         argv = shlex.split(check)
-        if check.startswith("verify"):
+        if check.startswith("verify") and args.tol is not None:
             argv += ["--tol", repr(args.tol)]
         t0 = time.perf_counter()
         code = main(argv)
@@ -304,6 +325,8 @@ def cmd_all(args) -> Result:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A check option not given is None, left to the check's default."""
+    checks = _checks()
     top = argparse.ArgumentParser(
         prog="heisenkit",
         description="Verification sweeps for rotation-representation "
@@ -312,53 +335,46 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("verify", help="rotation-representation inequality sweeps")
-    pv.add_argument("inequality",
-                    choices=["bz", "xyz1", "zzz", "xyz2", "prodnorm",
-                             "xsmall", "smalltheta", "formula"])
-    pv.add_argument("--qmax", type=_positive_int, default=SweepConfig.qmax,
+    pv.add_argument("inequality", choices=list(checks["verify"]))
+    pv.add_argument("--qmax", type=_positive_int,
                     help="Farey grid order (default per inequality)")
-    pv.add_argument("--tol", type=_finite_float, default=SweepConfig.tol)
+    pv.add_argument("--tol", type=_finite_float)
     pv.add_argument("--lambda", dest="lambdas", type=_float_list,
-                    default=SweepConfig.lambdas, help="couplings, comma separated")
-    pv.add_argument("--R", type=_positive_float, default=SweepConfig.R)
-    pv.add_argument("--kappa", type=float, default=SweepConfig.kappa)
-    pv.add_argument("--epsilon", type=_positive_fraction,
-                    default=SweepConfig.epsilon)
-    pv.add_argument("--theta0", type=_positive_fraction,
-                    default=SweepConfig.theta0)
-    pv.add_argument("--deltas", type=_float_list, default=SweepConfig.deltas)
-    pv.add_argument("--full-circle", action="store_true",
+                    help="couplings, comma separated")
+    pv.add_argument("--R", type=_positive_float)
+    pv.add_argument("--kappa", type=float)
+    pv.add_argument("--epsilon", type=_positive_fraction)
+    pv.add_argument("--theta0", type=_positive_fraction)
+    pv.add_argument("--deltas", type=_float_list)
+    pv.add_argument("--full-circle", action="store_true", default=None,
                     help="sweep all of [0,1) instead of [0,1/2]")
     pv.add_argument("--out", default=None, help="write JSON summary here")
     pv.add_argument("--csv", default=None, help="write per-angle CSV here")
     pv.set_defaults(fn=cmd_verify)
 
     ps = sub.add_parser("symmetry", help="exact orbit-sum and threshold checks")
-    ps.add_argument("what", choices=["orbit", "census", "spade", "threshold", "el5"])
-    ps.add_argument("--m", type=_positive_int, default=4)
-    ps.add_argument("--n", type=_positive_int, default=5)
-    ps.add_argument("--d", type=_positive_int, default=1)
-    ps.add_argument("--R", dest="R_exact", type=_positive_fraction,
-                    default=Fraction(6),
+    ps.add_argument("what", choices=list(checks["symmetry"]))
+    ps.add_argument("--m", type=_positive_int)
+    ps.add_argument("--n", type=_positive_int)
+    ps.add_argument("--d", type=_positive_int)
+    ps.add_argument("--R", type=_positive_fraction, metavar="R_EXACT",
                     help="certificate R (positive rational)")
-    ps.add_argument("--eps", dest="eps_exact", type=_positive_fraction,
-                    default=Fraction(1),
+    ps.add_argument("--eps", type=_positive_fraction, metavar="EPS_EXACT",
                     help="certificate epsilon (positive rational)")
-    ps.add_argument("--q", type=int, default=5)
-    ps.add_argument("--tr", type=int, default=2)
-    ps.add_argument("--ts", type=int, default=3)
+    ps.add_argument("--q", type=int)
+    ps.add_argument("--tr", type=int)
+    ps.add_argument("--ts", type=int)
     ps.add_argument("--out", default=None)
-    ps.set_defaults(fn=cmd_symmetry)
+    ps.set_defaults(fn=cmd_exact)
 
     pg = sub.add_parser("graded", help="augmentation-quotient computations")
-    pg.add_argument("what", choices=["dims", "phi", "gram", "sos-identity"])
-    pg.add_argument("--max", type=_positive_int, default=10,
-                    help="largest degree for dims")
-    pg.add_argument("--points", type=_positive_int, default=10,
+    pg.add_argument("what", choices=list(checks["graded"]))
+    pg.add_argument("--max", type=_positive_int, help="largest degree for dims")
+    pg.add_argument("--points", type=_positive_int,
                     help="numeric grid size for sos-identity")
     pg.add_argument("--out", default=None)
     pg.add_argument("--csv", default=None)
-    pg.set_defaults(fn=cmd_graded)
+    pg.set_defaults(fn=cmd_exact)
 
     pe = sub.add_parser("expander", help="Cayley graphs of SL_n(Z/qZ)")
     pe.add_argument("what", choices=["run"])
@@ -371,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.set_defaults(fn=cmd_expander)
 
     pa = sub.add_parser("all", help="run the full verification suite")
-    pa.add_argument("--tol", type=_finite_float, default=SweepConfig.tol)
+    pa.add_argument("--tol", type=_finite_float)
     pa.set_defaults(fn=cmd_all)
     return top
 

@@ -139,7 +139,7 @@ class GapResult:
     residual: float = 0.0
 
 
-def spectral_gap(graph: CayleyGraph | "FixtureGraph") -> GapResult:
+def spectral_gap(graph: CayleyGraph) -> GapResult:
     """gap = degree - lambda_2 of the adjacency operator A.
 
     The constant vector is A's top eigenvector (eigenvalue ``degree``), so
@@ -198,28 +198,6 @@ def spectral_gap(graph: CayleyGraph | "FixtureGraph") -> GapResult:
                      normalized_gap=(gap / deg if connected else 0.0),
                      connected=connected, method="lanczos",
                      iterations=matvecs, residual=res)
-
-
-@dataclass
-class FixtureGraph:
-    """Plain neighbor-list graph for self-tests (complete graphs, unions)."""
-
-    order: int
-    degree: int
-    neighbors: np.ndarray
-
-
-def complete_graph(m: int) -> FixtureGraph:
-    nbrs = np.array([[j for j in range(m) if j != i] for i in range(m)],
-                    dtype=np.int64)
-    return FixtureGraph(order=m, degree=m - 1, neighbors=nbrs)
-
-
-def disjoint_union(a: FixtureGraph, b: FixtureGraph) -> FixtureGraph:
-    if a.degree != b.degree:
-        raise ValueError("union of regular graphs needs equal degrees")
-    nbrs = np.concatenate([a.neighbors, b.neighbors + a.order])
-    return FixtureGraph(order=a.order + b.order, degree=a.degree, neighbors=nbrs)
 
 
 def coprime_residues(q: int) -> list[int]:

@@ -3,9 +3,7 @@ and spectral projections.
 
 Production eigensolves go through LAPACK (``numpy.linalg.eigh``).  Real
 input stays real and is solved as float64 symmetric; complex input is
-solved as complex128 Hermitian.  A cyclic Jacobi solver on the
-real-symmetric embedding and a Faddeev-LeVerrier characteristic
-polynomial are kept as independent oracles for the tests.
+solved as complex128 Hermitian.
 """
 
 from __future__ import annotations
@@ -65,65 +63,3 @@ def spectral_projection(op: np.ndarray, delta: float) -> np.ndarray:
                          f"{CUT_AMBIGUITY_TOL} of delta={delta}")
     vsel = v[:, w <= delta]
     return vsel @ vsel.conj().T
-
-
-def jacobi_eigenvalues(op: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues via cyclic Jacobi on the 2d x 2d real-symmetric embedding.
-
-    H = A + iB embeds as [[A, -B], [B, A]]; its spectrum is that of H with
-    every eigenvalue doubled.  Deterministic row-cyclic sweep order;
-    convergence when the off-diagonal Frobenius mass drops below
-    tol * ||M||_F.  Independent of LAPACK -- used as a cross-check oracle.
-    """
-    h = hermitian_operator(op)
-    a, b = h.real.copy(), h.imag.copy()
-    m = np.block([[a, -b], [b, a]])
-    n = m.shape[0]
-    norm = np.linalg.norm(m)
-    if norm == 0.0:
-        return np.zeros(h.shape[0])
-    for _ in range(max_sweeps):
-        off = np.sqrt(max(np.linalg.norm(m) ** 2 - np.sum(np.diag(m) ** 2), 0.0))
-        if off < tol * norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = m[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                # classical 2x2 symmetric Schur rotation
-                tau = (m[q, q] - m[p, p]) / (2.0 * apq)
-                if tau == 0.0:
-                    t = 1.0
-                elif abs(tau) > 1e8:
-                    t = 1.0 / (2.0 * tau)  # overflow-safe asymptote
-                else:
-                    t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rp, rq = m[p, :].copy(), m[q, :].copy()
-                m[p, :] = c * rp - s * rq
-                m[q, :] = s * rp + c * rq
-                cp, cq = m[:, p].copy(), m[:, q].copy()
-                m[:, p] = c * cp - s * cq
-                m[:, q] = s * cp + c * cq
-    w = np.sort(np.diag(m))
-    return w[::2]  # each eigenvalue of H appears twice in the embedding
-
-
-def char_poly_coeffs(op: np.ndarray) -> np.ndarray:
-    """Characteristic polynomial coefficients by Faddeev-LeVerrier.
-
-    Returns [1, c_{n-1}, ..., c_0] for det(tI - A).  Entry arithmetic only;
-    no eigensolver involved, so tests can use it as an independent oracle
-    for small dimensions.
-    """
-    a = np.asarray(op, dtype=complex)
-    n = a.shape[0]
-    coeffs = np.zeros(n + 1, dtype=complex)
-    coeffs[0] = 1.0
-    mk = np.zeros_like(a)
-    for k in range(1, n + 1):
-        mk = a @ mk + coeffs[k - 1] * np.eye(n)
-        coeffs[k] = -np.trace(a @ mk) / k
-    return coeffs

@@ -2,8 +2,7 @@
 
 For a reduced angle p/q the generators act on l_2(Z/qZ) by a diagonal
 phase and a cyclic shift; every algebra element evaluates to a dense
-q x q complex matrix.  Rank-3 elements evaluate on the triple tensor
-power with the three central generators identified.
+q x q complex matrix.
 
 The positive combinations X = 2 - x - x* and Y = 2 - y - y* are real
 symmetric (X diagonal, Y a cyclic second difference), so their builders
@@ -21,7 +20,7 @@ from math import cos, gcd, pi, sin
 import numpy as np
 
 from .algebra import AlgebraElement
-from .groups import Heis3Elt, HeisElt
+from .groups import HeisElt
 
 
 @dataclass(frozen=True, order=True)
@@ -112,30 +111,6 @@ def evaluate(angle: RationalAngle, xi: AlgebraElement) -> np.ndarray:
     out = np.zeros((q, q), dtype=complex)
     for g, coeff in xi.terms.items():
         out += float(coeff) * pi_theta(angle, g)
-    return out
-
-
-def _site_matrix(angle: RationalAngle, a: int, b: int) -> np.ndarray:
-    return pi_theta(angle, (a, b, a * b))  # x^a y^b with no central phase
-
-
-def pi_theta3(angle: RationalAngle, g: Heis3Elt) -> np.ndarray:
-    """Image of a rank-3 element on the triple tensor power; the three
-    central generators all map to the same scalar."""
-    a, b, c = g
-    dot = sum(u * v for u, v in zip(a, b))
-    m = _site_matrix(angle, a[0], b[0])
-    for i in (1, 2):
-        m = np.kron(m, _site_matrix(angle, a[i], b[i]))
-    phase = np.exp(2j * pi * angle.p * ((c - dot) % angle.q) / angle.q)
-    return phase * m
-
-
-def evaluate3(angle: RationalAngle, xi: AlgebraElement) -> np.ndarray:
-    q = angle.q
-    out = np.zeros((q ** 3, q ** 3), dtype=complex)
-    for g, coeff in xi.terms.items():
-        out += float(coeff) * pi_theta3(angle, g)
     return out
 
 

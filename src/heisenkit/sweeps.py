@@ -3,7 +3,12 @@
 Each ``verify_*`` function sweeps a Farey grid, records one margin per angle
 (min eigenvalue of the slack operator, or bound minus norm) and reports the
 global minimum.  Positivity in the group C*-algebra is accepted when every
-margin clears ``-tol``; the grid order is the accuracy knob.
+margin clears ``-tol``; the grid order is the accuracy knob.  A sweep's
+keyword parameters are its only options (the ``verify`` command refuses any
+other).  The default grid order ``qmax`` is 60 for the single-site sweeps,
+40 for the projection sweep, 24 for the two-site inequality and 12 for the
+three-site inequality (dense eigensolves of dimension q; four parity blocks
+of about (q/2)^2; eight of about (q/2)^3).
 """
 
 from __future__ import annotations
@@ -24,30 +29,6 @@ R_SCAN = (2, 4, 8, 16, 32)
 EPS_SCAN = (Fraction(1, 4), Fraction(1, 8), Fraction(1, 16))
 THETA0_SCAN = (Fraction(1, 8), Fraction(1, 16), Fraction(1, 32))
 IDENTITY_TOL = 1e-12
-
-
-@dataclass
-class SweepConfig:
-    """Knobs of the sweeps.  Each ``verify_*`` reads only some of the
-    fields (the ``verify`` command refuses an option whose field the chosen
-    inequality does not read).
-
-    ``qmax=None`` selects the per-command default grid order: 60 for the
-    single-site sweeps, 40 for the projection sweep, 24 for the two-site
-    inequality, 12 for the three-site inequality (dense eigensolves of
-    dimension q; four parity blocks of about (q/2)^2; eight of about
-    (q/2)^3).
-    """
-
-    qmax: int | None = None
-    tol: float = 1e-9
-    lambdas: tuple = (1.0, 2.0, 4.0)
-    R: float | None = None
-    kappa: float | None = None
-    epsilon: Fraction | None = None
-    theta0: Fraction | None = None
-    deltas: tuple = (0.1, 0.3, 0.5)
-    full_circle: bool = False
 
 
 @dataclass
@@ -100,45 +81,46 @@ def _map_angles(fn, angles):
     return records
 
 
-def _finish(name, records, cfg, constants=None, notes=None) -> SweepReport:
+def _finish(name, records, tol, constants=None, notes=None) -> SweepReport:
     if not records:
         notes = (notes or []) + ["FAIL: sweep produced no records"]
-    return SweepReport(name=name, records=records, tol=cfg.tol,
+    return SweepReport(name=name, records=records, tol=tol,
                        constants=constants or {}, notes=notes or [])
 
 
 # ---------------------------------------------------------------------------
 # single-site sweeps
 
-def verify_bz(cfg: SweepConfig) -> SweepReport:
+def verify_bz(*, qmax: int = 60, tol: float = 1e-9,
+              lambdas: tuple = (1.0, 2.0, 4.0),
+              full_circle: bool = False) -> SweepReport:
     """Almost Mathieu norm bound: ||H|| <= lam+2 - (2 lam/(lam+2)) sin(pi theta)."""
-    qmax = _qmax(cfg, 60)
-    grid = farey_angles(qmax, max_value=None if cfg.full_circle else Fraction(1, 2))
+    grid = farey_angles(qmax, max_value=None if full_circle else Fraction(1, 2))
 
     def work(a: RationalAngle):
         out = []
-        for lam in cfg.lambdas:
+        for lam in lambdas:
             h = rotation.almost_mathieu(a, lam)
             slack = rotation.bz_bound(a, lam) - spectral_norm(h)
             out.append(AngleRecord(a.p, a.q, slack, {"lambda": float(lam)}))
         return out
 
     records = _map_angles(work, grid)
-    return _finish("bz", records, cfg,
-                   constants={"lambdas": list(cfg.lambdas), "qmax": qmax})
+    return _finish("bz", records, tol,
+                   constants={"lambdas": list(lambdas), "qmax": qmax})
 
 
-def verify_xyz1(cfg: SweepConfig) -> SweepReport:
+def verify_xyz1(*, qmax: int = 60, tol: float = 1e-9,
+                full_circle: bool = False) -> SweepReport:
     """X + Y >= sqrt(Z)/2, i.e. min eig(X + Y - sin(pi theta)) >= 0."""
-    qmax = _qmax(cfg, 60)
-    grid = farey_angles(qmax, max_value=None if cfg.full_circle else Fraction(1, 2))
+    grid = farey_angles(qmax, max_value=None if full_circle else Fraction(1, 2))
 
     def work(a: RationalAngle):
         m = rotation.x_op(a) + rotation.y_op(a) - a.s * np.eye(a.q)
         return [AngleRecord(a.p, a.q, min_eigenvalue(m))]
 
     records = _map_angles(work, grid)
-    return _finish("xyz1", records, cfg, constants={"qmax": qmax})
+    return _finish("xyz1", records, tol, constants={"qmax": qmax})
 
 
 def zzz_theta0(R: float, kappa: float) -> float:
@@ -146,27 +128,27 @@ def zzz_theta0(R: float, kappa: float) -> float:
     return min(0.25, asin(kappa * sqrt((1.0 - kappa) / R)) / pi)
 
 
-def verify_zzz(cfg: SweepConfig) -> SweepReport:
+def verify_zzz(*, qmax: int = 60, tol: float = 1e-9, R: float | None = None,
+               kappa: float | None = None) -> SweepReport:
     """R X + Y >= sqrt((1-kappa) R) sin(pi theta) for theta <= theta0(R, kappa)."""
-    if cfg.R is None or cfg.kappa is None:
+    if R is None or kappa is None:
         raise ValueError("verify_zzz needs R and kappa")
-    if cfg.R < 1 or not (0 < cfg.kappa < 1):
-        raise ValueError(f"need R >= 1 and kappa in (0,1), got R={cfg.R}, kappa={cfg.kappa}")
-    qmax = _qmax(cfg, 60)
-    theta0 = zzz_theta0(cfg.R, cfg.kappa)
-    coeff = sqrt((1.0 - cfg.kappa) * cfg.R)
+    if R < 1 or not (0 < kappa < 1):
+        raise ValueError(f"need R >= 1 and kappa in (0,1), got R={R}, kappa={kappa}")
+    theta0 = zzz_theta0(R, kappa)
+    coeff = sqrt((1.0 - kappa) * R)
     grid = [a for a in farey_angles(qmax) if a.theta <= theta0]
     notes = []
     if all(a.p == 0 for a in grid):
         notes.append(f"empty sweep: no positive angle <= theta0={theta0:.6f} at qmax={qmax}")
 
     def work(a: RationalAngle):
-        m = cfg.R * rotation.x_op(a) + rotation.y_op(a) - coeff * a.s * np.eye(a.q)
+        m = R * rotation.x_op(a) + rotation.y_op(a) - coeff * a.s * np.eye(a.q)
         return [AngleRecord(a.p, a.q, min_eigenvalue(m))]
 
     records = _map_angles(work, grid)
-    return _finish("zzz", records, cfg, notes=notes,
-                   constants={"R": cfg.R, "kappa": cfg.kappa, "theta0": theta0,
+    return _finish("zzz", records, tol, notes=notes,
+                   constants={"R": R, "kappa": kappa, "theta0": theta0,
                               "qmax": qmax})
 
 
@@ -179,12 +161,12 @@ def xyz2_block(angle: RationalAngle, m: int) -> np.ndarray:
                      [off, 2 * (s + 1) * bm + 2 * s]])
 
 
-def verify_xyz2(cfg: SweepConfig) -> SweepReport:
+def verify_xyz2(*, qmax: int = 60, tol: float = 1e-9,
+                full_circle: bool = False) -> SweepReport:
     """(X+Y) sqrt(Z) + (XY+YX)/2 >= 0, via the operator sweep and the exact
     2x2 block determinants, plus the corrected difference identity
     b_{m-1} - b_m = -2 sin(pi theta) sin((2m-1) pi theta)."""
-    qmax = _qmax(cfg, 60)
-    grid = farey_angles(qmax, max_value=None if cfg.full_circle else Fraction(1, 2))
+    grid = farey_angles(qmax, max_value=None if full_circle else Fraction(1, 2))
     notes = []
 
     def work(a: RationalAngle):
@@ -204,21 +186,20 @@ def verify_xyz2(cfg: SweepConfig) -> SweepReport:
                              "identity_residual": resid})]
 
     records = _map_angles(work, grid)
-    bad_det = [r for r in records if r.extras["det_min"] < -cfg.tol
-               or r.extras["trace_min"] < -cfg.tol]
+    bad_det = [r for r in records if r.extras["det_min"] < -tol
+               or r.extras["trace_min"] < -tol]
     bad_id = [r for r in records if r.extras["identity_residual"] > IDENTITY_TOL]
     if bad_det:
         notes.append(f"FAIL: {len(bad_det)} angle(s) with negative block det/trace")
     if bad_id:
         notes.append(f"FAIL: {len(bad_id)} angle(s) violate the corrected "
                      f"difference identity beyond {IDENTITY_TOL}")
-    return _finish("xyz2", records, cfg, notes=notes,
+    return _finish("xyz2", records, tol, notes=notes,
                    constants={"qmax": qmax})
 
 
-def verify_prodnorm(cfg: SweepConfig) -> SweepReport:
+def verify_prodnorm(*, qmax: int = 60, tol: float = 1e-9) -> SweepReport:
     """||pi((1-x)(1-y))|| <= 4 cos(pi theta / 2)."""
-    qmax = _qmax(cfg, 60)
     grid = farey_angles(qmax)
 
     def work(a: RationalAngle):
@@ -228,21 +209,21 @@ def verify_prodnorm(cfg: SweepConfig) -> SweepReport:
         return [AngleRecord(a.p, a.q, margin)]
 
     records = _map_angles(work, grid)
-    return _finish("prodnorm", records, cfg, constants={"qmax": qmax})
+    return _finish("prodnorm", records, tol, constants={"qmax": qmax})
 
 
-def verify_xsmall(cfg: SweepConfig) -> SweepReport:
+def verify_xsmall(*, qmax: int = 40, tol: float = 1e-9,
+                  deltas: tuple = (0.1, 0.3, 0.5)) -> SweepReport:
     """Spectral-projection facts for 0 < delta < 2(1 - cos(pi theta)):
     the low-X subspace sees Y as 2 (no consecutive residues), and
     ||P_{Y<=d} P_{X<=d}|| <= sqrt(2/(4-d))."""
-    qmax = _qmax(cfg, 40)
     grid = [a for a in farey_angles(qmax) if a.p != 0]
     notes = []
 
     def work(a: RationalAngle):
         out = []
         x, y = rotation.x_op(a), rotation.y_op(a)
-        for delta in cfg.deltas:
+        for delta in deltas:
             if not (0 < delta < 2.0 * (1.0 - cos(pi * a.theta))):
                 continue
             px = spectral_projection(x, delta)
@@ -258,15 +239,15 @@ def verify_xsmall(cfg: SweepConfig) -> SweepReport:
         return out
 
     records = _map_angles(work, grid)
-    bad_eq = [r for r in records if r.extras["eq_residual"] > cfg.tol]
+    bad_eq = [r for r in records if r.extras["eq_residual"] > tol]
     bad_cons = [r for r in records if r.extras["consecutive"]]
     if bad_eq:
         notes.append(f"FAIL: compression identity violated at {len(bad_eq)} point(s)")
     if bad_cons:
         notes.append(f"FAIL: low-X residue set has consecutive members at "
                      f"{len(bad_cons)} point(s)")
-    return _finish("xsmall", records, cfg, notes=notes,
-                   constants={"deltas": list(cfg.deltas), "qmax": qmax})
+    return _finish("xsmall", records, tol, notes=notes,
+                   constants={"deltas": list(deltas), "qmax": qmax})
 
 
 # ---------------------------------------------------------------------------
@@ -320,16 +301,18 @@ def _tensor_sweep(inequality, grid, R: float) -> list:
         grid)
 
 
-def _search_constants(name, inequality, grid, th0_list, cfg, qmax) -> SweepReport:
+def _search_constants(name, inequality, qmax, tol, R, epsilon,
+                      th0_list) -> SweepReport:
     """First-pass-wins scan of R, then epsilon, then theta0.
 
     Unset R and epsilon scan R_SCAN and EPS_SCAN; a theta0 of ``None``
     means the whole grid.  The minimum eigenvalues are computed once per R,
     and the margin at (R, epsilon) is min eig - epsilon * 4 sin^2(pi theta).
     """
-    r_list = [cfg.R] if cfg.R is not None else list(R_SCAN)
-    eps_list = [cfg.epsilon] if cfg.epsilon is not None else list(EPS_SCAN)
+    r_list = [R] if R is not None else list(R_SCAN)
+    eps_list = [epsilon] if epsilon is not None else list(EPS_SCAN)
     explicit = len(r_list) == len(eps_list) == len(th0_list) == 1
+    grid = farey_angles(qmax)
     if None not in th0_list:
         grid = [a for a in grid if a.fraction <= max(th0_list)]
 
@@ -360,17 +343,19 @@ def _search_constants(name, inequality, grid, th0_list, cfg, qmax) -> SweepRepor
         scanned[key] = worst
         if worst > best[0]:
             best = (worst, combo, records)
-        if worst >= -cfg.tol:
+        if worst >= -tol:
             break
     else:
         params = "theta0, R, epsilon" if th0_list != [None] else "R, epsilon"
         notes.insert(0, f"FAIL: no passing ({params}) in scan range")
     constants = {"scan": scanned, "qmax": qmax,
                  "mode": "explicit" if explicit else "search", **(best[1] or {})}
-    return _finish(name, best[2], cfg, constants=constants, notes=notes)
+    return _finish(name, best[2], tol, constants=constants, notes=notes)
 
 
-def verify_smalltheta(cfg: SweepConfig) -> SweepReport:
+def verify_smalltheta(*, qmax: int = 24, tol: float = 1e-9,
+                      R: float | None = None, epsilon: Fraction | None = None,
+                      theta0: Fraction | None = None) -> SweepReport:
     """Two-site inequality for small angles.
 
     Constants left unset scan geometric grids (R in {2,4,8,16,32}, epsilon
@@ -379,21 +364,17 @@ def verify_smalltheta(cfg: SweepConfig) -> SweepReport:
     triple are kept in the report constants; with no passing triple the
     report carries the best candidate's records and fails.
     """
-    qmax = _qmax(cfg, 24)
-    th0_list = [cfg.theta0] if cfg.theta0 is not None else list(THETA0_SCAN)
-    return _search_constants("smalltheta", two_site_terms, farey_angles(qmax),
-                             th0_list, cfg, qmax)
+    th0_list = [theta0] if theta0 is not None else list(THETA0_SCAN)
+    return _search_constants("smalltheta", two_site_terms, qmax, tol, R,
+                             epsilon, th0_list)
 
 
-def verify_formula(cfg: SweepConfig) -> SweepReport:
+def verify_formula(*, qmax: int = 12, tol: float = 1e-9,
+                   R: float | None = None,
+                   epsilon: Fraction | None = None) -> SweepReport:
     """Three-site inequality over the full grid in [0, 1/2].
 
     Pinned (R, epsilon) sweep directly; unset constants scan the same
     geometric grids as the two-site search (first-pass-wins)."""
-    qmax = _qmax(cfg, 12)
-    return _search_constants("formula", three_site_terms, farey_angles(qmax),
-                             [None], cfg, qmax)
-
-
-def _qmax(cfg: SweepConfig, default: int) -> int:
-    return default if cfg.qmax is None else cfg.qmax
+    return _search_constants("formula", three_site_terms, qmax, tol, R,
+                             epsilon, [None])

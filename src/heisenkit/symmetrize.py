@@ -99,8 +99,8 @@ def build_parts(m: int, d: int) -> dict:
     """All the degree-two pieces over indices 1..m with d variables.
 
     Returns Delta, Delta^2, the diagonal/adjacent/disjoint splits Sq, Adj,
-    Op (so that Delta^2 = Sq + Adj + Op exactly), the degree-two Laplacian
-    Delta2, and the four-pattern re-expansion of Adj for cross-checking.
+    Op (so that Delta^2 = Sq + Adj + Op exactly) and the degree-two
+    Laplacian Delta2.
     """
     if m < 2:
         raise ValueError("need m >= 2")
@@ -118,17 +118,8 @@ def build_parts(m: int, d: int) -> dict:
     delta2_low = _words((EdgeSymbol.make(i, j, r, s),)
                         for i in idx for j in idx if i != j
                         for r in var for s in var)
-    adj_words = []
-    for i, j, k in permutations(idx, 3):
-        for r in var:
-            for s in var:
-                eij, ejk = EdgeSymbol.make(i, j, r), EdgeSymbol.make(j, k, s)
-                adj_words += [(eij, ejk), (ejk, eij),
-                              (eij, EdgeSymbol.make(i, k, s)),
-                              (ejk, EdgeSymbol.make(i, k, r))]
-    adj_expanded = _words(adj_words)
     return {"Delta": delta, "Delta_sq": delta * delta, "Sq": sq, "Adj": adj,
-            "Op": op, "Delta2": delta2_low, "Adj_four_term": adj_expanded}
+            "Op": op, "Delta2": delta2_low}
 
 
 def _canonical(word: tuple) -> tuple:

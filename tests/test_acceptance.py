@@ -16,10 +16,9 @@ from heisenkit.expander import family_report
 from heisenkit.graded import (dimension_table, gram_matrix_check, phi_report,
                               rederive_square_swap_lines)
 from heisenkit.rotation import evaluate, farey_angles
-from heisenkit.sweeps import (SweepConfig, verify_bz, verify_formula,
-                              verify_prodnorm, verify_smalltheta,
-                              verify_xsmall, verify_xyz1, verify_xyz2,
-                              verify_zzz)
+from heisenkit.sweeps import (verify_bz, verify_formula, verify_prodnorm,
+                              verify_smalltheta, verify_xsmall, verify_xyz1,
+                              verify_xyz2, verify_zzz)
 from heisenkit.symmetrize import (StabilityCertificate, build_parts,
                                   orbit_sum, stability_threshold)
 
@@ -33,8 +32,7 @@ def _report(num, ok, detail):
 
 def test_criterion_01_almost_mathieu_bound():
     t0 = time.perf_counter()
-    report = verify_bz(SweepConfig(qmax=60, lambdas=(1.0, 2.0, 4.0),
-                                   full_circle=True))
+    report = verify_bz(qmax=60, lambdas=(1.0, 2.0, 4.0), full_circle=True)
     dt = time.perf_counter() - t0
     ok = report.passed and report.min_margin >= -1e-9 and dt < 30
     _report(1, ok, f"norm bound, q<=60, lambda in {{1,2,4}}: "
@@ -43,7 +41,7 @@ def test_criterion_01_almost_mathieu_bound():
 
 
 def test_criterion_02_xyz1():
-    report = verify_xyz1(SweepConfig(qmax=60, full_circle=True))
+    report = verify_xyz1(qmax=60, full_circle=True)
     half = next(r for r in report.records if (r.p, r.q) == (1, 2))
     exact = abs(half.margin - (3.0 - 2.0 * SQRT2)) <= 1e-12
     ok = report.passed and report.min_margin >= -1e-9 and exact
@@ -54,7 +52,7 @@ def test_criterion_02_xyz1():
 def test_criterion_03_zzz():
     results = []
     for R, kappa in ((1.0, 0.5), (4.0, 0.5), (16.0, 0.25)):
-        report = verify_zzz(SweepConfig(qmax=60, R=R, kappa=kappa))
+        report = verify_zzz(qmax=60, R=R, kappa=kappa)
         results.append((R, kappa, report.min_margin, report.passed,
                         report.constants["theta0"]))
     ok = all(r[3] and r[2] >= -1e-9 for r in results)
@@ -64,7 +62,7 @@ def test_criterion_03_zzz():
 
 
 def test_criterion_04_xyz2():
-    report = verify_xyz2(SweepConfig(qmax=60, full_circle=True))
+    report = verify_xyz2(qmax=60, full_circle=True)
     worst_resid = max(r.extras["identity_residual"] for r in report.records)
     det_ok = all(r.extras["det_min"] >= -1e-9 and r.extras["trace_min"] >= -1e-9
                  for r in report.records)
@@ -77,7 +75,7 @@ def test_criterion_04_xyz2():
 
 
 def test_criterion_05_prodnorm():
-    report = verify_prodnorm(SweepConfig(qmax=60))
+    report = verify_prodnorm(qmax=60)
     half = next(r for r in report.records if (r.p, r.q) == (1, 2))
     ok = (report.passed and report.min_margin >= -1e-9
           and abs(half.margin) <= 1e-9)
@@ -87,7 +85,7 @@ def test_criterion_05_prodnorm():
 
 
 def test_criterion_06_xsmall():
-    report = verify_xsmall(SweepConfig(qmax=40, deltas=(0.1, 0.3, 0.5)))
+    report = verify_xsmall(qmax=40, deltas=(0.1, 0.3, 0.5))
     worst_eq = max(r.extras["eq_residual"] for r in report.records)
     ok = report.passed and report.min_margin >= -1e-9 and worst_eq <= 1e-9
     _report(6, ok, f"projection bounds, q<=40, delta in {{.1,.3,.5}}: "
@@ -97,12 +95,12 @@ def test_criterion_06_xsmall():
 
 def test_criterion_07_smalltheta_search():
     t0 = time.perf_counter()
-    report = verify_smalltheta(SweepConfig(qmax=24))
+    report = verify_smalltheta(qmax=24)
     dt = time.perf_counter() - t0
     found = report.passed and {"R", "epsilon", "theta0"} <= set(report.constants)
-    fail_half = verify_smalltheta(SweepConfig(
+    fail_half = verify_smalltheta(
         qmax=24, theta0=Fraction(1, 2), R=float(report.constants.get("R", 8)),
-        epsilon=Fraction(report.constants.get("epsilon", Fraction(1, 16)))))
+        epsilon=Fraction(report.constants.get("epsilon", Fraction(1, 16))))
     witnessed = (not fail_half.passed) and fail_half.min_margin < 0
     ok = found and witnessed and dt < 300
     consts = {k: str(report.constants[k]) for k in ("theta0", "R", "epsilon")
@@ -114,7 +112,7 @@ def test_criterion_07_smalltheta_search():
 
 def test_criterion_08_formula_search():
     t0 = time.perf_counter()
-    report = verify_formula(SweepConfig(qmax=12))
+    report = verify_formula(qmax=12)
     dt = time.perf_counter() - t0
     ok = (report.passed and "R" in report.constants
           and "epsilon" in report.constants and dt < 1800)

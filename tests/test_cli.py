@@ -1,13 +1,17 @@
 """Exit codes, report files and end-to-end determinism of the CLI."""
 
+import argparse
+import inspect
 import json
 import re
 import threading
 import time
 
 from heisenkit import cli, expander, sweeps
+from heisenkit.algebra import sos_identity_sides
 from heisenkit.cli import build_parser, main
-from heisenkit.sweeps import SweepConfig, verify_formula
+from heisenkit.rotation import evaluate
+from heisenkit.sweeps import verify_formula
 
 
 def test_verify_bz_passes(tmp_path):
@@ -74,14 +78,44 @@ def test_usage_errors():
 
 def test_verify_refuses_options_it_does_not_read(capsys):
     # each of these used to pass with the option silently ignored
-    for argv, flags in ((["prodnorm", "--qmax", "6", "--full-circle"],
+    for argv, flags in (("verify prodnorm --qmax 6 --full-circle",
                          "--full-circle"),
-                        (["bz", "--R", "4", "--deltas", "0.2"], "--R, --deltas"),
-                        (["xsmall", "--full-circle"], "--full-circle"),
-                        (["xyz1", "--lambda", "3"], "--lambda")):
-        assert main(["verify", *argv]) == 1
+                        ("verify bz --R 4 --deltas 0.2", "--R, --deltas"),
+                        ("verify xsmall --full-circle", "--full-circle"),
+                        ("verify xyz1 --lambda 3", "--lambda"),
+                        ("symmetry census --m 4 --d 3", "--d"),
+                        ("symmetry el5 --q 3 --m 9", "--m"),
+                        ("symmetry threshold --m 5 --q 7", "--q"),
+                        ("graded phi --max 3", "--max"),
+                        ("graded dims --points 2", "--points")):
+        assert main(argv.split()) == 1
         err = capsys.readouterr().err
-        assert err == f"error: verify {argv[0]} does not read {flags}\n"
+        command = " ".join(argv.split()[:2])
+        assert err == f"error: {command} does not read {flags}\n"
+
+
+def test_check_parameters_are_options(monkeypatch):
+    # a check parameter without a flag could never be set; an all entry
+    # with an option its check does not read would exit 1 at run time
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    for command, table in cli._checks().items():
+        actions = {a.dest: a for a in subparsers[command]._actions}
+        positional = actions["inequality" if command == "verify" else "what"]
+        assert positional.choices == list(table)
+        for name, check in table.items():
+            params = inspect.signature(check).parameters
+            assert set(params) <= set(actions), (command, name)
+            # an option left out is not passed, so each needs a default
+            assert all(p.default is not p.empty for p in params.values())
+    calls = _record_all(monkeypatch)
+    cli.cmd_all(build_parser().parse_args(["all", "--tol", "1e-7"]))
+    for args in calls:
+        if args.command != "expander":
+            name = args.inequality if args.command == "verify" else args.what
+            check = cli._checks()[args.command][name]
+            assert set(cli._given(args)) <= set(
+                inspect.signature(check).parameters), (args.command, name)
 
 
 def test_graded_dims(tmp_path):
@@ -232,7 +266,7 @@ def test_sweep_without_records_fails(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["n_records"] == 0 and payload["pass"] is False
     assert "FAIL: sweep produced no records" in payload["notes"]
-    report = verify_formula(SweepConfig(qmax=0))
+    report = verify_formula(qmax=0)
     assert not report.records and not report.passed
 
 
@@ -372,3 +406,13 @@ def test_stdout_verdict_notes_and_rows(capsys):
         assert len(lines) == len(want)
         for line, pattern in zip(lines, want):
             assert re.fullmatch(pattern, line), line
+
+
+def test_sos_identity_compares_the_evaluated_sides(monkeypatch):
+    # the image of lhs - rhs is zero whenever the exact sides match, so
+    # only the two sides evaluated apart can show a numeric mismatch
+    lhs, rhs = sos_identity_sides()
+    monkeypatch.setattr(cli, "sos_identity_sides", lambda: (lhs, rhs))
+    monkeypatch.setattr(cli, "evaluate", lambda angle, xi: evaluate(angle, xi)
+                        + (1e-6 if xi is rhs else 0.0))
+    assert main(["graded", "sos-identity", "--points", "4"]) == 2

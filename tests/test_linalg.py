@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from heisenkit.linalg import (char_poly_coeffs, hermitian_operator,
-                              jacobi_eigenvalues, min_eigenvalue,
+from heisenkit.linalg import (hermitian_operator, min_eigenvalue,
                               spectral_norm, spectral_projection)
 from heisenkit.rotation import RationalAngle, tensor_operator, x_op, y_op
+from oracles import char_poly_coeffs, jacobi_eigenvalues
 
 SQRT2 = np.sqrt(2.0)
 

@@ -13,10 +13,10 @@ from heisenkit.algebra import (AlgebraElement, heis_laplacian,
 from heisenkit.groups import Heisenberg, Heisenberg3
 from heisenkit.linalg import spectral_norm
 from heisenkit.rotation import (RationalAngle, almost_mathieu, bz_bound,
-                                evaluate, evaluate3, farey_angles, letters,
-                                parity_bases, parity_letters, pi_theta,
-                                pi_theta3, pi_x, pi_y, tensor_operator, x_op,
-                                y_op, z_scalar)
+                                evaluate, farey_angles, letters, parity_bases,
+                                parity_letters, pi_theta, pi_x, pi_y,
+                                tensor_operator, x_op, y_op, z_scalar)
+from oracles import evaluate3, pi_theta3
 
 H = Heisenberg
 

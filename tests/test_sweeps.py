@@ -9,13 +9,14 @@ import pytest
 from heisenkit.algebra import hermitian_square
 from heisenkit.cli import main
 from heisenkit.groups import Heisenberg3
-from heisenkit.rotation import RationalAngle, evaluate3, x_op, y_op
-from heisenkit.sweeps import (SweepConfig, _tensor_sweep, three_site_operator,
+from heisenkit.rotation import RationalAngle, x_op, y_op
+from heisenkit.sweeps import (_tensor_sweep, three_site_operator,
                               three_site_terms, two_site_operator,
                               two_site_terms, verify_bz, verify_formula,
                               verify_prodnorm, verify_smalltheta,
                               verify_xsmall, verify_xyz1, verify_xyz2,
                               verify_zzz, xyz2_block, zzz_theta0)
+from oracles import evaluate3
 
 SQRT2 = sqrt(2.0)
 
@@ -29,15 +30,23 @@ def find(report, p, q, **extras):
 
 
 def test_bz_closed_forms():
-    report = verify_bz(SweepConfig(qmax=12, lambdas=(2.0,)))
+    report = verify_bz(qmax=12, lambdas=(2.0,))
     assert report.passed
     assert find(report, 1, 2, **{"lambda": 2.0}).margin == pytest.approx(
         3.0 - 2 * SQRT2, abs=1e-12)
     assert find(report, 0, 1).margin == pytest.approx(0.0, abs=1e-12)
 
 
+def test_sweeps_take_only_their_own_options():
+    # an option a sweep does not read is an error, never silently ignored
+    with pytest.raises(TypeError):
+        verify_bz(qmax=6, R=4.0)
+    with pytest.raises(TypeError):
+        verify_formula(qmax=4, theta0=Fraction(1, 8))
+
+
 def test_xyz1_closed_forms():
-    report = verify_xyz1(SweepConfig(qmax=12))
+    report = verify_xyz1(qmax=12)
     assert report.passed
     assert find(report, 1, 2).margin == pytest.approx(3.0 - 2 * SQRT2, abs=1e-12)
     assert find(report, 0, 1).margin == pytest.approx(0.0, abs=1e-12)
@@ -56,24 +65,24 @@ def test_zzz_theta0_formula():
 
 def test_zzz_margins():
     for R, kappa in ((1.0, 0.5), (4.0, 0.5), (16.0, 0.25)):
-        report = verify_zzz(SweepConfig(qmax=30, R=R, kappa=kappa))
+        report = verify_zzz(qmax=30, R=R, kappa=kappa)
         assert report.passed, (R, kappa)
         assert find(report, 0, 1).margin == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
-        verify_zzz(SweepConfig(qmax=30))
+        verify_zzz(qmax=30)
     with pytest.raises(ValueError):
-        verify_zzz(SweepConfig(qmax=30, R=0.5, kappa=0.5))
+        verify_zzz(qmax=30, R=0.5, kappa=0.5)
 
 
 def test_zzz_empty_sweep_warning():
     # theta0 for large R shuts out every positive angle at tiny qmax
-    report = verify_zzz(SweepConfig(qmax=3, R=16.0, kappa=0.25))
+    report = verify_zzz(qmax=3, R=16.0, kappa=0.25)
     assert any("empty sweep" in n for n in report.notes)
 
 
 def test_zzz_margin_monotone_in_R():
     kappa = 0.5
-    reports = {R: verify_zzz(SweepConfig(qmax=24, R=R, kappa=kappa))
+    reports = {R: verify_zzz(qmax=24, R=R, kappa=kappa)
                for R in (1.0, 2.0, 4.0, 8.0)}
     rs = sorted(reports)
     for lo, hi in zip(rs, rs[1:]):
@@ -91,7 +100,7 @@ def test_xyz2_block_closed_form():
 
 
 def test_xyz2_sweep():
-    report = verify_xyz2(SweepConfig(qmax=20))
+    report = verify_xyz2(qmax=20)
     assert report.passed
     rec = find(report, 0, 1)
     assert rec.margin == pytest.approx(0.0, abs=1e-12)
@@ -103,13 +112,13 @@ def test_xyz2_sweep():
 
 
 def test_prodnorm_sweep():
-    report = verify_prodnorm(SweepConfig(qmax=20))
+    report = verify_prodnorm(qmax=20)
     assert report.passed
     assert find(report, 1, 2).margin == pytest.approx(0.0, abs=1e-9)
 
 
 def test_xsmall_sweep():
-    report = verify_xsmall(SweepConfig(qmax=20))
+    report = verify_xsmall(qmax=20)
     assert report.passed
     for r in report.records:
         assert not r.extras["consecutive"]
@@ -121,9 +130,8 @@ def test_xsmall_sweep():
 
 
 def test_smalltheta_explicit_failure_at_half():
-    cfg = SweepConfig(qmax=8, theta0=Fraction(1, 2), R=8.0,
-                      epsilon=Fraction(1, 16))
-    report = verify_smalltheta(cfg)
+    report = verify_smalltheta(qmax=8, theta0=Fraction(1, 2), R=8.0,
+                               epsilon=Fraction(1, 16))
     assert not report.passed
     assert any((w.p, w.q) == (1, 2) for w in report.witnesses())
     assert report.min_margin < -1e-3
@@ -131,13 +139,13 @@ def test_smalltheta_explicit_failure_at_half():
 
 def test_smalltheta_failure_for_every_scanned_R():
     for R in (2.0, 4.0, 8.0, 16.0, 32.0):
-        cfg = SweepConfig(qmax=2, theta0=Fraction(1, 2), R=R, epsilon=Fraction(0))
-        report = verify_smalltheta(cfg)
+        report = verify_smalltheta(qmax=2, theta0=Fraction(1, 2), R=R,
+                                   epsilon=Fraction(0))
         assert find(report, 1, 2).margin < 0, R
 
 
 def test_smalltheta_search_small_grid():
-    report = verify_smalltheta(SweepConfig(qmax=12))
+    report = verify_smalltheta(qmax=12)
     assert report.passed
     assert report.constants["mode"] == "search"
     assert {"R", "epsilon", "theta0"} <= set(report.constants)
@@ -145,8 +153,7 @@ def test_smalltheta_search_small_grid():
 
 
 def test_formula_explicit_small_q():
-    cfg = SweepConfig(qmax=2, R=8.0, epsilon=Fraction(1, 16))
-    report = verify_formula(cfg)
+    report = verify_formula(qmax=2, R=8.0, epsilon=Fraction(1, 16))
     # independent oracle at q = 2: direct 8x8 assembly
     a = RationalAngle(1, 2)
     x, y = x_op(a), y_op(a)
@@ -160,7 +167,7 @@ def test_formula_explicit_small_q():
 
 
 def test_formula_search_small_grid():
-    report = verify_formula(SweepConfig(qmax=6))
+    report = verify_formula(qmax=6)
     assert report.passed
     assert "R" in report.constants and "epsilon" in report.constants
 

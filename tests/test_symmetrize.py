@@ -8,6 +8,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from heisenkit.algebra import accumulate
 from heisenkit.groups import SpecialLinear
 from heisenkit.symmetrize import (EdgeSymbol, FormalQuadratic,
                                   StabilityCertificate, build_parts,
@@ -52,10 +53,21 @@ def test_split_is_exact():
 
 
 def test_adjacent_four_term_expansion():
+    # oracle: Adj as the sum over ordered triples (i, j, k) of distinct
+    # indices and variables r, s of the four adjacent patterns
     for m in (3, 4, 5):
         for d in (1, 2):
-            parts = build_parts(m, d)
-            assert parts["Adj"] == parts["Adj_four_term"], (m, d)
+            words = []
+            for i, j, k in permutations(range(1, m + 1), 3):
+                for r in range(1, d + 1):
+                    for s in range(1, d + 1):
+                        eij = EdgeSymbol.make(i, j, r)
+                        ejk = EdgeSymbol.make(j, k, s)
+                        words += [(eij, ejk), (ejk, eij),
+                                  (eij, EdgeSymbol.make(i, k, s)),
+                                  (ejk, EdgeSymbol.make(i, k, r))]
+            expanded = FormalQuadratic(accumulate({}, ((w, 1) for w in words)))
+            assert build_parts(m, d)["Adj"] == expanded, (m, d)
 
 
 def test_census_m4():
