@@ -11,8 +11,8 @@ from .graded import (GradedElement, box_element, evaluate_phi,
                      graded_dimension, graded_mul, graded_star,
                      gram_matrix_check, phi_report, to_graded)
 from .groups import Heisenberg, Heisenberg3, SpecialLinear
-from .linalg import (hermitian_operator, min_eigenvalue, spectral_norm,
-                     spectral_projection)
+from .linalg import (hermitian_norm, hermitian_operator, min_eigenvalue,
+                     spectral_norm, spectral_projection)
 from .rotation import (RationalAngle, almost_mathieu, bz_bound, evaluate,
                        farey_angles, pi_theta, tensor_operator, x_op, y_op,
                        z_scalar)

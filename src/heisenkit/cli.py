@@ -238,7 +238,8 @@ def cmd_verify(args) -> Result:
     cols = sorted({k for r in report.records for k in r.extras})
     payload = {
         "command": f"verify {args.inequality}",
-        "params": {"qmax": str(args.qmax), "tol": str(report.tol)},
+        "params": {"qmax": str(report.constants["qmax"]),
+                   "tol": str(report.tol)},
         "name": report.name,
         "pass": report.passed,
         "min_margin": report.min_margin if report.records else None,

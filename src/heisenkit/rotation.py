@@ -66,18 +66,20 @@ class RationalAngle:
 def farey_angles(qmax: int, max_value: Fraction | None = Fraction(1, 2)
                  ) -> list[RationalAngle]:
     """All reduced p/q with q <= qmax up to ``max_value`` (None: all of [0,1)),
-    sorted by value."""
-    hi = Fraction(max_value) if max_value is not None else None
+    sorted by value.
+
+    The Farey sequence of order qmax is walked in increasing order by its
+    next-term rule, in integers: after neighbours a/b < c/d comes
+    (k c - a)/(k d - b) with k = (qmax + b) // d.
+    """
+    hi = Fraction(max_value) if max_value is not None else Fraction(1)
     out = []
-    for q in range(1, qmax + 1):
-        for p in range(0, q):
-            if gcd(p, q) != 1:
-                continue
-            f = Fraction(p, q)
-            if hi is not None and f > hi:
-                continue
-            out.append(RationalAngle(p, q))
-    return sorted(set(out), key=lambda a: a.fraction)
+    a, b, c, d = 0, 1, 1, qmax
+    while qmax >= 1 and a * hi.denominator <= hi.numerator * b and a < b:
+        out.append(RationalAngle(a, b))
+        k = (qmax + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
+    return out
 
 
 def pi_x(angle: RationalAngle) -> np.ndarray:
@@ -177,20 +179,47 @@ def parity_bases(q: int) -> list[np.ndarray]:
     return bases
 
 
+def _parity_blocks(q: int, matrices) -> list[list[np.ndarray]]:
+    """q x q matrices that commute with j -> -j, restricted to each
+    nonempty parity part in the orthonormal bases
+    ``parity_bases(q) / column norm``: one list of blocks per part."""
+    out = []
+    for v in parity_bases(q):
+        n = np.sum(v * v, axis=0)  # squared column norms, 1 or 2
+        scale = 1.0 / np.sqrt(np.outer(n, n))
+        out.append([(v.T @ m @ v) * scale for m in matrices])
+    return out
+
+
 def parity_letters(angle: RationalAngle) -> list[dict[str, np.ndarray]]:
-    """``letters(angle)`` restricted to each nonempty parity part, in the
-    orthonormal bases ``parity_bases(q) / column norm``.
+    """``letters(angle)`` restricted to each nonempty parity part.
 
     Every letter commutes with j -> -j, so its cross-parity part is zero
     and a Kronecker word is the direct sum of the words over these blocks,
     one block per choice of part at each site.
     """
-    table, out = letters(angle), []
-    for v in parity_bases(angle.q):
-        n = np.sum(v * v, axis=0)  # squared column norms, 1 or 2
-        scale = 1.0 / np.sqrt(np.outer(n, n))
-        out.append({k: (v.T @ m @ v) * scale for k, m in table.items()})
-    return out
+    table = letters(angle)
+    return [dict(zip(table, blocks))
+            for blocks in _parity_blocks(angle.q, table.values())]
+
+
+def parity_stack(angles) -> list[tuple[np.ndarray, np.ndarray]]:
+    """X and Y at angles sharing one denominator q, restricted to each
+    nonempty parity part as in ``parity_letters``.
+
+    X is diagonal in the parity bases (its entries 2 b_j for the
+    representatives j = 0..q//2 of the even part and 1..(q-1)//2 of the
+    odd part) and Y does not depend on p, so each part is the pair
+    (diagonals of X, one row per angle, shape (len(angles), n);
+    the block of Y, shape (n, n)).
+    """
+    q = angles[0].q
+    if any(a.q != q for a in angles):
+        raise ValueError("the angles of a stack must share their denominator")
+    p = np.array([[a.p] for a in angles])
+    half = 2.0 * (1.0 - np.cos(2 * np.arange(q // 2 + 1) * pi * p / q))
+    return [(x, y) for x, (y,) in zip((half, half[:, 1:(q + 1) // 2]),
+                                      _parity_blocks(q, [y_op(angles[0])]))]
 
 
 def kron_word(sites, word: str) -> np.ndarray:

@@ -7,8 +7,11 @@ margin clears ``-tol``; the grid order is the accuracy knob.  A sweep's
 keyword parameters are its only options (the ``verify`` command refuses any
 other).  The default grid order ``qmax`` is 60 for the single-site sweeps,
 40 for the projection sweep, 24 for the two-site inequality and 12 for the
-three-site inequality (dense eigensolves of dimension q; four parity blocks
-of about (q/2)^2; eight of about (q/2)^3).
+three-site inequality.  Every margin is a dense LAPACK eigenvalue of a
+real parity block: the single-site operators split into an even and an
+odd block of about q/2, solved as stacks over up to STACK angles of one
+denominator; the two- and three-site operators into four blocks of about
+(q/2)^2 and eight of about (q/2)^3, solved one angle at a time.
 """
 
 from __future__ import annotations
@@ -17,12 +20,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from math import asin, cos, pi, sin, sqrt
+from math import asin, cos, pi, sqrt
 
 import numpy as np
 
 from . import rotation
-from .linalg import min_eigenvalue, spectral_norm, spectral_projection
+from .linalg import (hermitian_norm, min_eigenvalue, spectral_norm,
+                     spectral_projection)
 from .rotation import RationalAngle, farey_angles
 
 R_SCAN = (2, 4, 8, 16, 32)
@@ -91,21 +95,66 @@ def _finish(name, records, tol, constants=None, notes=None) -> SweepReport:
 # ---------------------------------------------------------------------------
 # single-site sweeps
 
+STACK = 8  # angles per stacked solve; bounds the temporaries of a stack
+
+
+def _stacked_sweep(grid, work) -> list:
+    """The records of ``work(angles, parts)`` over ``grid``, called on runs
+    of at most STACK angles that share a denominator; ``parts`` holds, per
+    parity part, the rows of the X diagonals that belong to the run and
+    the block of Y (``rotation.parity_stack``, built once per
+    denominator).  Records come in grid order and, at one angle, in the
+    order of their extras: for a Farey grid, which is sorted by value,
+    that is the order of ``AngleRecord.sort_key``."""
+    by_q: dict = {}
+    for a in grid:
+        by_q.setdefault(a.q, []).append(a)
+    by_angle: dict = {}
+    for angles in by_q.values():
+        parts = rotation.parity_stack(angles)
+        for i in range(0, len(angles), STACK):
+            for r in work(angles[i:i + STACK],
+                          [(x[i:i + STACK], y) for x, y in parts]):
+                by_angle.setdefault((r.p, r.q), []).append(r)
+    return [r for a in grid for r in sorted(by_angle.get((a.p, a.q), ()),
+                                            key=lambda r: sorted(r.extras.items()))]
+
+
+def _diag(d: np.ndarray) -> np.ndarray:
+    """The stack of diagonal matrices whose diagonals are the rows of d."""
+    return d[..., None] * np.eye(d.shape[-1])
+
+
+def _min_eig(parts, op) -> np.ndarray:
+    """Per angle, the minimum eigenvalue of the operator ``op(x, y)`` over
+    its parity blocks."""
+    return np.min([min_eigenvalue(op(x, y)) for x, y in parts], axis=0)
+
+
+def _sines(angles) -> np.ndarray:
+    """sin(pi theta) of each angle, as a column."""
+    return np.array([[a.s] for a in angles])
+
+
 def verify_bz(*, qmax: int = 60, tol: float = 1e-9,
               lambdas: tuple = (1.0, 2.0, 4.0),
               full_circle: bool = False) -> SweepReport:
-    """Almost Mathieu norm bound: ||H|| <= lam+2 - (2 lam/(lam+2)) sin(pi theta)."""
+    """Almost Mathieu norm bound: ||H|| <= lam+2 - (2 lam/(lam+2)) sin(pi theta),
+    H = (lam+2) - (lam/2 X + Y); ||H|| is the largest |eigenvalue| of the
+    symmetric H over its parity blocks."""
     grid = farey_angles(qmax, max_value=None if full_circle else Fraction(1, 2))
 
-    def work(a: RationalAngle):
+    def work(angles, parts):
         out = []
         for lam in lambdas:
-            h = rotation.almost_mathieu(a, lam)
-            slack = rotation.bz_bound(a, lam) - spectral_norm(h)
-            out.append(AngleRecord(a.p, a.q, slack, {"lambda": float(lam)}))
+            norms = np.max([hermitian_norm(_diag((lam + 2.0) - (lam / 2.0) * x) - y)
+                            for x, y in parts], axis=0)
+            out += [AngleRecord(a.p, a.q, rotation.bz_bound(a, lam) - float(n),
+                                {"lambda": float(lam)})
+                    for a, n in zip(angles, norms)]
         return out
 
-    records = _map_angles(work, grid)
+    records = _stacked_sweep(grid, work)
     return _finish("bz", records, tol,
                    constants={"lambdas": list(lambdas), "qmax": qmax})
 
@@ -115,11 +164,12 @@ def verify_xyz1(*, qmax: int = 60, tol: float = 1e-9,
     """X + Y >= sqrt(Z)/2, i.e. min eig(X + Y - sin(pi theta)) >= 0."""
     grid = farey_angles(qmax, max_value=None if full_circle else Fraction(1, 2))
 
-    def work(a: RationalAngle):
-        m = rotation.x_op(a) + rotation.y_op(a) - a.s * np.eye(a.q)
-        return [AngleRecord(a.p, a.q, min_eigenvalue(m))]
+    def work(angles, parts):
+        s = _sines(angles)
+        margins = _min_eig(parts, lambda x, y: _diag(x - s) + y)
+        return [AngleRecord(a.p, a.q, float(m)) for a, m in zip(angles, margins)]
 
-    records = _map_angles(work, grid)
+    records = _stacked_sweep(grid, work)
     return _finish("xyz1", records, tol, constants={"qmax": qmax})
 
 
@@ -142,23 +192,36 @@ def verify_zzz(*, qmax: int = 60, tol: float = 1e-9, R: float | None = None,
     if all(a.p == 0 for a in grid):
         notes.append(f"empty sweep: no positive angle <= theta0={theta0:.6f} at qmax={qmax}")
 
-    def work(a: RationalAngle):
-        m = R * rotation.x_op(a) + rotation.y_op(a) - coeff * a.s * np.eye(a.q)
-        return [AngleRecord(a.p, a.q, min_eigenvalue(m))]
+    def work(angles, parts):
+        s = _sines(angles)
+        margins = _min_eig(parts, lambda x, y: _diag(R * x - coeff * s) + y)
+        return [AngleRecord(a.p, a.q, float(m)) for a, m in zip(angles, margins)]
 
-    records = _map_angles(work, grid)
+    records = _stacked_sweep(grid, work)
     return _finish("zzz", records, tol, notes=notes,
                    constants={"R": R, "kappa": kappa, "theta0": theta0,
                               "qmax": qmax})
 
 
-def xyz2_block(angle: RationalAngle, m: int) -> np.ndarray:
-    """2x2 corner block of 2s(X+Y) + (XY+YX)/2 at positions (m-1, m)."""
-    s = angle.s
-    bm1, bm = angle.b_m(m - 1), angle.b_m(m)
-    off = -(2 * s + bm1 + bm)
-    return np.array([[2 * (s + 1) * bm1 + 2 * s, off],
-                     [off, 2 * (s + 1) * bm + 2 * s]])
+def _xyz2_blocks(angles) -> dict:
+    """Over m = 0..q-1 of each angle, the least determinant ad - c^2 and
+    trace a + d of the 2x2 corner blocks [[a, c], [c, d]] of
+    2s(X+Y) + (XY+YX)/2 at positions (m-1, m), with s = sin(pi theta),
+    a = 2(s+1) b_{m-1} + 2s, c = -(2s + b_{m-1} + b_m),
+    d = 2(s+1) b_m + 2s; and the largest residual of the corrected
+    difference identity b_{m-1} - b_m = -2 s sin((2m-1) pi theta)."""
+    q, p = angles[0].q, np.array([[a.p] for a in angles])
+    s = _sines(angles)
+    m = np.arange(-1, q)
+    b = 1.0 - np.cos(2 * m * pi * p / q)  # b_{m-1}, ..., b_{q-1}
+    bm1, bm = b[:, :-1], b[:, 1:]
+    a = 2 * (s + 1) * bm1 + 2 * s
+    c = -(2 * s + bm1 + bm)
+    d = 2 * (s + 1) * bm + 2 * s
+    rhs = -2.0 * s * np.sin((2 * m[1:] - 1) * pi * p / q)
+    return {"det_min": np.min(a * d - c * c, axis=1),
+            "trace_min": np.min(a + d, axis=1),
+            "identity_residual": np.max(np.abs(bm1 - bm - rhs), axis=1)}
 
 
 def verify_xyz2(*, qmax: int = 60, tol: float = 1e-9,
@@ -169,23 +232,17 @@ def verify_xyz2(*, qmax: int = 60, tol: float = 1e-9,
     grid = farey_angles(qmax, max_value=None if full_circle else Fraction(1, 2))
     notes = []
 
-    def work(a: RationalAngle):
-        x, y = rotation.x_op(a), rotation.y_op(a)
-        op = (x + y) * (2.0 * a.s) + 0.5 * (x @ y + y @ x)
-        margin_op = min_eigenvalue(op)
-        det_min, trace_min, resid = np.inf, np.inf, 0.0
-        for m in range(a.q):
-            t = xyz2_block(a, m)
-            det_min = min(det_min, float(np.linalg.det(t)))
-            trace_min = min(trace_min, float(np.trace(t)))
-            lhs = a.b_m(m - 1) - a.b_m(m)
-            rhs = -2.0 * a.s * sin((2 * m - 1) * pi * a.p / a.q)
-            resid = max(resid, abs(lhs - rhs))
-        return [AngleRecord(a.p, a.q, margin_op,
-                            {"det_min": det_min, "trace_min": trace_min,
-                             "identity_residual": resid})]
+    def work(angles, parts):
+        s = _sines(angles)
+        # (XY + YX)_ij = (x_i + x_j) Y_ij, as X is diagonal
+        margins = _min_eig(parts, lambda x, y: _diag(2.0 * s * x) + (
+            2.0 * s[:, :, None] + 0.5 * (x[:, :, None] + x[:, None, :])) * y)
+        blocks = _xyz2_blocks(angles)
+        return [AngleRecord(a.p, a.q, float(margins[i]),
+                            {k: float(v[i]) for k, v in blocks.items()})
+                for i, a in enumerate(angles)]
 
-    records = _map_angles(work, grid)
+    records = _stacked_sweep(grid, work)
     bad_det = [r for r in records if r.extras["det_min"] < -tol
                or r.extras["trace_min"] < -tol]
     bad_id = [r for r in records if r.extras["identity_residual"] > IDENTITY_TOL]
@@ -199,16 +256,24 @@ def verify_xyz2(*, qmax: int = 60, tol: float = 1e-9,
 
 
 def verify_prodnorm(*, qmax: int = 60, tol: float = 1e-9) -> SweepReport:
-    """||pi((1-x)(1-y))|| <= 4 cos(pi theta / 2)."""
+    """||pi((1-x)(1-y))|| <= 4 cos(pi theta / 2).
+
+    The product is neither normal nor parity-commuting, but
+    (1-x)*(1-x) = X and (1-y)(1-y)* = Y give ||(1-x)(1-y)||^2 =
+    ||sqrt(X) Y sqrt(X)||, whose operator does commute with the parity."""
     grid = farey_angles(qmax)
 
-    def work(a: RationalAngle):
-        eye = np.eye(a.q, dtype=complex)
-        m = (eye - rotation.pi_x(a)) @ (eye - rotation.pi_y(a))
-        margin = 4.0 * cos(pi * a.theta / 2.0) - spectral_norm(m)
-        return [AngleRecord(a.p, a.q, margin)]
+    def root_x_y_root_x(x, y):
+        r = np.sqrt(x)
+        return r[:, :, None] * y * r[:, None, :]
 
-    records = _map_angles(work, grid)
+    def work(angles, parts):
+        squares = np.max([hermitian_norm(root_x_y_root_x(x, y))
+                          for x, y in parts], axis=0)
+        return [AngleRecord(a.p, a.q, 4.0 * cos(pi * a.theta / 2.0) - sqrt(float(n)))
+                for a, n in zip(angles, squares)]
+
+    records = _stacked_sweep(grid, work)
     return _finish("prodnorm", records, tol, constants={"qmax": qmax})
 
 
@@ -216,29 +281,44 @@ def verify_xsmall(*, qmax: int = 40, tol: float = 1e-9,
                   deltas: tuple = (0.1, 0.3, 0.5)) -> SweepReport:
     """Spectral-projection facts for 0 < delta < 2(1 - cos(pi theta)):
     the low-X subspace sees Y as 2 (no consecutive residues), and
-    ||P_{Y<=d} P_{X<=d}|| <= sqrt(2/(4-d))."""
+    ||P_{Y<=d} P_{X<=d}|| <= sqrt(2/(4-d)).
+
+    Both projections commute with the parity, so the product's norm is the
+    largest over the parity blocks and the compression residual
+    max |P_X Y P_X - 2 P_X| is taken in the parity bases.  X and Y are
+    decomposed once for all the cuts that apply."""
     grid = [a for a in farey_angles(qmax) if a.p != 0]
     notes = []
 
-    def work(a: RationalAngle):
+    def work(angles, parts):
+        q = angles[0].q
+        cuts = [tuple(d for d in deltas if 0 < d < 2.0 * (1.0 - cos(pi * a.theta)))
+                for a in angles]
+        # 2 b_m for m = 0..q-1, from the even part's diagonals 2 b_j, j <= q/2
+        x_full = parts[0][0][:, np.minimum(np.arange(q), q - np.arange(q))]
         out = []
-        x, y = rotation.x_op(a), rotation.y_op(a)
-        for delta in deltas:
-            if not (0 < delta < 2.0 * (1.0 - cos(pi * a.theta))):
-                continue
-            px = spectral_projection(x, delta)
-            py = spectral_projection(y, delta)
-            low = [m for m in range(a.q) if 2.0 * a.b_m(m) <= delta]
-            consecutive = any((m + 1) % a.q in low for m in low) and len(low) > 1
-            eq_residual = float(np.max(np.abs(px @ y @ px - 2.0 * px)))
-            margin = sqrt(2.0 / (4.0 - delta)) - spectral_norm(py @ px)
-            out.append(AngleRecord(a.p, a.q, margin,
-                                   {"delta": delta, "eq_residual": eq_residual,
-                                    "low_set_size": len(low),
-                                    "consecutive": consecutive}))
+        for group in sorted(set(cuts) - {()}):
+            rows = [i for i, c in enumerate(cuts) if c == group]
+            norm = resid = 0.0  # per (cut, angle), the largest over the parts
+            for x, y in parts:
+                px = spectral_projection(_diag(x[rows]), group)
+                py = spectral_projection(y, group)[:, None]
+                norm = np.maximum(norm, spectral_norm(py @ px))
+                resid = np.maximum(resid, np.max(np.abs(px @ y @ px - 2.0 * px),
+                                                 axis=(-2, -1)))
+            for k, d in enumerate(group):
+                low = x_full[rows] <= d
+                size = np.sum(low, axis=1)
+                consecutive = np.any(low & np.roll(low, -1, axis=1), axis=1) & (size > 1)
+                out += [AngleRecord(angles[i].p, q,
+                                    sqrt(2.0 / (4.0 - d)) - float(norm[k, r]),
+                                    {"delta": d, "eq_residual": float(resid[k, r]),
+                                     "low_set_size": int(size[r]),
+                                     "consecutive": bool(consecutive[r])})
+                        for r, i in enumerate(rows)]
         return out
 
-    records = _map_angles(work, grid)
+    records = _stacked_sweep(grid, work)
     bad_eq = [r for r in records if r.extras["eq_residual"] > tol]
     bad_cons = [r for r in records if r.extras["consecutive"]]
     if bad_eq:

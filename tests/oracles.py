@@ -1,18 +1,24 @@
 """Reference implementations that only the tests use: independent
-eigenvalue oracles, the rank-3 representation evaluated word by word, and
-plain fixture graphs for the spectral-gap solver."""
+eigenvalue oracles, the single-site sweeps solved one dense q x q matrix
+per angle, the rank-3 representation evaluated word by word, and plain
+fixture graphs for the spectral-gap solver."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi
+from fractions import Fraction
+from math import cos, pi, sin, sqrt
 
 import numpy as np
 
+from heisenkit import rotation
 from heisenkit.algebra import AlgebraElement
 from heisenkit.groups import Heis3Elt
-from heisenkit.linalg import hermitian_operator
-from heisenkit.rotation import RationalAngle, pi_theta
+from heisenkit.linalg import (hermitian_operator, min_eigenvalue,
+                              spectral_norm, spectral_projection)
+from heisenkit.rotation import RationalAngle, farey_angles, pi_theta
+from heisenkit.sweeps import (IDENTITY_TOL, AngleRecord, SweepReport,
+                              zzz_theta0)
 
 
 def jacobi_eigenvalues(op: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60) -> np.ndarray:
@@ -75,6 +81,113 @@ def char_poly_coeffs(op: np.ndarray) -> np.ndarray:
         mk = a @ mk + coeffs[k - 1] * np.eye(n)
         coeffs[k] = -np.trace(a @ mk) / k
     return coeffs
+
+
+def xyz2_block(angle: RationalAngle, m: int) -> np.ndarray:
+    """2x2 corner block of 2s(X+Y) + (XY+YX)/2 at positions (m-1, m)."""
+    s = angle.s
+    bm1, bm = angle.b_m(m - 1), angle.b_m(m)
+    off = -(2 * s + bm1 + bm)
+    return np.array([[2 * (s + 1) * bm1 + 2 * s, off],
+                     [off, 2 * (s + 1) * bm + 2 * s]])
+
+
+def _bz(a, lambdas=(1.0, 2.0, 4.0), **_):
+    return [AngleRecord(a.p, a.q, rotation.bz_bound(a, lam) - spectral_norm(
+        rotation.almost_mathieu(a, lam)), {"lambda": float(lam)})
+            for lam in lambdas]
+
+
+def _xyz1(a, **_):
+    m = rotation.x_op(a) + rotation.y_op(a) - a.s * np.eye(a.q)
+    return [AngleRecord(a.p, a.q, min_eigenvalue(m))]
+
+
+def _zzz(a, R, kappa, **_):
+    m = (R * rotation.x_op(a) + rotation.y_op(a)
+         - sqrt((1.0 - kappa) * R) * a.s * np.eye(a.q))
+    return [AngleRecord(a.p, a.q, min_eigenvalue(m))]
+
+
+def _xyz2(a, **_):
+    x, y = rotation.x_op(a), rotation.y_op(a)
+    op = (x + y) * (2.0 * a.s) + 0.5 * (x @ y + y @ x)
+    det_min, trace_min, resid = np.inf, np.inf, 0.0
+    for m in range(a.q):
+        t = xyz2_block(a, m)
+        det_min = min(det_min, float(np.linalg.det(t)))
+        trace_min = min(trace_min, float(np.trace(t)))
+        lhs = a.b_m(m - 1) - a.b_m(m)
+        rhs = -2.0 * a.s * sin((2 * m - 1) * pi * a.p / a.q)
+        resid = max(resid, abs(lhs - rhs))
+    return [AngleRecord(a.p, a.q, min_eigenvalue(op),
+                        {"det_min": det_min, "trace_min": trace_min,
+                         "identity_residual": resid})]
+
+
+def _prodnorm(a, **_):
+    eye = np.eye(a.q, dtype=complex)
+    m = (eye - rotation.pi_x(a)) @ (eye - rotation.pi_y(a))
+    return [AngleRecord(a.p, a.q,
+                        4.0 * cos(pi * a.theta / 2.0) - spectral_norm(m))]
+
+
+def _xsmall(a, deltas=(0.1, 0.3, 0.5), **_):
+    out = []
+    x, y = rotation.x_op(a), rotation.y_op(a)
+    for delta in deltas:
+        if not (0 < delta < 2.0 * (1.0 - cos(pi * a.theta))):
+            continue
+        px = spectral_projection(x, delta)
+        py = spectral_projection(y, delta)
+        low = [m for m in range(a.q) if 2.0 * a.b_m(m) <= delta]
+        consecutive = any((m + 1) % a.q in low for m in low) and len(low) > 1
+        out.append(AngleRecord(
+            a.p, a.q, sqrt(2.0 / (4.0 - delta)) - spectral_norm(py @ px),
+            {"delta": delta,
+             "eq_residual": float(np.max(np.abs(px @ y @ px - 2.0 * px))),
+             "low_set_size": len(low), "consecutive": consecutive}))
+    return out
+
+
+def single_site_sweep(name: str, *, qmax: int, tol: float = 1e-9,
+                      full_circle: bool = False, **params) -> SweepReport:
+    """The single-site sweep ``verify_<name>`` computed one angle at a time
+    on the dense q x q operators built from ``x_op``/``y_op``, with the
+    records, notes and verdict of the sweep (not its constants)."""
+    work = {"bz": _bz, "xyz1": _xyz1, "zzz": _zzz, "xyz2": _xyz2,
+            "prodnorm": _prodnorm, "xsmall": _xsmall}[name]
+    grid = farey_angles(qmax, max_value=None if full_circle else Fraction(1, 2))
+    notes = []
+    if name == "zzz":
+        theta0 = zzz_theta0(params["R"], params["kappa"])
+        grid = [a for a in grid if a.theta <= theta0]
+        if all(a.p == 0 for a in grid):
+            notes.append(f"empty sweep: no positive angle <= theta0="
+                         f"{theta0:.6f} at qmax={qmax}")
+    if name == "xsmall":
+        grid = [a for a in grid if a.p != 0]
+    records = sorted((r for a in grid for r in work(a, **params)),
+                     key=AngleRecord.sort_key)
+    ex = [r.extras for r in records]
+    if name == "xyz2":
+        checks = [(sum(e["det_min"] < -tol or e["trace_min"] < -tol for e in ex),
+                   "FAIL: {} angle(s) with negative block det/trace"),
+                  (sum(e["identity_residual"] > IDENTITY_TOL for e in ex),
+                   "FAIL: {} angle(s) violate the corrected difference "
+                   f"identity beyond {IDENTITY_TOL}")]
+    elif name == "xsmall":
+        checks = [(sum(e["eq_residual"] > tol for e in ex),
+                   "FAIL: compression identity violated at {} point(s)"),
+                  (sum(e["consecutive"] for e in ex),
+                   "FAIL: low-X residue set has consecutive members at "
+                   "{} point(s)")]
+    else:
+        checks = []
+    notes += [text.format(n) for n, text in checks if n]
+    if not records:
+        notes.append("FAIL: sweep produced no records")
+    return SweepReport(name=name, records=records, tol=tol, notes=notes)
 
 
 def _site_matrix(angle: RationalAngle, a: int, b: int) -> np.ndarray:

@@ -44,6 +44,19 @@ def test_verify_zzz_flags():
                  "--qmax", "20"]) == 0
 
 
+def test_report_records_the_grid_order_used(tmp_path):
+    # --qmax left to the sweep's default is recorded as that default
+    out = tmp_path / "zzz.json"
+    assert main(["verify", "zzz", "--R", "16", "--kappa", "0.25",
+                 "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["params"]["qmax"] == "60"
+    assert payload["constants"]["qmax"] == 60
+    assert main(["verify", "xsmall", "--qmax", "7", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert (payload["params"]["qmax"], payload["constants"]["qmax"]) == ("7", 7)
+
+
 def test_usage_errors():
     assert main(["verify", "nonsense"]) == 1
     assert main(["frobnicate"]) == 1

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from heisenkit.linalg import (hermitian_operator, min_eigenvalue,
-                              spectral_norm, spectral_projection)
+from heisenkit.linalg import (hermitian_norm, hermitian_operator,
+                              min_eigenvalue, spectral_norm,
+                              spectral_projection)
 from heisenkit.rotation import RationalAngle, tensor_operator, x_op, y_op
 from oracles import char_poly_coeffs, jacobi_eigenvalues
 
@@ -225,3 +226,68 @@ def test_hermitian_operator_symmetrizes():
     a = np.array([[1.0, 1 + 1e-13], [1.0, 2.0]])
     h = hermitian_operator(a)
     assert np.array_equal(h, h.conj().T)
+
+
+def test_stack_is_validated_per_matrix():
+    rng = np.random.default_rng(29)
+    stack = np.stack([random_hermitian(rng, 4).real for _ in range(5)])
+    assert np.array_equal(min_eigenvalue(stack),
+                          [min_eigenvalue(a) for a in stack])
+    for fn in (hermitian_operator, min_eigenvalue, hermitian_norm):
+        bad = stack.copy()
+        bad[2, 0, 1] += 1e-6  # one non-symmetric matrix in the middle
+        with pytest.raises(ValueError, match="not Hermitian"):
+            fn(bad)
+        bad = stack.copy()
+        bad[2, 1, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            fn(bad)
+    bad = stack.copy()
+    bad[2, 3, 3] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        spectral_norm(bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        spectral_projection(bad, 0.1)
+
+
+def test_stack_skew_is_judged_on_each_matrix_scale():
+    # skew 1e-7 is within 1e-12 of a matrix of scale 1e6, skew 1e-11 is
+    # not within 1e-12 of a matrix of scale 1; the stack maximum is 1e6
+    large = np.diag([1e6, 2.0])
+    large[0, 1] += 1e-7
+    small = np.array([[1.0, 1e-11], [0.0, 1.0]])
+    assert np.array_equal(hermitian_operator(np.stack([large, np.eye(2)])),
+                          [(large + large.T) / 2, np.eye(2)])
+    for stack in ([large, small], [small, large]):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_operator(np.stack(stack))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            min_eigenvalue(np.stack(stack))
+    h = hermitian_operator(np.stack([large, np.eye(2)]))
+    assert np.array_equal(h, np.swapaxes(h, -1, -2))
+
+
+def test_stacked_solvers_match_single_solves():
+    rng = np.random.default_rng(31)
+    stack = np.stack([random_hermitian(rng, 5) for _ in range(4)])
+    norms = hermitian_norm(stack)
+    for i, a in enumerate(stack):
+        assert norms[i] == pytest.approx(spectral_norm(a), abs=1e-12)
+        assert hermitian_norm(a) == norms[i]
+    assert np.array_equal(spectral_norm(stack), [spectral_norm(a) for a in stack])
+    cuts = spectral_projection(stack, [-0.3, 0.2])
+    assert cuts.shape == (2, 4, 5, 5)
+    for k, delta in enumerate((-0.3, 0.2)):
+        for i, a in enumerate(stack):
+            assert np.max(np.abs(cuts[k, i] - spectral_projection(a, delta))) <= 1e-12
+
+
+def test_stacked_projection_refuses_an_ambiguous_cut():
+    # an eigenvalue within 1e-8 of one cut, in one matrix of the stack
+    stack = np.stack([np.diag([0.0, 4.0]), np.diag([1.0, 0.3 + 5e-9]),
+                      np.diag([2.0, 3.0])])
+    with pytest.raises(ValueError, match="ambiguous"):
+        spectral_projection(stack, 0.3)
+    with pytest.raises(ValueError, match="ambiguous"):
+        spectral_projection(stack, [0.1, 0.3, 0.5])
+    assert spectral_projection(stack, [0.1, 0.5]).shape == (2, 3, 2, 2)

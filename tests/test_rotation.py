@@ -14,8 +14,8 @@ from heisenkit.groups import Heisenberg, Heisenberg3
 from heisenkit.linalg import spectral_norm
 from heisenkit.rotation import (RationalAngle, almost_mathieu, bz_bound,
                                 evaluate, farey_angles, letters, parity_bases,
-                                parity_letters, pi_theta, pi_x, pi_y,
-                                tensor_operator, x_op, y_op, z_scalar)
+                                parity_letters, parity_stack, pi_theta, pi_x,
+                                pi_y, tensor_operator, x_op, y_op, z_scalar)
 from oracles import evaluate3, pi_theta3
 
 H = Heisenberg
@@ -39,6 +39,16 @@ def test_farey_grid():
     full = farey_angles(4, max_value=None)
     assert [(a.p, a.q) for a in full] == [(0, 1), (1, 4), (1, 3), (1, 2),
                                           (2, 3), (3, 4)]
+
+
+def test_farey_grid_is_the_sorted_enumeration():
+    for qmax in range(0, 25):
+        for hi in (Fraction(1, 2), None, Fraction(0), Fraction(1, 7),
+                   Fraction(2, 3), Fraction(3)):
+            want = sorted({Fraction(p, q) for q in range(1, qmax + 1)
+                           for p in range(q)
+                           if hi is None or Fraction(p, q) <= hi})
+            assert [a.fraction for a in farey_angles(qmax, hi)] == want
 
 
 def test_pi_half_generators():
@@ -170,6 +180,23 @@ def test_parity_bases_split_every_letter():
                     assert block[k].dtype == np.float64
                     assert np.max(np.abs(basis.T @ table[k] @ basis
                                          - block[k])) <= 1e-14
+
+
+def test_parity_stack_is_the_parity_letters():
+    """Per part, the stacked X diagonals and the shared Y block are
+    exactly the blocks of ``parity_letters`` at each angle of q."""
+    for q in range(1, 14):
+        angles = [a for a in farey_angles(13, max_value=None) if a.q == q]
+        parts = parity_stack(angles)
+        for i, angle in enumerate(angles):
+            blocks = parity_letters(angle)
+            assert len(parts) == len(blocks)
+            for (x, y), block in zip(parts, blocks):
+                assert x.shape == (len(angles), y.shape[0])
+                assert np.array_equal(np.diag(x[i]), block["X"])
+                assert np.array_equal(y, block["Y"])
+    with pytest.raises(ValueError):
+        parity_stack([RationalAngle(1, 3), RationalAngle(1, 4)])
 
 
 def test_tensor_matches_rank3_evaluation():

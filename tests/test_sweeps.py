@@ -1,11 +1,13 @@
 """Sweep margins against closed forms, search behavior and determinism."""
 
 from fractions import Fraction
+from collections import Counter
 from math import asin, pi, sqrt
 
 import numpy as np
 import pytest
 
+from heisenkit import sweeps
 from heisenkit.algebra import hermitian_square
 from heisenkit.cli import main
 from heisenkit.groups import Heisenberg3
@@ -15,8 +17,8 @@ from heisenkit.sweeps import (_tensor_sweep, three_site_operator,
                               two_site_terms, verify_bz, verify_formula,
                               verify_prodnorm, verify_smalltheta,
                               verify_xsmall, verify_xyz1, verify_xyz2,
-                              verify_zzz, xyz2_block, zzz_theta0)
-from oracles import evaluate3
+                              verify_zzz, zzz_theta0)
+from oracles import evaluate3, single_site_sweep, xyz2_block
 
 SQRT2 = sqrt(2.0)
 
@@ -216,14 +218,57 @@ def test_tensor_operators_match_group_algebra():
                 assert abs(block_min - np.linalg.eigvalsh(oracle)[0]) <= 1e-12
 
 
+# Single-site sweeps on grids where some denominator holds more angles than
+# one stack: q = 13 on the full circle at order 16, q = 23 on [0, 1/2] at
+# order 24, q = 79 below theta0 = 0.115 at order 80.
+CHUNKED = [("bz", {"qmax": 16, "full_circle": True}),
+           ("xyz1", {"qmax": 16, "full_circle": True}),
+           ("xyz2", {"qmax": 16, "full_circle": True}),
+           ("zzz", {"qmax": 80, "R": 1.0, "kappa": 0.5}),
+           ("zzz", {"qmax": 16, "R": 16.0, "kappa": 0.25}),
+           ("prodnorm", {"qmax": 24}),
+           ("xsmall", {"qmax": 24}),
+           ("xsmall", {"qmax": 16, "tol": -1.0, "deltas": (0.5, 0.2)})]
+
+
+@pytest.mark.parametrize("name, params", CHUNKED)
+def test_stacked_sweeps_match_the_per_angle_oracle(name, params):
+    report = getattr(sweeps, f"verify_{name}")(**params)
+    oracle = single_site_sweep(name, **params)
+    assert report.passed == oracle.passed
+    assert len(report.records) == len(oracle.records)
+    assert report.notes == oracle.notes
+    for got, want in zip(report.records, oracle.records):
+        assert (got.p, got.q) == (want.p, want.q)
+        assert abs(got.margin - want.margin) <= 1e-12
+        assert got.extras.keys() == want.extras.keys()
+        for key, value in want.extras.items():
+            if isinstance(value, float):
+                assert abs(got.extras[key] - value) <= 1e-12, key
+            else:
+                assert got.extras[key] == value, key
+
+
+def test_oracle_grids_cross_a_stack():
+    for name, params in CHUNKED[:4] + CHUNKED[5:7]:
+        report = getattr(sweeps, f"verify_{name}")(**params)
+        angles = Counter(q for p, q in {(r.p, r.q) for r in report.records})
+        assert max(angles.values()) > sweeps.STACK, name
+
+
 def test_reports_are_deterministic(tmp_path):
-    reports = []
-    for run in ("a", "b"):
-        out, csv = tmp_path / f"{run}.json", tmp_path / f"{run}.csv"
-        assert main(["verify", "bz", "--qmax", "10", "--lambda", "1,2",
-                     "--out", str(out), "--csv", str(csv)]) == 0
-        reports.append((out.read_bytes(), csv.read_bytes()))
-    assert reports[0] == reports[1]
+    for name, params in CHUNKED[:4] + CHUNKED[5:7]:
+        argv = ["verify", name, "--qmax", str(params["qmax"])]
+        if params.get("full_circle"):
+            argv.append("--full-circle")
+        if name == "zzz":
+            argv += ["--R", str(params["R"]), "--kappa", str(params["kappa"])]
+        reports = []
+        for run in ("a", "b"):
+            out, csv = tmp_path / f"{run}.json", tmp_path / f"{run}.csv"
+            assert main(argv + ["--out", str(out), "--csv", str(csv)]) == 0
+            reports.append((out.read_bytes(), csv.read_bytes()))
+        assert reports[0] == reports[1], name
 
 
 def test_report_json_excludes_wall_time(tmp_path):
