@@ -66,20 +66,18 @@ class RationalAngle:
 def farey_angles(qmax: int, max_value: Fraction | None = Fraction(1, 2)
                  ) -> list[RationalAngle]:
     """All reduced p/q with q <= qmax up to ``max_value`` (None: all of [0,1)),
-    sorted by value.
-
-    The Farey sequence of order qmax is walked in increasing order by its
-    next-term rule, in integers: after neighbours a/b < c/d comes
-    (k c - a)/(k d - b) with k = (qmax + b) // d.
-    """
-    hi = Fraction(max_value) if max_value is not None else Fraction(1)
+    sorted by value."""
+    hi = Fraction(max_value) if max_value is not None else None
     out = []
-    a, b, c, d = 0, 1, 1, qmax
-    while qmax >= 1 and a * hi.denominator <= hi.numerator * b and a < b:
-        out.append(RationalAngle(a, b))
-        k = (qmax + b) // d
-        a, b, c, d = c, d, k * c - a, k * d - b
-    return out
+    for q in range(1, qmax + 1):
+        for p in range(0, q):
+            if gcd(p, q) != 1:
+                continue
+            f = Fraction(p, q)
+            if hi is not None and f > hi:
+                continue
+            out.append(RationalAngle(p, q))
+    return sorted(set(out), key=lambda a: a.fraction)
 
 
 def pi_x(angle: RationalAngle) -> np.ndarray:

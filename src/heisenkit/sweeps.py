@@ -103,21 +103,19 @@ def _stacked_sweep(grid, work) -> list:
     of at most STACK angles that share a denominator; ``parts`` holds, per
     parity part, the rows of the X diagonals that belong to the run and
     the block of Y (``rotation.parity_stack``, built once per
-    denominator).  Records come in grid order and, at one angle, in the
-    order of their extras: for a Farey grid, which is sorted by value,
-    that is the order of ``AngleRecord.sort_key``."""
+    denominator).  Records come in sorted-angle order, as in
+    ``_map_angles``."""
     by_q: dict = {}
     for a in grid:
         by_q.setdefault(a.q, []).append(a)
-    by_angle: dict = {}
+    records = []
     for angles in by_q.values():
         parts = rotation.parity_stack(angles)
         for i in range(0, len(angles), STACK):
-            for r in work(angles[i:i + STACK],
-                          [(x[i:i + STACK], y) for x, y in parts]):
-                by_angle.setdefault((r.p, r.q), []).append(r)
-    return [r for a in grid for r in sorted(by_angle.get((a.p, a.q), ()),
-                                            key=lambda r: sorted(r.extras.items()))]
+            records += work(angles[i:i + STACK],
+                            [(x[i:i + STACK], y) for x, y in parts])
+    records.sort(key=AngleRecord.sort_key)
+    return records
 
 
 def _diag(d: np.ndarray) -> np.ndarray:
@@ -142,6 +140,9 @@ def verify_bz(*, qmax: int = 60, tol: float = 1e-9,
     """Almost Mathieu norm bound: ||H|| <= lam+2 - (2 lam/(lam+2)) sin(pi theta),
     H = (lam+2) - (lam/2 X + Y); ||H|| is the largest |eigenvalue| of the
     symmetric H over its parity blocks."""
+    for lam in lambdas:
+        if not lam > 0:
+            raise ValueError(f"coupling must be positive, got {lam}")
     grid = farey_angles(qmax, max_value=None if full_circle else Fraction(1, 2))
 
     def work(angles, parts):
@@ -284,9 +285,10 @@ def verify_xsmall(*, qmax: int = 40, tol: float = 1e-9,
     ||P_{Y<=d} P_{X<=d}|| <= sqrt(2/(4-d)).
 
     Both projections commute with the parity, so the product's norm is the
-    largest over the parity blocks and the compression residual
-    max |P_X Y P_X - 2 P_X| is taken in the parity bases.  X and Y are
-    decomposed once for all the cuts that apply."""
+    largest over the parity blocks.  The compression residual
+    max |P_X Y P_X - 2 P_X| is the largest entry in the standard basis of
+    l_2(Z/qZ), with the residual assembled from its parity blocks.  X and
+    Y are decomposed once for all the cuts that apply."""
     grid = [a for a in farey_angles(qmax) if a.p != 0]
     notes = []
 
@@ -296,16 +298,17 @@ def verify_xsmall(*, qmax: int = 40, tol: float = 1e-9,
                 for a in angles]
         # 2 b_m for m = 0..q-1, from the even part's diagonals 2 b_j, j <= q/2
         x_full = parts[0][0][:, np.minimum(np.arange(q), q - np.arange(q))]
+        bases = [v / np.linalg.norm(v, axis=0) for v in rotation.parity_bases(q)]
         out = []
         for group in sorted(set(cuts) - {()}):
             rows = [i for i, c in enumerate(cuts) if c == group]
-            norm = resid = 0.0  # per (cut, angle), the largest over the parts
-            for x, y in parts:
+            norm = resid = 0.0  # per (cut, angle), over the parts
+            for (x, y), u in zip(parts, bases):
                 px = spectral_projection(_diag(x[rows]), group)
                 py = spectral_projection(y, group)[:, None]
                 norm = np.maximum(norm, spectral_norm(py @ px))
-                resid = np.maximum(resid, np.max(np.abs(px @ y @ px - 2.0 * px),
-                                                 axis=(-2, -1)))
+                resid = resid + u @ (px @ y @ px - 2.0 * px) @ u.T
+            resid = np.max(np.abs(resid), axis=(-2, -1))
             for k, d in enumerate(group):
                 low = x_full[rows] <= d
                 size = np.sum(low, axis=1)

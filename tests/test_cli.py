@@ -57,7 +57,7 @@ def test_report_records_the_grid_order_used(tmp_path):
     assert (payload["params"]["qmax"], payload["constants"]["qmax"]) == ("7", 7)
 
 
-def test_usage_errors():
+def test_usage_errors(capsys):
     assert main(["verify", "nonsense"]) == 1
     assert main(["frobnicate"]) == 1
     assert main(["verify", "zzz", "--qmax", "10"]) == 1  # missing R/kappa
@@ -67,6 +67,13 @@ def test_usage_errors():
                      "--epsilon", "1/16", "--qmax", "8"]
     for tol in ("inf", "-inf", "nan"):
         assert main(known_failure + ["--tol", tol]) == 1
+    # couplings must be positive; lambda 0 passed the bound and lambda -2
+    # divided by zero in it
+    capsys.readouterr()
+    for lam in ("0", "-2"):
+        assert main(["verify", "bz", "--qmax", "6", "--lambda", lam]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: coupling must be positive, got {float(lam)}\n"
     assert main(["all", "--tol", "inf"]) == 1
     # search constants must be positive; these used to print [PASS]
     assert main(["verify", "formula", "--qmax", "4", "--R", "2",

@@ -41,16 +41,6 @@ def test_farey_grid():
                                           (2, 3), (3, 4)]
 
 
-def test_farey_grid_is_the_sorted_enumeration():
-    for qmax in range(0, 25):
-        for hi in (Fraction(1, 2), None, Fraction(0), Fraction(1, 7),
-                   Fraction(2, 3), Fraction(3)):
-            want = sorted({Fraction(p, q) for q in range(1, qmax + 1)
-                           for p in range(q)
-                           if hi is None or Fraction(p, q) <= hi})
-            assert [a.fraction for a in farey_angles(qmax, hi)] == want
-
-
 def test_pi_half_generators():
     a = RationalAngle(1, 2)
     assert np.allclose(pi_x(a), np.diag([1, -1]), atol=1e-14)
