@@ -66,18 +66,13 @@ class RationalAngle:
 def farey_angles(qmax: int, max_value: Fraction | None = Fraction(1, 2)
                  ) -> list[RationalAngle]:
     """All reduced p/q with q <= qmax up to ``max_value`` (None: all of [0,1)),
-    sorted by value."""
-    hi = Fraction(max_value) if max_value is not None else None
-    out = []
-    for q in range(1, qmax + 1):
-        for p in range(0, q):
-            if gcd(p, q) != 1:
-                continue
-            f = Fraction(p, q)
-            if hi is not None and f > hi:
-                continue
-            out.append(RationalAngle(p, q))
-    return sorted(set(out), key=lambda a: a.fraction)
+    sorted by value.  The sort key is the double p/q: distinct reduced
+    fractions with q < 2^25 differ by at least 1/(q1 q2), far above its
+    rounding error, so the order is that of the fractions."""
+    hi = Fraction(max_value if max_value is not None else 1)
+    out = [RationalAngle(p, q) for q in range(1, qmax + 1) for p in range(q)
+           if gcd(p, q) == 1 and p * hi.denominator <= q * hi.numerator]
+    return sorted(out, key=lambda a: a.theta)
 
 
 def pi_x(angle: RationalAngle) -> np.ndarray:

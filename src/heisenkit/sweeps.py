@@ -47,7 +47,8 @@ class AngleRecord:
         return self.p / self.q
 
     def sort_key(self):
-        return (Fraction(self.p, self.q), sorted(self.extras.items()))
+        # the double p/q orders reduced fractions exactly (see farey_angles)
+        return (self.theta, sorted(self.extras.items()))
 
 
 @dataclass

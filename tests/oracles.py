@@ -1,7 +1,8 @@
 """Reference implementations that only the tests use: independent
 eigenvalue oracles, the single-site sweeps solved one dense q x q matrix
-per angle, the rank-3 representation evaluated word by word, and plain
-fixture graphs for the spectral-gap solver."""
+per angle, the rank-3 representation evaluated word by word, plain
+fixture graphs for the spectral-gap solver and lambda_2 solved on the whole
+adjacency of a graph rather than on its orbit quotient."""
 
 from __future__ import annotations
 
@@ -234,3 +235,23 @@ def disjoint_union(a: FixtureGraph, b: FixtureGraph) -> FixtureGraph:
         raise ValueError("union of regular graphs needs equal degrees")
     nbrs = np.concatenate([a.neighbors, b.neighbors + a.order])
     return FixtureGraph(order=a.order + b.order, degree=a.degree, neighbors=nbrs)
+
+
+def full_lambda2(graph) -> float:
+    """lambda_2 of a regular graph's whole adjacency: the constant vector
+    deflated to -2 degree (A v - 3 degree mean(v) 1), then one ARPACK
+    Lanczos solve (k = 1, tolerance at machine precision) from a
+    fixed-seed start vector."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    v_count, deg = graph.order, graph.degree
+    nbr = graph.neighbors
+    adj = csr_matrix((np.ones(nbr.size), nbr.ravel(),
+                      np.arange(0, nbr.size + 1, deg)), shape=(v_count, v_count))
+    shift = 3.0 * deg / v_count
+    v0 = np.random.default_rng(12345).standard_normal(v_count)
+    w, _ = eigsh(LinearOperator(adj.shape, dtype=float,
+                                matvec=lambda v: adj @ v - shift * v.sum()),
+                 k=1, which="LA", tol=0, v0=v0)
+    return float(w[0])

@@ -207,6 +207,7 @@ def test_expander_cli(tmp_path):
     assert payload["rows"][0]["order"] == 168
     assert payload["rows"][0]["matvecs"] > 0           # how lambda_2 was reached
     assert payload["rows"][0]["residual"] < 1e-12
+    assert payload["rows"][0]["classes"] == 19        # W-orbits of SL_3(F_2)
     header = csv.read_text().splitlines()[0].split(",")
     assert header == ["n", "q", "p", "order", "degree", "lambda2", "gap",
                       "normalized_gap"]

@@ -1,14 +1,17 @@
 """BFS enumeration of elementary subgroups and spectral-gap extraction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
+from heisenkit import expander
 from heisenkit.cli import main
 from heisenkit.expander import (coprime_residues, elementary_generators,
                                 enumerate_group, family_report, sl_order,
                                 spectral_gap)
-from oracles import FixtureGraph, complete_graph, disjoint_union
+from oracles import FixtureGraph, complete_graph, disjoint_union, full_lambda2
 
 
 def test_sl_order_formula():
@@ -174,6 +177,89 @@ def test_unconverged_lanczos_is_an_error(monkeypatch):
     with pytest.raises(ValueError, match="did not converge after 0 operator"):
         spectral_gap(enumerate_group(3, 2, 1))
     assert main(["expander", "run", "--n", "3", "--q", "2"]) == 1
+
+
+ORACLE_GRAPHS = [(3, 2, 1), (3, 3, 1), (3, 4, 1), (3, 4, 2),
+                 (2, 2, 1), (2, 4, 2), (2, 9, 2), (2, 16, 1)]
+
+
+@pytest.mark.parametrize("n, q, p", ORACLE_GRAPHS)
+def test_quotient_lambda2_matches_full_graph_oracle(n, q, p):
+    g = enumerate_group(n, q, p)
+    res = spectral_gap(g)
+    assert res.classes == g.orbits.max() + 1 < g.order
+    assert abs(res.lambda2 - full_lambda2(g)) <= 1e-12
+    # the quotient Ritz vector, lifted to a unit vector on the whole graph,
+    # is an eigenvector of the whole adjacency, and the reported residual
+    # is its residual there
+    sizes = np.bincount(g.orbits)
+    f = res.vector[g.orbits] / np.sqrt(sizes[g.orbits])
+    assert np.linalg.norm(f) == pytest.approx(1.0, abs=1e-12)
+    full = np.linalg.norm(f[g.neighbors].sum(axis=1) - res.lambda2 * f)
+    assert res.residual == full < 1e-12
+
+
+def test_orbits_are_stabiliser_orbits():
+    # brute force: close each vertex under W's generators applied to whole
+    # integer matrices (inverse-transpose as the cofactor matrix, from the
+    # minors' determinants) and compare the partitions
+    for n, q, p in [(2, 9, 2), (3, 3, 1), (3, 4, 2)]:
+        g = enumerate_group(n, q, p)
+        powers = q ** np.arange(n * n, dtype=np.int64)
+        mats = (g.codes[:, None] // powers % q).reshape(-1, n, n)
+        index = {c: i for i, c in enumerate(g.codes.tolist())}
+        swaps = []
+        for i in range(n - 1):
+            swaps.append(np.eye(n, dtype=np.int64))
+            swaps[-1][[i, i + 1]] = swaps[-1][[i + 1, i]]
+        sign = np.diag([-1] + [1] * (n - 1))
+
+        def images(m):
+            adj_t = np.array([[(-1) ** (r + c) * round(np.linalg.det(
+                np.delete(np.delete(m, r, 0), c, 1))) for c in range(n)]
+                for r in range(n)], dtype=np.int64)   # = m^{-T} as det m = 1
+            return [(s @ m @ s.T) % q for s in swaps + [sign]] + [adj_t % q]
+
+        seen = np.full(g.order, -1)
+        for v in range(g.order):
+            if seen[v] >= 0:
+                continue
+            stack, seen[v] = [v], v
+            while stack:
+                for img in images(mats[stack.pop()]):
+                    w = index[int(img.ravel() @ powers)]
+                    if seen[w] < 0:
+                        seen[w] = v
+                        stack.append(w)
+        first = {}
+        expect = np.array([first.setdefault(s, len(first)) for s in seen])
+        assert np.array_equal(g.orbits, expect)
+        assert np.bincount(g.orbits)[0] == 1
+
+
+def _merged(graph, a, b):
+    """``graph`` with orbits a and b made one class, classes renumbered."""
+    orbits = np.where(graph.orbits == b, a, graph.orbits)
+    return dataclasses.replace(graph, orbits=np.unique(
+        orbits, return_inverse=True)[1])
+
+
+def test_merged_orbits_are_refused(monkeypatch, capsys):
+    g = enumerate_group(3, 3, 1)
+    spectral_gap(g)   # the true partition passes the gate
+    with pytest.raises(ValueError, match="identity alone"):
+        spectral_gap(_merged(g, 0, 1))
+    with pytest.raises(ValueError, match="not equitable"):
+        spectral_gap(_merged(g, 1, 2))
+
+    def merged_group(*args, **kwargs):
+        return _merged(enumerate_group(*args, **kwargs), 1, 2)
+
+    monkeypatch.setattr(expander, "enumerate_group", merged_group)
+    assert main(["expander", "run", "--n", "3", "--q", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: orbit partition is not equitable")
+    assert err.count("\n") == 1
 
 
 def test_gap_invariant_under_relabeling():
