@@ -1,35 +1,46 @@
 """Cayley graphs of SL_n(Z/qZ) with elementary generators and their
 spectral gaps.
 
-Vertices are enumerated by one BFS pass from the identity.  Matrices are
-base-q codes, and each generator e_{i,j}(v) acts on a whole frontier as
-the column operation g[r, j] += v g[r, i] mod q, written as a change of
-code; a dense code -> vertex table numbers the new vertices and yields
-each level's neighbour rows as soon as the level closes.  The same pass
-sorts each level into orbits of W, the identity's stabiliser generated by
-conjugation with adjacent transpositions and with diag(-1, 1, ...) and by
-inverse-transpose: each of these maps {e_{i,j}(+-p)} onto itself, so it
-is a graph automorphism fixing e and keeps word length.
+The group is walked one class at a time.  W, the identity's stabiliser,
+is generated by conjugation with adjacent transpositions and with
+diag(-1, 1, ...) and by inverse-transpose (48 maps for n = 3).  Each of
+these maps {e_{i,j}(+-p)} onto itself, so it is a graph automorphism that
+fixes e and keeps word length: W's orbits are an equitable partition, and
+each orbit lies in one BFS level.  A matrix is its base-q code; a class
+is named by its canonical code, the least code among its |W| images, and
+its size is the number of distinct images.  A BFS level is a sorted array
+of canonical codes.  Each generator e_{i,j}(v) acts on it as the column
+operation g[r, j] += v g[r, i] mod q on the digits, every product is
+canonicalised, and the canonical codes not yet known form the next level.
+Nothing of size q^(n^2) or |G| is stored: the largest table is the
+(classes, degree) neighbour table of class ids.
+
+Before a map of W is trusted it is checked in integers: each generator
+phi fixes e, maps the generating set S onto itself, and
+phi(r s) = phi(r) phi(s) for every class representative r and every s in
+S.
 
 The gap is degree - lambda_2, with lambda_2 the top eigenvalue of the
 adjacency with its constant eigenvector deflated, from one sparse Lanczos
-solve (ARPACK, k = 1) on the symmetric quotient of the orbit partition
+solve (ARPACK, k = 1) on the symmetric quotient of the class partition
 rather than on the whole group.  No eigenvalue is lost: every left
 translation and every element of W commutes with A, so the spectral
-projection P_lambda delta_e is W-fixed, hence constant on orbits, and
+projection P_lambda delta_e is W-fixed, hence constant on classes, and
 vertex-transitivity gives ||P_lambda delta_e||^2 = dim V_lambda / |G| > 0.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
-from math import gcd
+from math import factorial, gcd
 
 import numpy as np
 
 DEFAULT_ORDER_CAP = 400000
 START_SEED = 12345
+CHUNK = 4096   # representatives per block; bounds the |W| x CHUNK image arrays
 
 
 def sl_order(n: int, q: int) -> int:
@@ -78,122 +89,195 @@ class CayleyGraph:
     n: int
     q: int
     p: int
-    order: int
+    order: int                             # |G|, the sum of ``sizes``
     degree: int
-    codes: np.ndarray                      # encoded vertices, BFS discovery order
-    neighbors: np.ndarray                  # (order, degree) vertex indices
-    orbits: np.ndarray                     # W-orbit of each vertex, numbered
-                                           # in order of smallest member
+    codes: np.ndarray                      # canonical code of each class
+    sizes: np.ndarray                      # members of each class
+    neighbors: np.ndarray                  # (classes, degree): class of
+                                           # codes[k] times each generator
 
 
 def enumerate_group(n: int, q: int, p: int = 1,
                     order_cap: int = DEFAULT_ORDER_CAP) -> CayleyGraph:
-    """BFS closure of {e_{i,j}(+-p)} inside SL_n(Z/qZ), with its W-orbits.
+    """BFS closure of {e_{i,j}(+-p)} inside SL_n(Z/qZ), one W-orbit at a
+    time.
 
-    A matrix is its base-q code sum_{r,c} g[r, c] q^{rn+c}.  Right
-    multiplication by e_{i,j}(v) is the column operation
-    g[r, j] += v g[r, i] mod q, so each level's products come from the
-    frontier's codes by one digit update per generator.  One dense table
-    maps every code to its vertex index (-1 while unseen); the unseen
-    products of a level are sorted and deduplicated, numbered in that
-    order and become the next frontier, and the level's neighbour rows are
-    read from the table as soon as the level closes.  W keeps word length,
-    so the images of a level under W's generators lie in that level; the
-    table turns them into vertex indices and min-label propagation labels
-    each vertex with the smallest vertex of its orbit.
+    A matrix is its base-q code sum_{r,c} g[r, c] q^{rn+c}.  Each level is
+    a sorted array of canonical codes, one per class.  Right multiplication
+    by e_{i,j}(v) is the column operation g[r, j] += v g[r, i] mod q, so a
+    level's products come from its digits by one digit update per
+    generator.  All |W| images of a product come from one float64 matmul
+    over its digit stack (``_stack``), exact because every code is below
+    q^(n^2) <= 2^53, and the least image is its canonical code.  The
+    canonical codes not among the known ones (found by ``searchsorted``)
+    are the next level, numbered in sorted order after all earlier levels.
+    That numbers the classes in the order of their least members in a
+    vertex-by-vertex BFS that numbers each level in code order.  The
+    number of distinct images of a representative is its class size.
+    Levels are processed ``CHUNK`` representatives at a time.
 
-    Raises when the enumeration exceeds ``order_cap``.
+    Raises when the enumeration exceeds ``order_cap`` and when a generator
+    of W fails the gate described in the module docstring.
     """
     if not 2 <= n <= 3:
         raise ValueError("supported desk scale is n in {2, 3}")
     if q < 1:
         raise ValueError("q must be >= 1")
     if q == 1:
-        zero = np.zeros((1,), dtype=np.int64)
-        return CayleyGraph(n, q, p, 1, 0, zero,
-                           np.zeros((1, 0), dtype=np.int64), zero)
+        return CayleyGraph(n, q, p, 1, 0, np.zeros(1, dtype=np.int64),
+                           np.ones(1, dtype=np.int64),
+                           np.zeros((1, 0), dtype=np.int64))
+    if q ** (n * n) > 2 ** 53:
+        raise ValueError(f"codes of {n}x{n} matrices mod {q} reach "
+                         f"{q}^{n * n}, past the 2^53 that float64 images "
+                         f"hold exactly")
     gens = elementary_generators(n, q, p)
     powers = q ** np.arange(n * n, dtype=np.int64)
-    index_of = np.full(q ** (n * n), -1, dtype=np.int64)
-    frontier = np.array([powers[::n + 1].sum()], dtype=np.int64)  # identity
-    index_of[frontier] = 0
-    code_chunks, nbr_chunks, label_chunks = [frontier], [], []
-    count = 1
-    while frontier.size:
-        digits = frontier // powers[:, None] % q
-        start = count - frontier.size
-        images = index_of[_stabiliser_images(frontier, digits, n, q,
-                                              powers)] - start
-        if images.min() < 0 or images.max() >= frontier.size:
-            raise ValueError("a stabiliser image left its BFS level")
-        label_chunks.append(start + _orbit_labels(images))
-        prods = np.empty((len(gens), frontier.size), dtype=np.int64)
-        for col, (i, j, v) in enumerate(gens):
-            src, dst = digits[i::n], digits[j::n]
-            prods[col] = frontier + powers[j::n] @ ((dst + v * src) % q - dst)
-        nbrs = index_of[prods]
-        unseen = nbrs < 0
-        candidates = prods[unseen]
-        fresh = np.sort(candidates)
-        fresh = fresh[np.diff(fresh, prepend=-1) != 0]
-        index_of[fresh] = np.arange(count, count + fresh.size)
-        count += fresh.size
-        if count > order_cap:
-            raise ValueError(f"group enumeration reached {count} elements, "
+    actions = _generator_actions(gens, n, q, powers)
+    maps = stabiliser_maps(n)
+    weights = np.zeros((len(maps), 4 * n * n))
+    np.add.at(weights, (np.arange(len(maps))[:, None], maps), powers)
+    level = powers[::n + 1].sum(keepdims=True)               # the identity
+    known, known_id = level, np.zeros(1, dtype=np.int64)     # sorted by code
+    codes, sizes, rows = [], [], []
+    order = 0
+    while level.size:
+        canon = np.empty((level.size, len(gens)), dtype=np.int64)
+        for lo in range(0, level.size, CHUNK):
+            d = level[lo:lo + CHUNK] // powers[:, None] % q
+            stack = _stack(d, n, q)
+            sizes.append(_distinct_columns(weights @ stack))
+            order += int(sizes[-1].sum())
+            for col, gen in enumerate(gens):
+                prod = _stack(_times(d, gen, n, q), n, q)
+                _check_homomorphism(actions, stack, prod, col, gens, n, q)
+                canon[lo:lo + CHUNK, col] = (weights @ prod).min(axis=0)
+        if order > order_cap:
+            raise ValueError(f"group enumeration reached {order} elements, "
                              f"beyond the cap {order_cap}")
-        nbrs[unseen] = index_of[candidates]
-        nbr_chunks.append(nbrs.T)
-        code_chunks.append(fresh)
-        frontier = fresh
-    smallest = np.concatenate(label_chunks)
-    orbits = np.cumsum(smallest == np.arange(count))[smallest] - 1
-    return CayleyGraph(n, q, p, count, len(gens), np.concatenate(code_chunks),
-                       np.concatenate(nbr_chunks), orbits)
+        found = np.unique(canon)
+        at = np.minimum(np.searchsorted(known, found), known.size - 1)
+        fresh = found[known[at] != found]
+        first = known_id.size
+        known = np.concatenate([known, fresh])
+        known_id = np.concatenate([known_id,
+                                   np.arange(first, first + fresh.size)])
+        by_code = np.argsort(known, kind="stable")
+        known, known_id = known[by_code], known_id[by_code]
+        rows.append(known_id[np.searchsorted(known, canon)])
+        codes.append(level)
+        level = fresh
+    return CayleyGraph(n, q, p, order, len(gens), np.concatenate(codes),
+                       np.concatenate(sizes), np.concatenate(rows))
 
 
-def _stabiliser_images(frontier: np.ndarray, digits: np.ndarray, n: int,
-                       q: int, powers: np.ndarray) -> np.ndarray:
-    """Codes of W's generators applied to a level, given its codes and
-    their base-q digits (n*n, size): conjugation by each adjacent
-    transposition (a permutation of the digits) and by diag(-1, 1, ...)
-    (negating row 0 and column 0 off the diagonal), then inverse-transpose,
-    which on SL_n is the cofactor matrix.  One row per generator; each
-    generator is an involution."""
-    at = np.arange(n * n).reshape(n, n)
+def _stabiliser_generators(n: int) -> list[np.ndarray]:
+    """W's generators as selections from the digit stack of ``_stack``:
+    entry r n + c of a selection is the stack row that holds the image's
+    (r, c) digit.  Conjugation by an adjacent transposition permutes the
+    digits, conjugation by diag(-1, 1, ...) negates row 0 and column 0 off
+    the diagonal, and inverse-transpose is the cofactor matrix on SL_n."""
+    nn = n * n
+    at = np.arange(nn).reshape(n, n)
     out = []
     for i in range(n - 1):
         swap = np.arange(n)
         swap[[i, i + 1]] = i + 1, i
-        out.append(powers[at[swap][:, swap].ravel()] @ digits)
-    flip = np.concatenate([at[0, 1:], at[1:, 0]])
-    negate = (-np.arange(q)) % q - np.arange(q)   # d -> -d mod q, as a change
-    out.append(frontier + powers[flip] @ negate[digits[flip]])
-    g = digits.reshape(n, n, -1)
-    inv_t = np.zeros_like(frontier)
-    for r in range(n):
-        for c in range(n):
-            if n == 2:
-                cof = (-1) ** (r + c) * g[1 - r, 1 - c]
-            else:
-                r1, r2 = (r + 1) % 3, (r + 2) % 3
-                c1, c2 = (c + 1) % 3, (c + 2) % 3
-                cof = g[r1, c1] * g[r2, c2] - g[r1, c2] * g[r2, c1]
-            inv_t += powers[at[r, c]] * (cof % q)
-    out.append(inv_t)
-    return np.stack(out)
+        out.append(at[swap][:, swap].ravel())
+    flip = (at // n == 0) != (at % n == 0)          # row 0 xor column 0
+    out.append((at + nn * flip).ravel())
+    out.append(2 * nn + at.ravel())
+    return out
 
 
-def _orbit_labels(images: np.ndarray) -> np.ndarray:
-    """Smallest local index in each vertex's orbit, given the local indices
-    of its images under the generators (one row each): min-label
-    propagation with pointer jumping until nothing changes."""
-    label = np.arange(images.shape[1])
-    while True:
-        new = np.minimum(label, label[images].min(axis=0))
-        new = new[new]
-        if np.array_equal(new, label):
-            return label
-        label = new
+def stabiliser_maps(n: int) -> np.ndarray:
+    """Every element of W, one selection per row, closed from
+    ``_stabiliser_generators``.  Stack row b n^2 + k holds digit k of a
+    block: bit 0 of b negates and bit 1 takes the cofactor matrix.  Both
+    commute with W's generators (cof(P g P^T) = P cof(g) P^T for a signed
+    permutation P, and cof(cof(g)) = g on SL_n), so applying b after a
+    reads a's selection at b's positions and XORs the blocks."""
+    nn = n * n
+    gens = _stabiliser_generators(n)
+    seen = {tuple(range(nn)): np.arange(nn)}
+    todo = list(seen.values())
+    while todo:
+        a = todo.pop()
+        for b in gens:
+            src = a[b % nn]
+            c = (src // nn ^ b // nn) * nn + src % nn
+            if tuple(c) not in seen:
+                seen[tuple(c)] = c
+                todo.append(c)
+    return np.array(list(seen.values()))
+
+
+def _stack(d: np.ndarray, n: int, q: int) -> np.ndarray:
+    """The digit stack [d; -d; cof; -cof] mod q (4 n*n, m) of the matrices
+    given as digit columns d (n*n, m), cof the cofactor matrix (g^{-T} on
+    SL_n); every map of W selects its image from it."""
+    g = d.reshape(n, n, -1)
+    if n == 2:
+        cof = np.array([1, -1, -1, 1])[:, None] * g[::-1, ::-1].reshape(4, -1)
+    else:
+        r1, r2 = [1, 2, 0], [2, 0, 1]
+        cof = (g[r1][:, r1] * g[r2][:, r2]
+               - g[r1][:, r2] * g[r2][:, r1]).reshape(9, -1)
+    return np.concatenate([d, -d % q, cof % q, -cof % q])
+
+
+def _times(d: np.ndarray, gen: tuple[int, int, int], n: int,
+           q: int) -> np.ndarray:
+    """Digits of g e_{i,j}(v): column j of g gains v times column i."""
+    i, j, v = gen
+    out = d.copy()
+    out[j::n] = (d[j::n] + v * d[i::n]) % q
+    return out
+
+
+def _distinct_columns(images: np.ndarray) -> np.ndarray:
+    """Number of distinct entries in each column."""
+    images = np.sort(images, axis=0)
+    return 1 + (images[1:] != images[:-1]).sum(axis=0)
+
+
+def _generator_actions(gens, n: int, q: int, powers: np.ndarray):
+    """(selection, generator permutation) of each generator phi of W,
+    after checking that phi(e) = e and that phi maps the generating set
+    onto itself: image_of[k] is the index of phi(gens[k])."""
+    nn = n * n
+    eye = np.eye(n, dtype=np.int64).reshape(nn, 1)
+    mats = np.repeat(eye, len(gens) + 1, axis=1)
+    for k, (i, j, v) in enumerate(gens):
+        mats[i * n + j, k + 1] = v
+    stack = _stack(mats, n, q)
+    gen_codes = (powers @ mats[:, 1:]).tolist()
+    index = {c: k for k, c in enumerate(gen_codes)}
+    actions = []
+    for w, sel in enumerate(_stabiliser_generators(n)):
+        image = (powers @ stack[sel]).tolist()
+        image_of = [index.get(c, -1) for c in image[1:]]
+        if image[0] != powers[::n + 1].sum():
+            raise ValueError(f"stabiliser generator {w} does not fix the "
+                             f"identity")
+        if sorted(image_of) != list(range(len(gens))):
+            raise ValueError(f"stabiliser generator {w} does not map the "
+                             f"generating set onto itself")
+        actions.append((sel, image_of))
+    return actions
+
+
+def _check_homomorphism(actions, stack: np.ndarray, prod: np.ndarray,
+                        col: int, gens, n: int, q: int) -> None:
+    """phi(r s) = phi(r) phi(s) for every generator phi of W, the
+    representatives r whose digit stack is ``stack`` and s = gens[col],
+    whose products r s have the stack ``prod``: digit selections and one
+    column operation, all in integers."""
+    for w, (sel, image_of) in enumerate(actions):
+        if not np.array_equal(prod[sel], _times(stack[sel],
+                                                gens[image_of[col]], n, q)):
+            raise ValueError(f"stabiliser generator {w} is not a "
+                             f"homomorphism on the class representatives")
 
 
 @dataclass
@@ -213,15 +297,17 @@ def spectral_gap(graph: CayleyGraph) -> GapResult:
     """gap = degree - lambda_2 of the adjacency operator A.
 
     lambda_2 is solved on the quotient of an equitable partition of the
-    vertices whose class of the identity (vertex 0) is {e}: the W-orbits of
-    a ``CayleyGraph``, or single vertices for a graph without ``orbits``
-    (e.g. a test fixture).  With Q_kl the neighbours in class l of a vertex
-    of class k, the quotient M_kl = Q_kl sqrt(|O_k| / |O_l|) =
-    sqrt(Q_kl Q_lk) is symmetric and its spectrum is that of A on
-    class-constant vectors.  That spectrum is all of A's: delta_e is
-    class-constant, so is every P_lambda delta_e = p(A) delta_e, and
-    vertex-transitivity gives ||P_lambda delta_e||^2 = dim V_lambda / N > 0.
-    The partition is checked in integers first (``_quotient_operator``).
+    vertices whose class 0 is the identity alone, given as ``sizes`` (the
+    members of each class) and ``neighbors`` (a (classes, degree) table of
+    the classes of one member's neighbours): the W-orbits of a
+    ``CayleyGraph``, or single vertices for a test fixture with sizes all
+    one.  With Q_kl the neighbours in class l of a vertex of class k, the
+    quotient M_kl = Q_kl sqrt(|O_k| / |O_l|) = sqrt(Q_kl Q_lk) is symmetric
+    and its spectrum is that of A on class-constant vectors.  That spectrum
+    is all of A's: delta_e is class-constant, so is every
+    P_lambda delta_e = p(A) delta_e, and vertex-transitivity gives
+    ||P_lambda delta_e||^2 = dim V_lambda / N > 0.  The quotient is checked
+    in integers first (``_quotient_operator``).
 
     The constant vector maps to c_k = sqrt(|O_k| / N), M's top eigenvector
     (eigenvalue ``degree``), so it is deflated: B u = M u - 3 degree (c.u) c
@@ -231,7 +317,8 @@ def spectral_gap(graph: CayleyGraph) -> GapResult:
     at machine precision) started from a fixed-seed vector, so identical
     input gives bitwise-identical output.  ``iterations`` counts
     applications of B, ``classes`` is M's dimension, and ``residual`` is
-    ||A f - lambda_2 f|| on the whole graph for the Ritz vector lifted to
+    ||M u - lambda_2 u|| for the Ritz vector u.  For an equitable partition
+    that equals ||A f - lambda_2 f|| on the whole graph for u lifted to
     f_v = u_k / sqrt(|O_k|) (v in O_k).  (With a shift of 2 degree the
     constant vector would tie with -degree, the bottom eigenvalue of a
     bipartite graph such as K_2; 3 degree keeps it strictly below.)
@@ -248,11 +335,8 @@ def spectral_gap(graph: CayleyGraph) -> GapResult:
     # would pay scipy.sparse.linalg's ~0.3 s and ~30 MB
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-    nbr = graph.neighbors
-    classes = getattr(graph, "orbits", None)
-    if classes is None:
-        classes = np.arange(v_count)
-    quotient, sizes = _quotient_operator(nbr, classes)
+    sizes = graph.sizes
+    quotient = _quotient_operator(graph.neighbors, sizes)
     unit = np.sqrt(sizes / v_count)
     shift = 3.0 * deg
 
@@ -276,8 +360,7 @@ def spectral_gap(graph: CayleyGraph) -> GapResult:
                          f"operator applications") from exc
     lam2 = float(w[0])
     u2 = vecs[:, 0]
-    f = (u2 / np.sqrt(sizes))[classes]
-    res = float(np.linalg.norm(f[nbr].sum(axis=1) - lam2 * f))
+    res = float(np.linalg.norm(quotient @ u2 - lam2 * u2))
     gap = deg - lam2
     connected = gap > max(10 * res, 1e-9)
     return GapResult(lambda2=lam2, gap=gap if connected else 0.0,
@@ -287,43 +370,32 @@ def spectral_gap(graph: CayleyGraph) -> GapResult:
                      vector=u2)
 
 
-def _quotient_operator(neighbors: np.ndarray, classes: np.ndarray):
-    """The symmetric quotient M_kl = sqrt(Q_kl Q_lk) (a CSR matrix) and
-    the class sizes |O_k| of the partition ``classes`` (class index per
-    vertex, 0..K-1) of the graph with neighbour table ``neighbors``.
+def _quotient_operator(neighbors: np.ndarray, sizes: np.ndarray):
+    """The symmetric quotient M_kl = sqrt(Q_kl Q_lk), a CSR matrix, of the
+    partition with class sizes ``sizes`` and class neighbour table
+    ``neighbors`` (classes, degree).
 
-    Refuses, in integers, a partition that cannot carry lambda_2: vertex 0
-    (the identity) must be alone in its class, every vertex of a class must
-    have the same count of neighbours in each class, and
-    |O_k| Q_kl = |O_l| Q_lk for every pair of classes.
+    Refuses, in integers, a quotient that cannot carry lambda_2: every
+    class must have a positive size, class 0 (the identity) must have size
+    one, and |O_k| Q_kl = |O_l| Q_lk for every pair of classes.
     """
     from scipy.sparse import csr_matrix
 
-    v_count, deg = neighbors.shape
-    sizes = np.bincount(classes)
-    if not sizes.all():
-        raise ValueError("orbit partition has an empty class")
-    if sizes[classes[0]] != 1:
+    k, deg = neighbors.shape
+    if sizes.shape != (k,) or not (sizes > 0).all():
+        raise ValueError("orbit partition needs one positive size per class")
+    if sizes[0] != 1:
         raise ValueError("orbit partition does not keep the identity alone "
                          "in its class")
-    k = sizes.size
-    member = np.empty(k, dtype=np.int64)
-    member[classes] = np.arange(v_count)   # any one vertex of each class
-    rows = classes[neighbors]
-    rows.sort(axis=1)
-    for col, rep_col in zip(rows.T, rows[member].T):   # a column at a time
-        if not np.array_equal(col, rep_col[classes]):
-            raise ValueError("orbit partition is not equitable: vertices of "
-                             "one class differ in their neighbour counts")
-    counts = csr_matrix((np.ones(k * deg, dtype=np.int64),
-                         rows[member].ravel(), np.arange(0, k * deg + 1, deg)),
-                        shape=(k, k))
+    rows = np.sort(neighbors, axis=1)
+    counts = csr_matrix((np.ones(k * deg, dtype=np.int64), rows.ravel(),
+                         np.arange(0, k * deg + 1, deg)), shape=(k, k))
     counts.sum_duplicates()
     weighted = counts.multiply(sizes[:, None]).tocsr()
     if (weighted != weighted.T).nnz:
         raise ValueError("orbit partition is not equitable: |O_k| Q_kl != "
                          "|O_l| Q_lk")
-    return counts.multiply(counts.T).sqrt().tocsr(), sizes
+    return counts.multiply(counts.T).sqrt().tocsr()
 
 
 def coprime_residues(q: int) -> list[int]:
@@ -337,7 +409,8 @@ def family_report(n: int, q_list, p_rule: str = "coprime",
     applications and quotient dimension behind lambda_2.  ``p_rule`` is
     "unit" (p = 1 only) or "coprime" (every residue prime to q).  Rows for
     p and q - p share one computation since the symmetrized generator sets
-    coincide.
+    coincide.  A q whose classical order exceeds ``order_cap``, or whose
+    class table cannot fit in physical memory, is refused before its BFS.
     """
     if p_rule not in ("unit", "coprime"):
         raise ValueError("p_rule must be 'unit' or 'coprime'")
@@ -349,6 +422,16 @@ def family_report(n: int, q_list, p_rule: str = "coprime",
         if sl_order(n, q) > order_cap:
             raise ValueError(f"|SL_{n}(Z/{q})| = {sl_order(n, q)} exceeds "
                              f"the order cap {order_cap}")
+        # a class holds at most |W| = 2^n n! elements (signed permutations
+        # up to sign, times inverse-transpose), so the class table has at
+        # least this many bytes
+        table = (sl_order(n, q) // (2 ** n * factorial(n))
+                 * len(elementary_generators(n, q, 1)) * 8)
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if table > memory:
+            raise ValueError(f"the class table of SL_{n}(Z/{q}) needs at "
+                             f"least {table} bytes, more than the {memory} "
+                             f"bytes of physical memory")
         ps = [1] if p_rule == "unit" or q == 1 else coprime_residues(q)
         for p in ps:
             if q > 1 and gcd(p, q) != 1:

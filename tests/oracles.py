@@ -1,8 +1,10 @@
 """Reference implementations that only the tests use: independent
 eigenvalue oracles, the single-site sweeps solved one dense q x q matrix
 per angle, the rank-3 representation evaluated word by word, plain
-fixture graphs for the spectral-gap solver and lambda_2 solved on the whole
-adjacency of a graph rather than on its orbit quotient."""
+fixture graphs for the spectral-gap solver, Cayley graphs enumerated vertex
+by vertex with their stabiliser orbits found by brute force, and lambda_2
+solved on the whole adjacency of a graph rather than on its orbit
+quotient."""
 
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import numpy as np
 
 from heisenkit import rotation
 from heisenkit.algebra import AlgebraElement
+from heisenkit.expander import elementary_generators
 from heisenkit.groups import Heis3Elt
 from heisenkit.linalg import (hermitian_operator, min_eigenvalue,
                               spectral_norm, spectral_projection)
@@ -217,11 +220,17 @@ def evaluate3(angle: RationalAngle, xi: AlgebraElement) -> np.ndarray:
 
 @dataclass
 class FixtureGraph:
-    """Plain neighbor-list graph for self-tests (complete graphs, unions)."""
+    """Plain neighbor-list graph for self-tests (complete graphs, unions,
+    whole Cayley graphs): every vertex is its own class."""
 
     order: int
     degree: int
     neighbors: np.ndarray
+    codes: np.ndarray | None = None        # base-q code of each vertex
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.ones(self.order, dtype=np.int64)
 
 
 def complete_graph(m: int) -> FixtureGraph:
@@ -255,3 +264,76 @@ def full_lambda2(graph) -> float:
                                 matvec=lambda v: adj @ v - shift * v.sum()),
                  k=1, which="LA", tol=0, v0=v0)
     return float(w[0])
+
+
+def full_cayley_graph(n: int, q: int, p: int) -> FixtureGraph:
+    """The Cayley graph of {e_{i,j}(+-p)} in SL_n(Z/qZ), vertex by vertex.
+
+    BFS over base-q codes: right multiplication by e_{i,j}(v) is the column
+    operation g[r, j] += v g[r, i] mod q, written as a change of code, and
+    one dense table over all q^(n^2) codes maps each code to its vertex
+    index (-1 while unseen).  Each level's unseen products are sorted,
+    deduplicated and numbered in that order; neighbour columns follow
+    ``elementary_generators``."""
+    gens = elementary_generators(n, q, p)
+    powers = q ** np.arange(n * n, dtype=np.int64)
+    index_of = np.full(q ** (n * n), -1, dtype=np.int64)
+    frontier = np.array([powers[::n + 1].sum()], dtype=np.int64)  # identity
+    index_of[frontier] = 0
+    code_chunks, nbr_chunks = [frontier], []
+    count = 1
+    while frontier.size:
+        digits = frontier // powers[:, None] % q
+        prods = np.empty((len(gens), frontier.size), dtype=np.int64)
+        for col, (i, j, v) in enumerate(gens):
+            src, dst = digits[i::n], digits[j::n]
+            prods[col] = frontier + powers[j::n] @ ((dst + v * src) % q - dst)
+        nbrs = index_of[prods]
+        unseen = nbrs < 0
+        candidates = prods[unseen]
+        fresh = np.unique(candidates)
+        index_of[fresh] = np.arange(count, count + fresh.size)
+        count += fresh.size
+        nbrs[unseen] = index_of[candidates]
+        nbr_chunks.append(nbrs.T)
+        code_chunks.append(fresh)
+        frontier = fresh
+    return FixtureGraph(count, len(gens), np.concatenate(nbr_chunks),
+                        np.concatenate(code_chunks))
+
+
+def stabiliser_orbits(graph: FixtureGraph, n: int, q: int) -> np.ndarray:
+    """Orbit label of each vertex of a ``full_cayley_graph`` under W, by
+    brute force: W's generators applied to whole integer matrices
+    (conjugation by each adjacent transposition and by diag(-1, 1, ...),
+    and inverse-transpose as the cofactor matrix from the minors'
+    determinants), the vertex -> image edges closed into connected
+    components."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    powers = q ** np.arange(n * n, dtype=np.int64)
+    mats = (graph.codes[:, None] // powers % q).reshape(-1, n, n)
+    conj = [np.diag([-1] + [1] * (n - 1))]
+    for i in range(n - 1):
+        conj.append(np.eye(n, dtype=np.int64))
+        conj[-1][[i, i + 1]] = conj[-1][[i + 1, i]]
+    images = [(s @ mats @ s.T) % q for s in conj]
+    adj_t = np.empty_like(mats)           # = m^{-T}, as det m = 1
+    for r in range(n):
+        for c in range(n):
+            minor = np.delete(np.delete(mats, r, 1), c, 2)
+            adj_t[:, r, c] = (-1) ** (r + c) * np.rint(np.linalg.det(minor))
+    images.append(adj_t % q)
+    sorter = np.argsort(graph.codes)
+    targets = []
+    for img in images:
+        codes = img.reshape(len(mats), -1) @ powers
+        at = sorter[np.searchsorted(graph.codes, codes, sorter=sorter)]
+        assert np.array_equal(graph.codes[at], codes), "image left the group"
+        targets.append(at)
+    edges = csr_matrix((np.ones(len(mats) * len(images)),
+                        (np.tile(np.arange(len(mats)), len(images)),
+                         np.concatenate(targets))),
+                       shape=(len(mats), len(mats)))
+    return connected_components(edges, directed=True, connection="weak")[1]

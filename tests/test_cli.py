@@ -221,6 +221,27 @@ def test_oversize_expander_run_is_refused_quickly(capsys):
     assert "exceeds the order cap 400000" in capsys.readouterr().err
 
 
+def test_expander_run_past_physical_memory_is_refused_quickly(capsys):
+    # under the cap, but |SL_3(Z/30)| / |W| classes of 12 neighbours need
+    # about 700 GB; the class BFS would run for hours before failing
+    t0 = time.perf_counter()
+    assert main(["expander", "run", "--n", "3", "--q", "30",
+                 "--cap", "100000000000000"]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: the class table of SL_3(Z/30) needs")
+    assert "physical memory" in err and err.count("\n") == 1
+
+
+def test_expander_run_past_default_cap(tmp_path):
+    out = tmp_path / "exp.json"
+    assert main(["expander", "run", "--n", "3", "--q", "6", "--p-rule", "unit",
+                 "--cap", "1000000", "--out", str(out)]) == 0
+    row, = json.loads(out.read_text())["rows"]
+    assert row["order"] == row["classical_order"] == 943488
+    assert row["order_matches"] and row["connected"]
+
+
 def test_out_of_memory_is_a_one_line_error(monkeypatch, capsys):
     def oversize(*args, **kwargs):
         raise MemoryError("Unable to allocate 17.9 TiB")

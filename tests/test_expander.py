@@ -11,7 +11,8 @@ from heisenkit.cli import main
 from heisenkit.expander import (coprime_residues, elementary_generators,
                                 enumerate_group, family_report, sl_order,
                                 spectral_gap)
-from oracles import FixtureGraph, complete_graph, disjoint_union, full_lambda2
+from oracles import (FixtureGraph, complete_graph, disjoint_union,
+                     full_cayley_graph, full_lambda2, stabiliser_orbits)
 
 
 def test_sl_order_formula():
@@ -22,6 +23,13 @@ def test_sl_order_formula():
     assert sl_order(3, 5) == 372000
     assert sl_order(3, 6) == sl_order(3, 2) * sl_order(3, 3)  # CRT
     assert sl_order(2, 1) == 1
+
+
+def test_stabiliser_has_all_signed_permutations_and_inverse_transpose():
+    # 2^n n! maps: signed permutations up to sign, with and without
+    # inverse-transpose
+    assert len(expander.stabiliser_maps(2)) == 8
+    assert len(expander.stabiliser_maps(3)) == 48
 
 
 def test_generator_collapse_mod2():
@@ -84,7 +92,7 @@ def _matmul_closure(n, q, p):
     (2, 3, 0),                         # p = 0: the identity generator only
 ])
 def test_bfs_matches_matmul_closure(n, q, p):
-    g = enumerate_group(n, q, p)
+    g = full_cayley_graph(n, q, p)
     codes, nbrs = _matmul_closure(n, q, p)
     assert g.codes.dtype == codes.dtype and g.neighbors.dtype == nbrs.dtype
     assert g.codes.tobytes() == codes.tobytes()
@@ -103,6 +111,13 @@ def test_enumerate_rejects_large_n():
         enumerate_group(4, 2, 1)
 
 
+def test_enumerate_refuses_codes_past_float64():
+    # 60^9 > 2^53: the float64 images would no longer be exact codes
+    with pytest.raises(ValueError, match="2\\^53"):
+        enumerate_group(3, 60, 1)
+    assert enumerate_group(2, 60, 1).order == sl_order(2, 60)
+
+
 def _dense_adjacency(graph):
     adj = np.zeros((graph.order, graph.order))
     rows = np.repeat(np.arange(graph.order), graph.neighbors.shape[1])
@@ -111,7 +126,7 @@ def _dense_adjacency(graph):
 
 
 def test_adjacency_symmetric_and_regular():
-    g = enumerate_group(3, 2, 1)
+    g = full_cayley_graph(3, 2, 1)
     adj = _dense_adjacency(g)
     assert np.array_equal(adj, adj.T)
     assert np.all(adj.sum(axis=1) == g.degree)
@@ -128,7 +143,7 @@ def test_complete_graph_gap():
 
 
 def test_disconnected_fixture_rejected():
-    sl3_f2 = enumerate_group(3, 2, 1)
+    sl3_f2 = full_cayley_graph(3, 2, 1)
     for a, b in [(complete_graph(2), complete_graph(2)),
                  (complete_graph(6), complete_graph(6)), (sl3_f2, sl3_f2)]:
         res = spectral_gap(disjoint_union(a, b))
@@ -146,21 +161,21 @@ def test_gap_positive_sl3_f2():
 
 
 def test_lanczos_matches_dense_oracle():
-    graphs = [enumerate_group(3, 2, 1)]
-    graphs += [enumerate_group(2, q, 1) for q in (2, 3, 5)]
-    graphs += [complete_graph(m) for m in (4, 9, 25)]
-    for g in graphs:
+    pairs = [(enumerate_group(n, q, 1), full_cayley_graph(n, q, 1))
+             for n, q in [(3, 2), (2, 2), (2, 3), (2, 5)]]
+    pairs += [(complete_graph(m), complete_graph(m)) for m in (4, 9, 25)]
+    for g, whole in pairs:
         res = spectral_gap(g)
-        dense = np.linalg.eigvalsh(_dense_adjacency(g))
+        dense = np.linalg.eigvalsh(_dense_adjacency(whole))
         assert res.lambda2 == pytest.approx(dense[-2], abs=1e-9)
         assert res.connected and res.gap == g.degree - res.lambda2
 
 
 def test_multiplicity_two_lambda2_sl2_z3():
-    g = enumerate_group(2, 3, 1)
-    w = np.linalg.eigvalsh(_dense_adjacency(g))
+    w = np.linalg.eigvalsh(_dense_adjacency(full_cayley_graph(2, 3, 1)))
     assert w[-2] == pytest.approx(w[-3], abs=1e-9)  # lambda_2 is double
-    assert spectral_gap(g).lambda2 == pytest.approx(1 + np.sqrt(3), abs=1e-9)
+    lam2 = spectral_gap(enumerate_group(2, 3, 1)).lambda2
+    assert lam2 == pytest.approx(1 + np.sqrt(3), abs=1e-9)
 
 
 def test_gap_is_bitwise_repeatable():
@@ -183,65 +198,67 @@ ORACLE_GRAPHS = [(3, 2, 1), (3, 3, 1), (3, 4, 1), (3, 4, 2),
                  (2, 2, 1), (2, 4, 2), (2, 9, 2), (2, 16, 1)]
 
 
+def _vertex_classes(g, whole):
+    """Class of each vertex of the whole graph ``whole``, through its
+    brute-force W-orbit, whose least code must be a canonical code of
+    ``g``."""
+    orbits = stabiliser_orbits(whole, g.n, g.q)
+    least = np.full(orbits.max() + 1, np.iinfo(np.int64).max)
+    np.minimum.at(least, orbits, whole.codes)
+    by_code = np.argsort(g.codes)
+    assert np.array_equal(np.sort(least), g.codes[by_code])
+    return by_code[np.searchsorted(g.codes, least, sorter=by_code)][orbits]
+
+
 @pytest.mark.parametrize("n, q, p", ORACLE_GRAPHS)
 def test_quotient_lambda2_matches_full_graph_oracle(n, q, p):
     g = enumerate_group(n, q, p)
+    whole = full_cayley_graph(n, q, p)
     res = spectral_gap(g)
-    assert res.classes == g.orbits.max() + 1 < g.order
-    assert abs(res.lambda2 - full_lambda2(g)) <= 1e-12
+    assert res.classes == g.sizes.size < g.order == whole.order
+    assert abs(res.lambda2 - full_lambda2(whole)) <= 1e-12
     # the quotient Ritz vector, lifted to a unit vector on the whole graph,
-    # is an eigenvector of the whole adjacency, and the reported residual
-    # is its residual there
-    sizes = np.bincount(g.orbits)
-    f = res.vector[g.orbits] / np.sqrt(sizes[g.orbits])
+    # is an eigenvector of the whole adjacency, and the quotient residual
+    # is its residual there up to rounding (about 12 eps lambda_2 an entry)
+    cls = _vertex_classes(g, whole)
+    f = res.vector[cls] / np.sqrt(g.sizes[cls])
     assert np.linalg.norm(f) == pytest.approx(1.0, abs=1e-12)
-    full = np.linalg.norm(f[g.neighbors].sum(axis=1) - res.lambda2 * f)
-    assert res.residual == full < 1e-12
+    lifted = np.linalg.norm(f[whole.neighbors].sum(axis=1) - res.lambda2 * f)
+    assert lifted < 1e-12 and res.residual < 1e-12
+    assert abs(res.residual - lifted) <= 1e-14
 
 
 def test_orbits_are_stabiliser_orbits():
-    # brute force: close each vertex under W's generators applied to whole
-    # integer matrices (inverse-transpose as the cofactor matrix, from the
-    # minors' determinants) and compare the partitions
-    for n, q, p in [(2, 9, 2), (3, 3, 1), (3, 4, 2)]:
+    # the classes against brute-force W-orbits of the whole graph
+    for n, q, p in ORACLE_GRAPHS:
         g = enumerate_group(n, q, p)
-        powers = q ** np.arange(n * n, dtype=np.int64)
-        mats = (g.codes[:, None] // powers % q).reshape(-1, n, n)
-        index = {c: i for i, c in enumerate(g.codes.tolist())}
-        swaps = []
-        for i in range(n - 1):
-            swaps.append(np.eye(n, dtype=np.int64))
-            swaps[-1][[i, i + 1]] = swaps[-1][[i + 1, i]]
-        sign = np.diag([-1] + [1] * (n - 1))
-
-        def images(m):
-            adj_t = np.array([[(-1) ** (r + c) * round(np.linalg.det(
-                np.delete(np.delete(m, r, 0), c, 1))) for c in range(n)]
-                for r in range(n)], dtype=np.int64)   # = m^{-T} as det m = 1
-            return [(s @ m @ s.T) % q for s in swaps + [sign]] + [adj_t % q]
-
-        seen = np.full(g.order, -1)
-        for v in range(g.order):
-            if seen[v] >= 0:
-                continue
-            stack, seen[v] = [v], v
-            while stack:
-                for img in images(mats[stack.pop()]):
-                    w = index[int(img.ravel() @ powers)]
-                    if seen[w] < 0:
-                        seen[w] = v
-                        stack.append(w)
-        first = {}
-        expect = np.array([first.setdefault(s, len(first)) for s in seen])
-        assert np.array_equal(g.orbits, expect)
-        assert np.bincount(g.orbits)[0] == 1
+        whole = full_cayley_graph(n, q, p)
+        cls = _vertex_classes(g, whole)
+        assert np.array_equal(g.sizes, np.bincount(cls))
+        assert g.sizes.sum() == g.order == whole.order
+        assert g.sizes[0] == 1 and g.codes[0] == whole.codes[0]
+        # each class is numbered as its least member is in the whole BFS,
+        # and its row is that member's row, generator by generator
+        member = np.unique(cls, return_index=True)[1]
+        assert (np.diff(member) > 0).all()
+        assert np.array_equal(whole.codes[member], g.codes)
+        assert np.array_equal(g.neighbors, cls[whole.neighbors[member]])
+        # equitable: every vertex has its class's neighbour counts
+        rows = np.sort(cls[whole.neighbors], axis=1)
+        assert np.array_equal(rows, np.sort(g.neighbors, axis=1)[cls])
 
 
 def _merged(graph, a, b):
-    """``graph`` with orbits a and b made one class, classes renumbered."""
-    orbits = np.where(graph.orbits == b, a, graph.orbits)
-    return dataclasses.replace(graph, orbits=np.unique(
-        orbits, return_inverse=True)[1])
+    """``graph`` with classes a < b made one class: b's members join a,
+    b's row is dropped and the later classes are renumbered."""
+    keep = np.arange(graph.sizes.size) != b
+    relabel = np.cumsum(keep) - 1
+    relabel[b] = relabel[a]
+    sizes = graph.sizes.copy()
+    sizes[a] += sizes[b]
+    return dataclasses.replace(graph, codes=graph.codes[keep],
+                               sizes=sizes[keep],
+                               neighbors=relabel[graph.neighbors[keep]])
 
 
 def test_merged_orbits_are_refused(monkeypatch, capsys):
@@ -262,8 +279,62 @@ def test_merged_orbits_are_refused(monkeypatch, capsys):
     assert err.count("\n") == 1
 
 
+def test_tampered_sizes_are_refused(monkeypatch, capsys):
+    g = enumerate_group(3, 3, 1)
+    sizes = g.sizes.copy()
+    sizes[1] += 1
+    tampered = dataclasses.replace(g, sizes=sizes)
+    with pytest.raises(ValueError, match="not equitable"):
+        spectral_gap(tampered)
+    monkeypatch.setattr(expander, "enumerate_group",
+                        lambda *args, **kwargs: tampered)
+    assert main(["expander", "run", "--n", "3", "--q", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: orbit partition is not equitable")
+    assert err.count("\n") == 1
+
+
+_W_GENERATORS = expander._stabiliser_generators
+
+
+def _transpose_for_inverse_transpose(n):
+    # transpose keeps the generating set and word length, but reverses
+    # products: an anti-automorphism
+    return _W_GENERATORS(n)[:-1] + [np.arange(n * n).reshape(n, n).T.ravel()]
+
+
+def _cofactor_entry_0_1(n):
+    # takes digit (0, 1) from the cofactor matrix: fixes e, sends e_{0,1}(v)
+    # to e
+    sel = np.arange(n * n)
+    sel[1] += 2 * n * n
+    return _W_GENERATORS(n) + [sel]
+
+
+def _swap_entries_0_0_and_0_1(n):
+    sel = np.arange(n * n)
+    sel[[0, 1]] = 1, 0
+    return _W_GENERATORS(n) + [sel]
+
+
+@pytest.mark.parametrize("generators, message", [
+    (_transpose_for_inverse_transpose, "not a homomorphism"),
+    (_cofactor_entry_0_1, "generating set onto itself"),
+    (_swap_entries_0_0_and_0_1, "does not fix the identity"),
+])
+def test_broken_stabiliser_is_refused(generators, message, monkeypatch,
+                                      capsys):
+    monkeypatch.setattr(expander, "_stabiliser_generators", generators)
+    with pytest.raises(ValueError, match=message):
+        enumerate_group(3, 3, 1)
+    assert main(["expander", "run", "--n", "3", "--q", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: stabiliser generator") and message in err
+    assert err.count("\n") == 1
+
+
 def test_gap_invariant_under_relabeling():
-    a = enumerate_group(3, 3, 1)
+    a = full_cayley_graph(3, 3, 1)
     rng = np.random.default_rng(99)
     label = rng.permutation(a.order)  # vertex v becomes label[v]
     nbrs = np.empty_like(a.neighbors)
