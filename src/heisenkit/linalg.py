@@ -1,12 +1,15 @@
-"""Dense Hermitian linear algebra: validation, minimum eigenvalues, norms
-and spectral projections.
+"""Dense Hermitian linear algebra: validation, minimum eigenvalues, norms,
+spectral projections and Cholesky lower-bound certificates.
 
 Production eigensolves go through LAPACK (``numpy.linalg.eigh``).  Real
 input stays real and is solved as float64 symmetric; complex input is
-solved as complex128 Hermitian.  Every function takes one matrix or a
-stack of shape (..., n, n); each matrix of a stack is validated on its own
-scale and solved by its own dense LAPACK call, and a stack gives one
-result per matrix.
+solved as complex128 Hermitian.  Every function but ``exceeds`` takes one
+matrix or a stack of shape (..., n, n); each matrix of a stack is
+validated on its own scale and solved by its own dense LAPACK call, and a
+stack gives one result per matrix.  ``exceeds`` takes one matrix and
+answers with one Cholesky factorisation (LAPACK potrf) whether the least
+eigenvalue that ``min_eigenvalue`` would compute is at least a level,
+without computing it.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-12
 CUT_AMBIGUITY_TOL = 1e-8
+UNIT_ROUNDOFF = 2.0 ** -53  # u of IEEE double, half the machine epsilon
 
 
 def _float_array(entries) -> np.ndarray:
@@ -63,6 +67,74 @@ def hermitian_operator(entries) -> np.ndarray:
 def min_eigenvalue(op: np.ndarray):
     """Smallest eigenvalue of each Hermitian matrix."""
     return _per_matrix(np.linalg.eigvalsh(hermitian_operator(op))[..., 0], op)
+
+
+def exceeds(op: np.ndarray, level: float) -> bool:
+    """Whether one Cholesky factorisation certifies that the least
+    eigenvalue ``min_eigenvalue(op)`` would compute for the single
+    Hermitian matrix ``op`` is at least ``level``.
+
+    The matrix is validated and copied by ``hermitian_operator``, the
+    copy's diagonal is shifted in place by sigma = level + delta, and True
+    means that LAPACK's Cholesky of the shifted copy ran to completion.
+    False certifies nothing: the matrix may still clear ``level``.
+
+    The allowance delta.  Write u = 2^-53, A for the validated n x n
+    matrix, T = sum |a_ii| and F = ||A||_F >= ||A||_2; barring underflow:
+
+    1. Forming the shift.  sigma = fl(level + delta) is within
+       u (|level| + delta) of level + delta, and each diagonal entry is
+       rounded once, so B = A - sigma I + E with E diagonal and
+       ||E||_2 <= u (T + |sigma|).
+    2. The Cholesky factorisation.  If it runs to completion on B, then
+       R^T R = B + dB with |dB| <= g |R^T| |R|, g = gamma_{n+1} =
+       (n+1)u / (1 - (n+1)u) (Higham, *Accuracy and Stability of
+       Numerical Algorithms*, 2nd ed., Thm 10.3).  The column norms of R
+       satisfy ||r_i||^2 <= b_ii / (1 - g), so |dB_ij| <=
+       g/(1-g) sqrt(b_ii b_jj) and ||dB||_2 <= g/(1-g) tr B; as R^T R is
+       positive semidefinite, lambda_min(B) >= -g/(1-g) tr B (the test of
+       Rump, BIT 46 (2006), Lemma 2.1), with
+       tr B <= (1 + u)(T + n |sigma|).
+    3. The dense eigensolver.  LAPACK's computed eigenvalues of a
+       symmetric matrix are within p(n) eps ||A||_2 of the exact ones, with
+       p(n) a modestly growing function of n (LAPACK Users' Guide, 3rd
+       ed., section 4.7.1); here p(n) = n and eps = 2u, so the computed
+       lambda_min lies at most 2 n u F below the exact one.
+
+    By Weyl's inequality the computed least eigenvalue of A is then at
+    least sigma - h (T + n |sigma|) - 2 n u F with h = u + (1 + u) g/(1-g),
+    which is at least ``level`` when
+
+        delta >= (k |level| + h T + 2 n u F) / (1 - k),  k = u + h n (1 + u).
+
+    The allowance is twice that bound, which covers the rounding of its
+    own evaluation; for complex entries every operation's relative error
+    is taken as 4u instead of u in g (a complex product errs by at most
+    2 sqrt(2) u; Higham, Lemma 3.5).  So when ``exceeds`` is True,
+    ``min_eigenvalue(op) >= level`` holds, and a minimum over matrices
+    that skips the certified ones is the same float as the minimum over
+    all of them.
+    """
+    a = hermitian_operator(op)
+    if a.ndim != 2:
+        raise ValueError(f"expected one matrix, got shape {a.shape}")
+    if not np.isfinite(level):
+        raise ValueError(f"level must be finite, got {level}")
+    n = a.shape[0]
+    diagonal = np.einsum("ii->i", a)  # a view: the shift happens in place
+    u = UNIT_ROUNDOFF
+    unit = 4.0 * u if np.iscomplexobj(a) else u
+    g = (n + 1) * unit / (1.0 - (n + 1) * unit)
+    h = u + (1.0 + u) * g / (1.0 - g)
+    k = u + h * n * (1.0 + u)
+    bound = (k * abs(level) + h * float(np.abs(diagonal).sum())
+             + 2.0 * n * u * float(np.linalg.norm(a)))
+    diagonal -= level + 2.0 * bound / (1.0 - k)
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def hermitian_norm(op: np.ndarray):

@@ -11,7 +11,12 @@ three-site inequality.  Every margin is a dense LAPACK eigenvalue of a
 real parity block: the single-site operators split into an even and an
 odd block of about q/2, solved as stacks over up to STACK angles of one
 denominator; the two- and three-site operators into four blocks of about
-(q/2)^2 and eight of about (q/2)^3, solved one angle at a time.
+(q/2)^2 and eight of about (q/2)^3, streamed one at a time per angle.
+Only the all-even block is always solved; a later block is solved only
+when ``linalg.exceeds`` cannot certify, with one Cholesky, that it does
+not lower the minimum so far, so the margin is the same float as the
+minimum over dense solves of every block.  A constant search builds each
+angle's parity letter tables once and shares them across its R scan.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from math import asin, cos, pi, sqrt
 import numpy as np
 
 from . import rotation
-from .linalg import (hermitian_norm, min_eigenvalue, spectral_norm,
+from .linalg import (exceeds, hermitian_norm, min_eigenvalue, spectral_norm,
                      spectral_projection)
 from .rotation import RationalAngle, farey_angles
 
@@ -367,22 +372,37 @@ def three_site_operator(angle: RationalAngle, R: float) -> np.ndarray:
                      three_site_terms(R))
 
 
-def _block_min_eigenvalue(angle: RationalAngle, terms) -> float:
+def _block_min_eigenvalue(parts, terms) -> float:
     """min eig of the operator ``terms`` as the minimum over its real
-    parity blocks, one dense solve per choice of part at each site."""
+    parity blocks, one block per choice of part in ``parts`` (the angle's
+    ``rotation.parity_letters``) at each site.
+
+    The blocks are streamed, all-even first.  The first is solved densely;
+    each later one is solved only when ``exceeds`` cannot certify, with
+    one Cholesky, that its computed least eigenvalue would not be below
+    the minimum so far.  So the result is the dense eigenvalue of the
+    minimising block, the same float as the minimum over dense solves of
+    every block."""
     sites = len(terms[0][1])
-    return min(min_eigenvalue(_assemble(partial(rotation.kron_word, choice), terms))
-               for choice in product(rotation.parity_letters(angle), repeat=sites))
+    choices = product(parts, repeat=sites)
+    low = min_eigenvalue(_assemble(partial(rotation.kron_word, next(choices)),
+                                   terms))
+    for choice in choices:
+        block = _assemble(partial(rotation.kron_word, choice), terms)
+        if not exceeds(block, low):
+            low = min(low, min_eigenvalue(block))
+    return low
 
 
-def _tensor_sweep(inequality, grid, R: float) -> list:
-    """One record per angle whose margin is the minimum eigenvalue, at that
-    angle, of the operator whose terms ``inequality(R)`` gives (such as
-    ``two_site_terms``)."""
+def _tensor_sweep(inequality, tables, R: float) -> list:
+    """One record per angle of ``tables``, a dict from each angle to its
+    ``rotation.parity_letters``, whose margin is the minimum eigenvalue, at
+    that angle, of the operator whose terms ``inequality(R)`` gives (such
+    as ``two_site_terms``)."""
     terms = inequality(R)
     return _map_angles(
-        lambda a: [AngleRecord(a.p, a.q, _block_min_eigenvalue(a, terms))],
-        grid)
+        lambda a: [AngleRecord(a.p, a.q, _block_min_eigenvalue(tables[a], terms))],
+        tables)
 
 
 def _search_constants(name, inequality, qmax, tol, R, epsilon,
@@ -399,10 +419,11 @@ def _search_constants(name, inequality, qmax, tol, R, epsilon,
     grid = farey_angles(qmax)
     if None not in th0_list:
         grid = [a for a in grid if a.fraction <= max(th0_list)]
+    tables = {a: rotation.parity_letters(a) for a in grid}  # shared by every R
 
     def scan():
         for R in r_list:
-            mineigs = _tensor_sweep(inequality, grid, R)
+            mineigs = _tensor_sweep(inequality, tables, R)
             for eps in eps_list:
                 margins = [AngleRecord(r.p, r.q, r.margin - float(eps)
                                        * rotation.z_scalar(RationalAngle(r.p, r.q)))

@@ -1,6 +1,7 @@
 """Reference implementations that only the tests use: independent
 eigenvalue oracles, the single-site sweeps solved one dense q x q matrix
-per angle, the rank-3 representation evaluated word by word, plain
+per angle, the tensor operators' least eigenvalues from a dense solve of
+every parity block, the rank-3 representation evaluated word by word, plain
 fixture graphs for the spectral-gap solver, Cayley graphs enumerated vertex
 by vertex with their stabiliser orbits found by brute force, and lambda_2
 solved on the whole adjacency of a graph rather than on its orbit
@@ -10,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import product
 from math import cos, pi, sin, sqrt
 
 import numpy as np
@@ -22,7 +25,7 @@ from heisenkit.linalg import (hermitian_operator, min_eigenvalue,
                               spectral_norm, spectral_projection)
 from heisenkit.rotation import RationalAngle, farey_angles, pi_theta
 from heisenkit.sweeps import (IDENTITY_TOL, AngleRecord, SweepReport,
-                              zzz_theta0)
+                              _assemble, zzz_theta0)
 
 
 def jacobi_eigenvalues(op: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60) -> np.ndarray:
@@ -192,6 +195,16 @@ def single_site_sweep(name: str, *, qmax: int, tol: float = 1e-9,
     if not records:
         notes.append("FAIL: sweep produced no records")
     return SweepReport(name=name, records=records, tol=tol, notes=notes)
+
+
+def parity_block_minima(angle: RationalAngle, terms) -> list:
+    """The least eigenvalue of each real parity block of the tensor
+    operator ``terms`` (such as ``sweeps.two_site_terms(R)``) at ``angle``,
+    one dense solve per block, in the order of ``sweeps``' block stream
+    (all-even first); their minimum is the operator's least eigenvalue."""
+    sites = len(terms[0][1])
+    return [min_eigenvalue(_assemble(partial(rotation.kron_word, choice), terms))
+            for choice in product(rotation.parity_letters(angle), repeat=sites)]
 
 
 def _site_matrix(angle: RationalAngle, a: int, b: int) -> np.ndarray:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from heisenkit.linalg import (hermitian_norm, hermitian_operator,
+from heisenkit.linalg import (exceeds, hermitian_norm, hermitian_operator,
                               min_eigenvalue, spectral_norm,
                               spectral_projection)
 from heisenkit.rotation import RationalAngle, tensor_operator, x_op, y_op
@@ -291,3 +291,74 @@ def test_stacked_projection_refuses_an_ambiguous_cut():
     with pytest.raises(ValueError, match="ambiguous"):
         spectral_projection(stack, [0.1, 0.3, 0.5])
     assert spectral_projection(stack, [0.1, 0.5]).shape == (2, 3, 2, 2)
+
+
+def test_exceeds_certifies_a_level_clearly_below_lambda_min():
+    rng = np.random.default_rng(37)
+    for dim in (2, 5, 40, 125):
+        a = random_hermitian(rng, dim).real
+        low = min_eigenvalue(a)
+        assert exceeds(a, low - 1e-6)
+        assert exceeds(a, low - 1.0)
+    h = random_hermitian(rng, 6)  # complex Hermitian input
+    assert exceeds(h, min_eigenvalue(h) - 1e-6)
+
+
+def test_exceeds_is_never_true_below_the_dense_eigenvalue():
+    # levels approach the computed lambda_min from below down to rounding;
+    # a certified level never exceeds it
+    rng = np.random.default_rng(41)
+    for dim in (1, 3, 17, 64):
+        a = random_hermitian(rng, dim).real * 10.0 ** rng.integers(-3, 4)
+        low = min_eigenvalue(a)
+        scale = max(1.0, np.abs(a).max())
+        for gap in 10.0 ** -np.arange(4.0, 17.0):
+            level = low - gap * scale
+            if exceeds(a, level):
+                assert low >= level
+
+
+def test_exceeds_refuses_levels_at_and_above_lambda_min():
+    a = np.diag([1.0, 2.0, 3.0])
+    assert not exceeds(a, 1.0)
+    assert not exceeds(a, 1.5)
+    rng = np.random.default_rng(43)
+    b = random_hermitian(rng, 30).real
+    assert not exceeds(b, min_eigenvalue(b))
+    assert not exceeds(b, min_eigenvalue(b) + 1e-3)
+
+
+def test_exceeds_refuses_lambda_min_inside_the_allowance_band():
+    # diag(1, 2, 3) - level I is factored exactly, so only the allowance
+    # refuses a level one ulp below lambda_min = 1; another ulp is far
+    # inside the band for any sound allowance
+    a = np.diag([1.0, 2.0, 3.0])
+    level = np.nextafter(1.0, 0.0)
+    assert np.linalg.cholesky(a - level * np.eye(3)).shape == (3, 3)
+    assert not exceeds(a, level)
+    assert not exceeds(a, np.nextafter(level, 0.0))
+
+
+def test_exceeds_on_a_1x1_matrix():
+    assert exceeds(np.array([[2.0]]), 1.0)
+    assert exceeds(np.array([[-2.0]]), -3.0)
+    assert not exceeds(np.array([[2.0]]), 2.0)
+    assert not exceeds(np.array([[2.0]]), 3.0)
+
+
+def test_exceeds_rejects_bad_input():
+    with pytest.raises(ValueError, match="non-finite"):
+        exceeds(np.array([[np.nan, 0], [0, 1.0]]), 0.0)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        exceeds(np.array([[0.0, 1.0], [0.0, 0.0]]), -5.0)
+    with pytest.raises(ValueError, match="one matrix"):
+        exceeds(np.stack([np.eye(2), np.eye(2)]), 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        exceeds(np.eye(2), np.nan)
+
+
+def test_exceeds_leaves_its_input_unchanged():
+    a = np.array([[2.0, 1.0], [1.0, 3.0]])
+    before = a.copy()
+    assert exceeds(a, 0.5)
+    assert np.array_equal(a, before)

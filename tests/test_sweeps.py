@@ -11,14 +11,16 @@ from heisenkit import sweeps
 from heisenkit.algebra import hermitian_square
 from heisenkit.cli import main
 from heisenkit.groups import Heisenberg3
-from heisenkit.rotation import RationalAngle, x_op, y_op
+from heisenkit.rotation import (RationalAngle, farey_angles, parity_letters,
+                                x_op, y_op)
 from heisenkit.sweeps import (_tensor_sweep, three_site_operator,
                               three_site_terms, two_site_operator,
                               two_site_terms, verify_bz, verify_formula,
                               verify_prodnorm, verify_smalltheta,
                               verify_xsmall, verify_xyz1, verify_xyz2,
                               verify_zzz, zzz_theta0)
-from oracles import evaluate3, single_site_sweep, xyz2_block
+from oracles import (evaluate3, parity_block_minima, single_site_sweep,
+                     xyz2_block)
 
 SQRT2 = sqrt(2.0)
 
@@ -213,9 +215,65 @@ def test_tensor_operators_match_group_algebra():
             assert np.max(np.abs(np.kron(dense2, eye) - two)) <= 1e-12
             for inequality, dense, oracle in ((two_site_terms, dense2, two),
                                               (three_site_terms, dense3, three)):
-                block_min = _tensor_sweep(inequality, [angle], R)[0].margin
+                block_min = _tensor_sweep(
+                    inequality, {angle: parity_letters(angle)}, R)[0].margin
                 assert abs(block_min - np.linalg.eigvalsh(dense)[0]) <= 1e-12
                 assert abs(block_min - np.linalg.eigvalsh(oracle)[0]) <= 1e-12
+
+
+def _counting_dense_solves(monkeypatch) -> list:
+    """Patch the sweeps' dense solver to log the order of each matrix it
+    solves."""
+    solved, solve = [], sweeps.min_eigenvalue
+
+    def spy(op):
+        solved.append(op.shape[-1])
+        return solve(op)
+
+    monkeypatch.setattr(sweeps, "min_eigenvalue", spy)
+    return solved
+
+
+def test_screening_solves_a_later_block_that_holds_the_minimum(monkeypatch):
+    # -S has its least eigenvalue on the odd part at 1/5 and IY is least on
+    # the even part, so the minimum sits in block (odd, even), the third
+    angle = RationalAngle(1, 5)
+    terms = ((-1.0, "SI"), (1.0, "IY"))
+    minima = parity_block_minima(angle, terms)
+    assert int(np.argmin(minima)) == 2
+    assert min(minima) < minima[0] - 1.0
+    solved = _counting_dense_solves(monkeypatch)
+    low = sweeps._block_min_eigenvalue(parity_letters(angle), terms)
+    assert low == min(minima)
+    assert len(solved) == 2  # block 0, then the refused block 2
+
+
+def test_search_builds_one_letter_table_per_angle(monkeypatch):
+    # theta0 = 1/2 fails at every R, so the search scans all of R_SCAN
+    built, build = [], sweeps.rotation.parity_letters
+    monkeypatch.setattr(sweeps.rotation, "parity_letters",
+                        lambda a: built.append(a) or build(a))
+    report = verify_smalltheta(qmax=6, theta0=Fraction(1, 2),
+                               epsilon=Fraction(1, 16))
+    assert len(report.constants["scan"]) == len(sweeps.R_SCAN)
+    assert built == farey_angles(6)
+
+
+# The grids of criteria 7 (two-site, and its theta0 = 1/2 witness) and 8
+# (three-site) at the constants their searches find.
+CRITERIA_GRIDS = [(two_site_terms, 24, 2.0), (three_site_terms, 12, 16.0)]
+
+
+@pytest.mark.parametrize("inequality, qmax, R", CRITERIA_GRIDS)
+def test_screened_tensor_sweep_equals_the_all_blocks_oracle(
+        monkeypatch, inequality, qmax, R):
+    grid = farey_angles(qmax)
+    solved = _counting_dense_solves(monkeypatch)
+    records = _tensor_sweep(inequality, {a: parity_letters(a) for a in grid}, R)
+    assert [(r.p, r.q) for r in records] == [(a.p, a.q) for a in grid]
+    assert len(solved) == len(grid)  # one dense solve per angle
+    for r, a in zip(records, grid):
+        assert r.margin == min(parity_block_minima(a, inequality(R))), (a, R)
 
 
 # Single-site sweeps on grids where some denominator holds more angles than
