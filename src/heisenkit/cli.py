@@ -92,9 +92,14 @@ class Result:
     lines: list = field(default_factory=list)
 
 
+_PLAIN_TYPES = frozenset({int, float, str, bool, type(None)})
+
+
 def _plain(value):
     """The report form of a value: string keys, lists, exact rationals as
     strings and numpy scalars as Python numbers."""
+    if type(value) in _PLAIN_TYPES:  # exact types: np.float64 is a float
+        return value
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -11,6 +11,7 @@ recursive branch raises degree by two.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,8 +82,16 @@ def normal_form(word, zpow: int, truncation: int) -> dict:
     """Normal-order a word over letters 'x', 'y' with an attached central
     zbar power; leftmost 'yx' inversion rewritten first, branches above the
     truncation dropped."""
+    return dict(_normal_form(tuple(word), zpow, truncation))
+
+
+@lru_cache(maxsize=4096)
+def _normal_form(word: tuple, zpow: int, truncation: int) -> tuple:
+    """``normal_form`` as a tuple of (monomial, coefficient) pairs, so the
+    cached value cannot be changed by a caller.  A run of ``graded_mul``
+    asks for few distinct words many times over."""
     leaves = []
-    stack = [(tuple(word), zpow, Fraction(1))]
+    stack = [(word, zpow, Fraction(1))]
     while stack:
         w, k, c = stack.pop()
         if len(w) + 2 * k > truncation:
@@ -98,7 +107,7 @@ def normal_form(word, zpow: int, truncation: int) -> dict:
         stack.append((pre + ("x",) + post, k + 1, -c))
         stack.append((pre + ("y",) + post, k + 1, -c))
         stack.append((pre + ("y", "x") + post, k + 1, c))
-    return accumulate({}, leaves)
+    return tuple(accumulate({}, leaves).items())
 
 
 def graded_mul(a: GradedElement, b: GradedElement) -> GradedElement:
@@ -111,7 +120,7 @@ def graded_mul(a: GradedElement, b: GradedElement) -> GradedElement:
             word = ("x",) * i1 + ("y",) * j1 + ("x",) * i2 + ("y",) * j2
             c12 = c1 * c2
             accumulate(out, ((key, c12 * c) for key, c
-                             in normal_form(word, k1 + k2, n).items()))
+                             in _normal_form(word, k1 + k2, n)))
     return GradedElement(n, out)
 
 

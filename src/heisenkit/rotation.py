@@ -9,6 +9,12 @@ symmetric (X diagonal, Y a cyclic second difference), so their builders
 and every Kronecker word over them are float64.  Both commute with the
 parity j -> -j, which splits l_2(Z/qZ) into an even and an odd part and
 every Kronecker word into one real block per choice of part at each site.
+
+Every trigonometric value is computed from a residue k mod q folded into
+[0, q/2]: cos(2 pi k/q) and sin(pi k/q) (for 0 <= k < q) take the same
+value at k and q - k, so computing them from min(k, q - k) makes the
+operators at p/q and (q-p)/q bitwise equal, not only equal in exact
+arithmetic.
 """
 
 from __future__ import annotations
@@ -52,15 +58,16 @@ class RationalAngle:
     @property
     def s(self) -> float:
         """sin(pi theta)"""
-        return sin(pi * self.p / self.q)
+        return sin(pi * min(self.p, self.q - self.p) / self.q)
 
     def c_m(self, m: int) -> float:
         """cos(2 m pi theta)"""
-        return cos(2 * m * pi * self.p / self.q)
+        r = m * self.p % self.q
+        return cos(2 * pi * min(r, self.q - r) / self.q)
 
     def b_m(self, m: int) -> float:
         """1 - cos(2 m pi theta) = 2 sin^2(m pi theta)"""
-        return 1.0 - cos(2 * m * pi * self.p / self.q)
+        return 1.0 - self.c_m(m)
 
 
 def farey_angles(qmax: int, max_value: Fraction | None = Fraction(1, 2)
@@ -109,6 +116,14 @@ def evaluate(angle: RationalAngle, xi: AlgebraElement) -> np.ndarray:
     return out
 
 
+def _x_diagonals(p: np.ndarray, q: int) -> np.ndarray:
+    """2 b_j = 2(1 - cos(2 pi j p/q)) for j = 0..q//2, one row per
+    numerator in the column ``p``, from the residues j p mod q folded
+    into [0, q/2]."""
+    r = np.arange(q // 2 + 1) * p % q
+    return 2.0 * (1.0 - np.cos(2 * pi * np.minimum(r, q - r) / q))
+
+
 def x_op(angle: RationalAngle) -> np.ndarray:
     """X_theta = 2 - pi(x) - pi(x)*: diagonal with entries 2 b_j.
 
@@ -116,8 +131,8 @@ def x_op(angle: RationalAngle) -> np.ndarray:
     in floating point, not only up to the rounding of the cosine.
     """
     q = angle.q
-    half = [2.0 * angle.b_m(j) for j in range(q // 2 + 1)]
-    return np.diag([half[min(j, q - j)] for j in range(q)])
+    j = np.arange(q)
+    return np.diag(_x_diagonals(np.array([[angle.p]]), q)[0, np.minimum(j, q - j)])
 
 
 def y_op(angle: RationalAngle) -> np.ndarray:
@@ -128,7 +143,7 @@ def y_op(angle: RationalAngle) -> np.ndarray:
 
 def z_scalar(angle: RationalAngle) -> float:
     """Z_theta = 2(1 - cos 2 pi theta) = 4 sin^2(pi theta)."""
-    return 2.0 * (1.0 - cos(2 * pi * angle.p / angle.q))
+    return 2.0 * angle.b_m(1)
 
 
 def almost_mathieu(angle: RationalAngle, lam: float) -> np.ndarray:
@@ -209,8 +224,7 @@ def parity_stack(angles) -> list[tuple[np.ndarray, np.ndarray]]:
     q = angles[0].q
     if any(a.q != q for a in angles):
         raise ValueError("the angles of a stack must share their denominator")
-    p = np.array([[a.p] for a in angles])
-    half = 2.0 * (1.0 - np.cos(2 * np.arange(q // 2 + 1) * pi * p / q))
+    half = _x_diagonals(np.array([[a.p] for a in angles]), q)
     return [(x, y) for x, (y,) in zip((half, half[:, 1:(q + 1) // 2]),
                                       _parity_blocks(q, [y_op(angles[0])]))]
 

@@ -10,8 +10,14 @@ other).  The default grid order ``qmax`` is 60 for the single-site sweeps,
 three-site inequality.  Every margin is a dense LAPACK eigenvalue of a
 real parity block: the single-site operators split into an even and an
 odd block of about q/2, solved as stacks over up to STACK angles of one
-denominator; the two- and three-site operators into four blocks of about
-(q/2)^2 and eight of about (q/2)^3, streamed one at a time per angle.
+denominator.  The single-site operators depend on theta only through
+cos(2 pi j theta) and sin(pi theta), and cos(2 pi j (1 - theta)) =
+cos(2 pi j theta), sin(pi (1 - theta)) = sin(pi theta), so theta and
+1 - theta have the same operators (bitwise, as ``rotation`` folds every
+residue into [0, q/2]): a full-circle sweep solves only the angles in
+[0, 1/2] and costs the same solves as the half circle.  The two- and
+three-site operators split into four blocks of about (q/2)^2 and eight of
+about (q/2)^3, streamed one at a time per angle.
 Only the all-even block is always solved; a later block is solved only
 when ``linalg.exceeds`` cannot certify, with one Cholesky, that it does
 not lower the minimum so far, so the margin is the same float as the
@@ -104,22 +110,42 @@ def _finish(name, records, tol, constants=None, notes=None) -> SweepReport:
 STACK = 8  # angles per stacked solve; bounds the temporaries of a stack
 
 
-def _stacked_sweep(grid, work) -> list:
+def _stacked_sweep(grid, work, closed_form=None) -> list:
     """The records of ``work(angles, parts)`` over ``grid``, called on runs
     of at most STACK angles that share a denominator; ``parts`` holds, per
     parity part, the rows of the X diagonals that belong to the run and
     the block of Y (``rotation.parity_stack``, built once per
     denominator).  Records come in sorted-angle order, as in
-    ``_map_angles``."""
+    ``_map_angles``.
+
+    An angle (q-p)/q whose mirror p/q, 2p < q, is also in the grid is not
+    solved: its records are those of p/q with p replaced.  So on a grid
+    with mirror pairs (the full-circle grids of bz, xyz1 and xyz2),
+    ``work`` may read an angle only through its parity stack and sin(pi
+    theta), which are bitwise equal at p/q and (q-p)/q.  ``closed_form``,
+    if given, maps the angles of one denominator to named arrays with one
+    value per angle; it is evaluated at every grid angle, mirrors included,
+    and its values join the extras of that angle's records."""
     by_q: dict = {}
     for a in grid:
         by_q.setdefault(a.q, []).append(a)
     records = []
-    for angles in by_q.values():
-        parts = rotation.parity_stack(angles)
-        for i in range(0, len(angles), STACK):
-            records += work(angles[i:i + STACK],
-                            [(x[i:i + STACK], y) for x, y in parts])
+    for q, angles in by_q.items():
+        numerators = {a.p for a in angles}
+        solved = [a for a in angles if 2 * a.p <= q or q - a.p not in numerators]
+        parts = rotation.parity_stack(solved)
+        found = []
+        for i in range(0, len(solved), STACK):
+            found += work(solved[i:i + STACK],
+                          [(x[i:i + STACK], y) for x, y in parts])
+        found += [AngleRecord(q - r.p, q, r.margin, dict(r.extras))
+                  for r in found if 2 * r.p < q and q - r.p in numerators]
+        if closed_form is not None:
+            row = {a.p: i for i, a in enumerate(angles)}
+            values = closed_form(angles)
+            for r in found:
+                r.extras.update((k, float(v[row[r.p]])) for k, v in values.items())
+        records += found
     records.sort(key=AngleRecord.sort_key)
     return records
 
@@ -244,12 +270,9 @@ def verify_xyz2(*, qmax: int = 60, tol: float = 1e-9,
         # (XY + YX)_ij = (x_i + x_j) Y_ij, as X is diagonal
         margins = _min_eig(parts, lambda x, y: _diag(2.0 * s * x) + (
             2.0 * s[:, :, None] + 0.5 * (x[:, :, None] + x[:, None, :])) * y)
-        blocks = _xyz2_blocks(angles)
-        return [AngleRecord(a.p, a.q, float(margins[i]),
-                            {k: float(v[i]) for k, v in blocks.items()})
-                for i, a in enumerate(angles)]
+        return [AngleRecord(a.p, a.q, float(m)) for a, m in zip(angles, margins)]
 
-    records = _stacked_sweep(grid, work)
+    records = _stacked_sweep(grid, work, closed_form=_xyz2_blocks)
     bad_det = [r for r in records if r.extras["det_min"] < -tol
                or r.extras["trace_min"] < -tol]
     bad_id = [r for r in records if r.extras["identity_residual"] > IDENTITY_TOL]

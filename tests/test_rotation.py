@@ -189,6 +189,22 @@ def test_parity_stack_is_the_parity_letters():
         parity_stack([RationalAngle(1, 3), RationalAngle(1, 4)])
 
 
+def test_mirror_angles_share_their_trigonometry():
+    """p/q and (q-p)/q have bitwise equal X rows in every parity part and
+    bitwise equal sin(pi theta) and b_m, so a sweep may solve one of them
+    for both."""
+    grid = farey_angles(60, max_value=None)
+    for q in range(1, 61):
+        angles = [a for a in grid if a.q == q]
+        mirrors = [RationalAngle(-a.p % q, q) for a in angles]
+        for (x, _), (x_mirror, _) in zip(parity_stack(angles),
+                                         parity_stack(mirrors)):
+            assert np.array_equal(x, x_mirror)
+        for a, b in zip(angles, mirrors):
+            assert a.s == b.s
+            assert [a.b_m(m) for m in range(q)] == [b.b_m(m) for m in range(q)]
+
+
 def test_tensor_matches_rank3_evaluation():
     """Kronecker factors must agree with genuine rank-3 group-algebra words."""
     G3 = Heisenberg3

@@ -1,7 +1,6 @@
 """Sweep margins against closed forms, search behavior and determinism."""
 
 from fractions import Fraction
-from collections import Counter
 from math import asin, pi, sqrt
 
 import numpy as np
@@ -276,12 +275,13 @@ def test_screened_tensor_sweep_equals_the_all_blocks_oracle(
         assert r.margin == min(parity_block_minima(a, inequality(R))), (a, R)
 
 
-# Single-site sweeps on grids where some denominator holds more angles than
-# one stack: q = 13 on the full circle at order 16, q = 23 on [0, 1/2] at
+# Single-site sweeps on grids where some denominator solves more angles
+# than one stack: q = 19 on the full circle at order 20 (9 angles in
+# [0, 1/2]; the mirrors in (1/2, 1) are not solved), q = 23 on [0, 1/2] at
 # order 24, q = 79 below theta0 = 0.115 at order 80.
-CHUNKED = [("bz", {"qmax": 16, "full_circle": True}),
-           ("xyz1", {"qmax": 16, "full_circle": True}),
-           ("xyz2", {"qmax": 16, "full_circle": True}),
+CHUNKED = [("bz", {"qmax": 20, "full_circle": True}),
+           ("xyz1", {"qmax": 20, "full_circle": True}),
+           ("xyz2", {"qmax": 20, "full_circle": True}),
            ("zzz", {"qmax": 80, "R": 1.0, "kappa": 0.5}),
            ("zzz", {"qmax": 16, "R": 16.0, "kappa": 0.25}),
            ("prodnorm", {"qmax": 24}),
@@ -307,11 +307,51 @@ def test_stacked_sweeps_match_the_per_angle_oracle(name, params):
                 assert got.extras[key] == value, key
 
 
-def test_oracle_grids_cross_a_stack():
+def test_oracle_grids_cross_a_stack(monkeypatch):
+    # the angles handed to parity_stack, one list per denominator, are the
+    # angles the sweep solves
+    stacked, stack = [], sweeps.rotation.parity_stack
+    monkeypatch.setattr(sweeps.rotation, "parity_stack",
+                        lambda angles: stacked.append(angles) or stack(angles))
     for name, params in CHUNKED[:4] + CHUNKED[5:7]:
-        report = getattr(sweeps, f"verify_{name}")(**params)
-        angles = Counter(q for p, q in {(r.p, r.q) for r in report.records})
-        assert max(angles.values()) > sweeps.STACK, name
+        stacked.clear()
+        getattr(sweeps, f"verify_{name}")(**params)
+        assert max(map(len, stacked)) > sweeps.STACK, name
+
+
+def _logging_solves(monkeypatch) -> list:
+    """Patch both dense solvers of the single-site sweeps to log a copy of
+    each stack of matrices they solve."""
+    solved = []
+    for name in ("min_eigenvalue", "hermitian_norm"):
+        def spy(op, solve=getattr(sweeps, name)):
+            solved.append(op.copy())
+            return solve(op)
+        monkeypatch.setattr(sweeps, name, spy)
+    return solved
+
+
+@pytest.mark.parametrize("name", ["bz", "xyz1", "xyz2"])
+def test_full_circle_solves_each_mirror_pair_once(monkeypatch, name):
+    sweep = getattr(sweeps, f"verify_{name}")
+    solved = _logging_solves(monkeypatch)
+    half = sweep(qmax=16)
+    half_solves = list(solved)
+    solved.clear()
+    full = sweep(qmax=16, full_circle=True)
+    assert len(solved) == len(half_solves)
+    assert all(np.array_equal(a, b) for a, b in zip(solved, half_solves))
+    assert len(full.records) > len(half.records)
+    # the margin of (q-p)/q is that of p/q ...
+    margins = {(r.p, r.q, r.extras.get("lambda")): r.margin
+               for r in full.records}
+    for (p, q, lam), margin in margins.items():
+        assert margins[(-p % q, q, lam)] == margin
+    # ... and the float that solving (q-p)/q itself gives
+    upper = [a for a in farey_angles(16, max_value=None) if 2 * a.p > a.q]
+    monkeypatch.setattr(sweeps, "farey_angles", lambda *_, **__: upper)
+    for r in sweep(qmax=16, full_circle=True).records:
+        assert r.margin == margins[(r.p, r.q, r.extras.get("lambda"))]
 
 
 def test_reports_are_deterministic(tmp_path):
