@@ -69,7 +69,7 @@ def _finite_float(text: str) -> float:
 
 
 def _float_list(text: str) -> tuple:
-    return tuple(float(v) for v in text.split(","))
+    return tuple(_finite_float(v) for v in text.split(","))
 
 
 def _int_list(text: str) -> tuple:

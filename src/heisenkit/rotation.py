@@ -9,6 +9,10 @@ symmetric (X diagonal, Y a cyclic second difference), so their builders
 and every Kronecker word over them are float64.  Both commute with the
 parity j -> -j, which splits l_2(Z/qZ) into an even and an odd part and
 every Kronecker word into one real block per choice of part at each site.
+One builder makes those parts: ``parity_stack`` gives, per part, X's
+diagonals for every angle of one denominator and Y's block, and
+``site_letters`` turns one diagonal and the block into the part's letters
+X, Y, S = XY + YX and I.
 
 Every trigonometric value is computed from a residue k mod q folded into
 [0, q/2]: cos(2 pi k/q) and sin(pi k/q) (for 0 <= k < q) take the same
@@ -159,11 +163,18 @@ def bz_bound(angle: RationalAngle, lam: float) -> float:
     return lam + 2.0 - (2.0 * lam / (lam + 2.0)) * angle.s
 
 
+def site_letters(x: np.ndarray, y: np.ndarray) -> dict[str, np.ndarray]:
+    """The one-site letters of the Kronecker words on one parity part (or
+    on all of l_2(Z/qZ)): X = diag(x), Y = y, the on-site anticommutator
+    S = XY + YX and the identity I.  X is diagonal, so
+    S_ij = (x_i + x_j) Y_ij."""
+    return {"X": np.diag(x), "Y": y, "S": (x[:, None] + x[None, :]) * y,
+            "I": np.eye(len(x))}
+
+
 def letters(angle: RationalAngle) -> dict[str, np.ndarray]:
-    """The one-site letters of the Kronecker words: X, Y, the on-site
-    anticommutator S = XY + YX and the identity I."""
-    x, y = x_op(angle), y_op(angle)
-    return {"X": x, "Y": y, "S": x @ y + y @ x, "I": np.eye(angle.q)}
+    """``site_letters`` of X and Y at ``angle`` in the standard basis."""
+    return site_letters(np.diag(x_op(angle)), y_op(angle))
 
 
 def parity_bases(q: int) -> list[np.ndarray]:
@@ -187,51 +198,33 @@ def parity_bases(q: int) -> list[np.ndarray]:
     return bases
 
 
-def _parity_blocks(q: int, matrices) -> list[list[np.ndarray]]:
-    """q x q matrices that commute with j -> -j, restricted to each
-    nonempty parity part in the orthonormal bases
-    ``parity_bases(q) / column norm``: one list of blocks per part."""
-    out = []
-    for v in parity_bases(q):
-        n = np.sum(v * v, axis=0)  # squared column norms, 1 or 2
-        scale = 1.0 / np.sqrt(np.outer(n, n))
-        out.append([(v.T @ m @ v) * scale for m in matrices])
-    return out
-
-
-def parity_letters(angle: RationalAngle) -> list[dict[str, np.ndarray]]:
-    """``letters(angle)`` restricted to each nonempty parity part.
-
-    Every letter commutes with j -> -j, so its cross-parity part is zero
-    and a Kronecker word is the direct sum of the words over these blocks,
-    one block per choice of part at each site.
-    """
-    table = letters(angle)
-    return [dict(zip(table, blocks))
-            for blocks in _parity_blocks(angle.q, table.values())]
-
-
 def parity_stack(angles) -> list[tuple[np.ndarray, np.ndarray]]:
     """X and Y at angles sharing one denominator q, restricted to each
-    nonempty parity part as in ``parity_letters``.
+    nonempty parity part in the orthonormal bases
+    ``parity_bases(q) / column norm``.
 
     X is diagonal in the parity bases (its entries 2 b_j for the
     representatives j = 0..q//2 of the even part and 1..(q-1)//2 of the
     odd part) and Y does not depend on p, so each part is the pair
     (diagonals of X, one row per angle, shape (len(angles), n);
-    the block of Y, shape (n, n)).
+    the block of Y, shape (n, n)).  ``site_letters`` of one row and the
+    block are the part's letters at that angle.
     """
     q = angles[0].q
     if any(a.q != q for a in angles):
         raise ValueError("the angles of a stack must share their denominator")
     half = _x_diagonals(np.array([[a.p] for a in angles]), q)
-    return [(x, y) for x, (y,) in zip((half, half[:, 1:(q + 1) // 2]),
-                                      _parity_blocks(q, [y_op(angles[0])]))]
+    y = y_op(angles[0])
+    out = []
+    for x, v in zip((half, half[:, 1:(q + 1) // 2]), parity_bases(q)):
+        n = np.sum(v * v, axis=0)  # squared column norms, 1 or 2
+        out.append((x, (v.T @ y @ v) * (1.0 / np.sqrt(np.outer(n, n)))))
+    return out
 
 
 def kron_word(sites, word: str) -> np.ndarray:
     """Kronecker product of ``sites[i][word[i]]`` over the sites, where each
-    site is a letter table such as ``letters(angle)``."""
+    site is a letter table such as ``site_letters(x, y)``."""
     out = sites[0][word[0]]
     for site, letter in zip(sites[1:], word[1:]):
         b = site[letter]  # np.kron of two matrices, without its n-d overhead

@@ -8,21 +8,23 @@ keyword parameters are its only options (the ``verify`` command refuses any
 other).  The default grid order ``qmax`` is 60 for the single-site sweeps,
 40 for the projection sweep, 24 for the two-site inequality and 12 for the
 three-site inequality.  Every margin is a dense LAPACK eigenvalue of a
-real parity block: the single-site operators split into an even and an
-odd block of about q/2, solved as stacks over up to STACK angles of one
-denominator.  The single-site operators depend on theta only through
-cos(2 pi j theta) and sin(pi theta), and cos(2 pi j (1 - theta)) =
-cos(2 pi j theta), sin(pi (1 - theta)) = sin(pi theta), so theta and
-1 - theta have the same operators (bitwise, as ``rotation`` folds every
-residue into [0, q/2]): a full-circle sweep solves only the angles in
-[0, 1/2] and costs the same solves as the half circle.  The two- and
-three-site operators split into four blocks of about (q/2)^2 and eight of
-about (q/2)^3, streamed one at a time per angle.
-Only the all-even block is always solved; a later block is solved only
-when ``linalg.exceeds`` cannot certify, with one Cholesky, that it does
-not lower the minimum so far, so the margin is the same float as the
-minimum over dense solves of every block.  A constant search builds each
-angle's parity letter tables once and shares them across its R scan.
+real parity block.  Every sweep, single-site or tensor, runs through one
+driver, ``_stacked_sweep``: it builds the parity blocks of X and Y with
+``rotation.parity_stack`` once per denominator and hands them to the
+sweep's work in runs of up to STACK angles.  The single-site operators
+split into an even and an odd block of about q/2, solved as one stack per
+run.  They depend on theta only through cos(2 pi j theta) and
+sin(pi theta), and cos(2 pi j (1 - theta)) = cos(2 pi j theta),
+sin(pi (1 - theta)) = sin(pi theta), so theta and 1 - theta have the same
+operators (bitwise, as ``rotation`` folds every residue into [0, q/2]): a
+full-circle sweep solves only the angles in [0, 1/2] and costs the same
+solves as the half circle.  The two- and three-site operators split into
+four blocks of about (q/2)^2 and eight of about (q/2)^3, Kronecker words
+over each part's ``rotation.site_letters``, streamed one at a time per
+angle.  Only the all-even block is always solved; a later block is solved
+only when ``linalg.exceeds`` cannot certify, with one Cholesky, that it
+does not lower the minimum so far, so the margin is the same float as the
+minimum over dense solves of every block.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from math import asin, cos, pi, sqrt
 import numpy as np
 
 from . import rotation
-from .linalg import (exceeds, hermitian_norm, min_eigenvalue, spectral_norm,
-                     spectral_projection)
+from .linalg import (CUT_AMBIGUITY_TOL, exceeds, hermitian_norm,
+                     min_eigenvalue, spectral_norm, spectral_projection)
 from .rotation import RationalAngle, farey_angles
 
 R_SCAN = (2, 4, 8, 16, 32)
@@ -89,14 +91,6 @@ class SweepReport:
         return [r for r in self.records if r.margin < -self.tol]
 
 
-def _map_angles(fn, angles):
-    """Run fn over angles and flatten the records in deterministic
-    sorted-angle order."""
-    records = [r for a in angles for r in fn(a)]
-    records.sort(key=AngleRecord.sort_key)
-    return records
-
-
 def _finish(name, records, tol, constants=None, notes=None) -> SweepReport:
     if not records:
         notes = (notes or []) + ["FAIL: sweep produced no records"]
@@ -105,7 +99,7 @@ def _finish(name, records, tol, constants=None, notes=None) -> SweepReport:
 
 
 # ---------------------------------------------------------------------------
-# single-site sweeps
+# the sweep driver and the single-site sweeps
 
 STACK = 8  # angles per stacked solve; bounds the temporaries of a stack
 
@@ -115,8 +109,7 @@ def _stacked_sweep(grid, work, closed_form=None) -> list:
     of at most STACK angles that share a denominator; ``parts`` holds, per
     parity part, the rows of the X diagonals that belong to the run and
     the block of Y (``rotation.parity_stack``, built once per
-    denominator).  Records come in sorted-angle order, as in
-    ``_map_angles``.
+    denominator).  Records come in sorted-angle order.
 
     An angle (q-p)/q whose mirror p/q, 2p < q, is also in the grid is not
     solved: its records are those of p/q with p replaced.  So on a grid
@@ -176,16 +169,15 @@ def verify_bz(*, qmax: int = 60, tol: float = 1e-9,
         if not lam > 0:
             raise ValueError(f"coupling must be positive, got {lam}")
     grid = farey_angles(qmax, max_value=None if full_circle else Fraction(1, 2))
+    c = np.array(lambdas, dtype=float)[:, None, None]
 
     def work(angles, parts):
-        out = []
-        for lam in lambdas:
-            norms = np.max([hermitian_norm(_diag((lam + 2.0) - (lam / 2.0) * x) - y)
-                            for x, y in parts], axis=0)
-            out += [AngleRecord(a.p, a.q, rotation.bz_bound(a, lam) - float(n),
-                                {"lambda": float(lam)})
-                    for a, n in zip(angles, norms)]
-        return out
+        # one (couplings, angles, n, n) stack per part
+        norms = np.max([hermitian_norm(_diag((c + 2.0) - (c / 2.0) * x) - y)
+                        for x, y in parts], axis=0)
+        return [AngleRecord(a.p, a.q, rotation.bz_bound(a, lam) - float(n),
+                            {"lambda": float(lam)})
+                for lam, row in zip(lambdas, norms) for a, n in zip(angles, row)]
 
     records = _stacked_sweep(grid, work)
     return _finish("bz", records, tol,
@@ -313,11 +305,13 @@ def verify_xsmall(*, qmax: int = 40, tol: float = 1e-9,
     the low-X subspace sees Y as 2 (no consecutive residues), and
     ||P_{Y<=d} P_{X<=d}|| <= sqrt(2/(4-d)).
 
-    Both projections commute with the parity, so the product's norm is the
-    largest over the parity blocks.  The compression residual
-    max |P_X Y P_X - 2 P_X| is the largest entry in the standard basis of
-    l_2(Z/qZ), with the residual assembled from its parity blocks.  X and
-    Y are decomposed once for all the cuts that apply."""
+    Only Y is decomposed, once per parity part for all the cuts that
+    apply.  X is diagonal, so P_X is the coordinate projection onto
+    {x <= delta}: ||P_Y P_X|| is the largest, over the parts, spectral norm
+    of P_Y with the columns outside that set zeroed, and the compression
+    residual max |P_X Y P_X - 2 P_X| = max |P_X (Y - 2) P_X| is read off
+    Y in the standard basis of l_2(Z/qZ).  A cut within CUT_AMBIGUITY_TOL
+    of an entry of X is refused."""
     grid = [a for a in farey_angles(qmax) if a.p != 0]
     notes = []
 
@@ -327,27 +321,31 @@ def verify_xsmall(*, qmax: int = 40, tol: float = 1e-9,
                 for a in angles]
         # 2 b_m for m = 0..q-1, from the even part's diagonals 2 b_j, j <= q/2
         x_full = parts[0][0][:, np.minimum(np.arange(q), q - np.arange(q))]
-        bases = [v / np.linalg.norm(v, axis=0) for v in rotation.parity_bases(q)]
+        y_less_2 = rotation.y_op(angles[0]) - 2.0 * np.eye(q)
         out = []
         for group in sorted(set(cuts) - {()}):
             rows = [i for i, c in enumerate(cuts) if c == group]
-            norm = resid = 0.0  # per (cut, angle), over the parts
-            for (x, y), u in zip(parts, bases):
-                px = spectral_projection(_diag(x[rows]), group)
+            cut = np.array(group)[:, None, None]  # (cut, angle, entry)
+            if np.any(np.abs(x_full[rows] - cut) < CUT_AMBIGUITY_TOL):
+                raise ValueError(f"ambiguous spectral cut: eigenvalue within "
+                                 f"{CUT_AMBIGUITY_TOL} of delta={group}")
+            norm = 0.0  # per (cut, angle), over the parts
+            for x, y in parts:
                 py = spectral_projection(y, group)[:, None]
-                norm = np.maximum(norm, spectral_norm(py @ px))
-                resid = resid + u @ (px @ y @ px - 2.0 * px) @ u.T
-            resid = np.max(np.abs(resid), axis=(-2, -1))
-            for k, d in enumerate(group):
-                low = x_full[rows] <= d
-                size = np.sum(low, axis=1)
-                consecutive = np.any(low & np.roll(low, -1, axis=1), axis=1) & (size > 1)
-                out += [AngleRecord(angles[i].p, q,
-                                    sqrt(2.0 / (4.0 - d)) - float(norm[k, r]),
-                                    {"delta": d, "eq_residual": float(resid[k, r]),
-                                     "low_set_size": int(size[r]),
-                                     "consecutive": bool(consecutive[r])})
-                        for r, i in enumerate(rows)]
+                py_px = py * (x[rows] <= cut)[..., None, :]  # columns masked
+                norm = np.maximum(norm, spectral_norm(py_px))
+            low = x_full[rows] <= cut
+            both_low = low[..., :, None] & low[..., None, :]
+            resid = np.max(np.abs(y_less_2 * both_low), axis=(-2, -1))
+            size = np.sum(low, axis=-1)
+            consecutive = (size > 1) & np.any(low & np.roll(low, -1, axis=-1),
+                                              axis=-1)
+            out += [AngleRecord(angles[i].p, q, sqrt(2.0 / (4.0 - delta))
+                                - float(norm[k, r]),
+                                {"delta": delta, "eq_residual": float(resid[k, r]),
+                                 "low_set_size": int(size[k, r]),
+                                 "consecutive": bool(consecutive[k, r])})
+                    for k, delta in enumerate(group) for r, i in enumerate(rows)]
         return out
 
     records = _stacked_sweep(grid, work)
@@ -398,7 +396,7 @@ def three_site_operator(angle: RationalAngle, R: float) -> np.ndarray:
 def _block_min_eigenvalue(parts, terms) -> float:
     """min eig of the operator ``terms`` as the minimum over its real
     parity blocks, one block per choice of part in ``parts`` (the angle's
-    ``rotation.parity_letters``) at each site.
+    ``rotation.site_letters`` on each parity part) at each site.
 
     The blocks are streamed, all-even first.  The first is solved densely;
     each later one is solved only when ``exceeds`` cannot certify, with
@@ -417,15 +415,19 @@ def _block_min_eigenvalue(parts, terms) -> float:
     return low
 
 
-def _tensor_sweep(inequality, tables, R: float) -> list:
-    """One record per angle of ``tables``, a dict from each angle to its
-    ``rotation.parity_letters``, whose margin is the minimum eigenvalue, at
-    that angle, of the operator whose terms ``inequality(R)`` gives (such
-    as ``two_site_terms``)."""
+def _tensor_sweep(inequality, grid, R: float) -> list:
+    """One record per angle of ``grid`` whose margin is the minimum
+    eigenvalue, at that angle, of the operator whose terms ``inequality(R)``
+    gives (such as ``two_site_terms``)."""
     terms = inequality(R)
-    return _map_angles(
-        lambda a: [AngleRecord(a.p, a.q, _block_min_eigenvalue(tables[a], terms))],
-        tables)
+
+    def work(angles, parts):
+        sites = [[rotation.site_letters(x[i], y) for x, y in parts]
+                 for i in range(len(angles))]
+        return [AngleRecord(a.p, a.q, _block_min_eigenvalue(letters, terms))
+                for a, letters in zip(angles, sites)]
+
+    return _stacked_sweep(grid, work)
 
 
 def _search_constants(name, inequality, qmax, tol, R, epsilon,
@@ -442,11 +444,10 @@ def _search_constants(name, inequality, qmax, tol, R, epsilon,
     grid = farey_angles(qmax)
     if None not in th0_list:
         grid = [a for a in grid if a.fraction <= max(th0_list)]
-    tables = {a: rotation.parity_letters(a) for a in grid}  # shared by every R
 
     def scan():
         for R in r_list:
-            mineigs = _tensor_sweep(inequality, tables, R)
+            mineigs = _tensor_sweep(inequality, grid, R)
             for eps in eps_list:
                 margins = [AngleRecord(r.p, r.q, r.margin - float(eps)
                                        * rotation.z_scalar(RationalAngle(r.p, r.q)))

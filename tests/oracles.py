@@ -1,7 +1,8 @@
 """Reference implementations that only the tests use: independent
 eigenvalue oracles, the single-site sweeps solved one dense q x q matrix
-per angle, the tensor operators' least eigenvalues from a dense solve of
-every parity block, the rank-3 representation evaluated word by word, plain
+per angle, the parity letters conjugated out of the dense q x q letters,
+the tensor operators' least eigenvalues from a dense solve of every parity
+block, the rank-3 representation evaluated word by word, plain
 fixture graphs for the spectral-gap solver, Cayley graphs enumerated vertex
 by vertex with their stabiliser orbits found by brute force, and lambda_2
 solved on the whole adjacency of a graph rather than on its orbit
@@ -197,6 +198,20 @@ def single_site_sweep(name: str, *, qmax: int, tol: float = 1e-9,
     return SweepReport(name=name, records=records, tol=tol, notes=notes)
 
 
+def parity_letters(angle: RationalAngle) -> list[dict[str, np.ndarray]]:
+    """The dense letters X, Y, S = XY + YX and I at ``angle``, restricted to
+    each nonempty parity part by conjugation with the orthonormal bases
+    ``rotation.parity_bases(q) / column norm``: one letter table per part."""
+    x, y = rotation.x_op(angle), rotation.y_op(angle)
+    table = {"X": x, "Y": y, "S": x @ y + y @ x, "I": np.eye(angle.q)}
+    out = []
+    for v in rotation.parity_bases(angle.q):
+        n = np.sum(v * v, axis=0)  # squared column norms, 1 or 2
+        scale = 1.0 / np.sqrt(np.outer(n, n))
+        out.append({k: (v.T @ m @ v) * scale for k, m in table.items()})
+    return out
+
+
 def parity_block_minima(angle: RationalAngle, terms) -> list:
     """The least eigenvalue of each real parity block of the tensor
     operator ``terms`` (such as ``sweeps.two_site_terms(R)``) at ``angle``,
@@ -204,7 +219,7 @@ def parity_block_minima(angle: RationalAngle, terms) -> list:
     (all-even first); their minimum is the operator's least eigenvalue."""
     sites = len(terms[0][1])
     return [min_eigenvalue(_assemble(partial(rotation.kron_word, choice), terms))
-            for choice in product(rotation.parity_letters(angle), repeat=sites)]
+            for choice in product(parity_letters(angle), repeat=sites)]
 
 
 def _site_matrix(angle: RationalAngle, a: int, b: int) -> np.ndarray:

@@ -75,6 +75,12 @@ def test_usage_errors(capsys):
         err = capsys.readouterr().err
         assert err == f"error: coupling must be positive, got {float(lam)}\n"
     assert main(["all", "--tol", "inf"]) == 1
+    # non-finite list items are refused when parsed; inf used to reach the
+    # solver and inf/nan cuts were skipped into an empty sweep
+    for argv in ("verify bz --qmax 5 --lambda inf",
+                 "verify xsmall --qmax 5 --deltas inf,nan"):
+        assert main(argv.split()) == 1
+        assert "must be finite" in capsys.readouterr().err
     # search constants must be positive; these used to print [PASS]
     assert main(["verify", "formula", "--qmax", "4", "--R", "2",
                  "--epsilon", "-1"]) == 1

@@ -14,9 +14,10 @@ from heisenkit.groups import Heisenberg, Heisenberg3
 from heisenkit.linalg import spectral_norm
 from heisenkit.rotation import (RationalAngle, almost_mathieu, bz_bound,
                                 evaluate, farey_angles, letters, parity_bases,
-                                parity_letters, parity_stack, pi_theta, pi_x,
-                                pi_y, tensor_operator, x_op, y_op, z_scalar)
-from oracles import evaluate3, pi_theta3
+                                parity_stack, pi_theta, pi_x, pi_y,
+                                site_letters, tensor_operator, x_op, y_op,
+                                z_scalar)
+from oracles import evaluate3, parity_letters, pi_theta3
 
 H = Heisenberg
 
@@ -174,10 +175,15 @@ def test_parity_bases_split_every_letter():
 
 def test_parity_stack_is_the_parity_letters():
     """Per part, the stacked X diagonals and the shared Y block are
-    exactly the blocks of ``parity_letters`` at each angle of q."""
+    exactly the blocks that the dense oracle ``parity_letters`` conjugates
+    out of x_op and y_op at each p/q with q <= 13 (q = 1, 2 have no odd
+    part), and ``site_letters`` of a row and the block are the oracle's
+    letters X, Y, S and I on that part."""
+    grid = farey_angles(13, max_value=None)
     for q in range(1, 14):
-        angles = [a for a in farey_angles(13, max_value=None) if a.q == q]
+        angles = [a for a in grid if a.q == q]
         parts = parity_stack(angles)
+        assert len(parts) == (1 if q <= 2 else 2)
         for i, angle in enumerate(angles):
             blocks = parity_letters(angle)
             assert len(parts) == len(blocks)
@@ -185,6 +191,11 @@ def test_parity_stack_is_the_parity_letters():
                 assert x.shape == (len(angles), y.shape[0])
                 assert np.array_equal(np.diag(x[i]), block["X"])
                 assert np.array_equal(y, block["Y"])
+                built = site_letters(x[i], y)
+                assert built.keys() == block.keys()
+                for k in built:
+                    assert built[k].dtype == np.float64
+                    assert np.max(np.abs(built[k] - block[k])) <= 1e-15, (angle, k)
     with pytest.raises(ValueError):
         parity_stack([RationalAngle(1, 3), RationalAngle(1, 4)])
 

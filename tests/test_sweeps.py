@@ -10,16 +10,15 @@ from heisenkit import sweeps
 from heisenkit.algebra import hermitian_square
 from heisenkit.cli import main
 from heisenkit.groups import Heisenberg3
-from heisenkit.rotation import (RationalAngle, farey_angles, parity_letters,
-                                x_op, y_op)
+from heisenkit.rotation import RationalAngle, farey_angles, x_op, y_op
 from heisenkit.sweeps import (_tensor_sweep, three_site_operator,
                               three_site_terms, two_site_operator,
                               two_site_terms, verify_bz, verify_formula,
                               verify_prodnorm, verify_smalltheta,
                               verify_xsmall, verify_xyz1, verify_xyz2,
                               verify_zzz, zzz_theta0)
-from oracles import (evaluate3, parity_block_minima, single_site_sweep,
-                     xyz2_block)
+from oracles import (evaluate3, parity_block_minima, parity_letters,
+                     single_site_sweep, xyz2_block)
 
 SQRT2 = sqrt(2.0)
 
@@ -132,6 +131,19 @@ def test_xsmall_sweep():
         assert r.extras["delta"] < 2.0 * (1.0 - np.cos(pi * theta))
 
 
+def test_xsmall_refuses_a_cut_at_an_entry_of_X(monkeypatch):
+    # 2 - sqrt(2) = 2 b_3 at 3/8, an angle where that cut applies
+    with pytest.raises(ValueError, match="ambiguous"):
+        verify_xsmall(qmax=8, deltas=(2 - sqrt(2),))
+    # it is an eigenvalue of Y too; with Y's cuts moved off it, the
+    # refusal still comes from the cut on X
+    project = sweeps.spectral_projection
+    monkeypatch.setattr(sweeps, "spectral_projection",
+                        lambda op, delta: project(op, np.add(delta, 1e-7)))
+    with pytest.raises(ValueError, match="ambiguous"):
+        verify_xsmall(qmax=8, deltas=(2 - sqrt(2),))
+
+
 def test_smalltheta_explicit_failure_at_half():
     report = verify_smalltheta(qmax=8, theta0=Fraction(1, 2), R=8.0,
                                epsilon=Fraction(1, 16))
@@ -214,8 +226,7 @@ def test_tensor_operators_match_group_algebra():
             assert np.max(np.abs(np.kron(dense2, eye) - two)) <= 1e-12
             for inequality, dense, oracle in ((two_site_terms, dense2, two),
                                               (three_site_terms, dense3, three)):
-                block_min = _tensor_sweep(
-                    inequality, {angle: parity_letters(angle)}, R)[0].margin
+                block_min = _tensor_sweep(inequality, [angle], R)[0].margin
                 assert abs(block_min - np.linalg.eigvalsh(dense)[0]) <= 1e-12
                 assert abs(block_min - np.linalg.eigvalsh(oracle)[0]) <= 1e-12
 
@@ -247,15 +258,21 @@ def test_screening_solves_a_later_block_that_holds_the_minimum(monkeypatch):
     assert len(solved) == 2  # block 0, then the refused block 2
 
 
-def test_search_builds_one_letter_table_per_angle(monkeypatch):
+def test_search_builds_one_parity_stack_per_denominator_and_R(monkeypatch):
     # theta0 = 1/2 fails at every R, so the search scans all of R_SCAN
-    built, build = [], sweeps.rotation.parity_letters
-    monkeypatch.setattr(sweeps.rotation, "parity_letters",
-                        lambda a: built.append(a) or build(a))
+    stacked, stack = [], sweeps.rotation.parity_stack
+    monkeypatch.setattr(sweeps.rotation, "parity_stack",
+                        lambda angles: stacked.append(angles) or stack(angles))
+
+    def refuse(angle):
+        raise AssertionError("a search built a dense X")
+
+    monkeypatch.setattr(sweeps.rotation, "x_op", refuse)
     report = verify_smalltheta(qmax=6, theta0=Fraction(1, 2),
                                epsilon=Fraction(1, 16))
     assert len(report.constants["scan"]) == len(sweeps.R_SCAN)
-    assert built == farey_angles(6)
+    per_R = [[a for a in farey_angles(6) if a.q == q] for q in range(1, 7)]
+    assert sorted(stacked) == sorted(per_R * len(sweeps.R_SCAN))
 
 
 # The grids of criteria 7 (two-site, and its theta0 = 1/2 witness) and 8
@@ -268,7 +285,7 @@ def test_screened_tensor_sweep_equals_the_all_blocks_oracle(
         monkeypatch, inequality, qmax, R):
     grid = farey_angles(qmax)
     solved = _counting_dense_solves(monkeypatch)
-    records = _tensor_sweep(inequality, {a: parity_letters(a) for a in grid}, R)
+    records = _tensor_sweep(inequality, grid, R)
     assert [(r.p, r.q) for r in records] == [(a.p, a.q) for a in grid]
     assert len(solved) == len(grid)  # one dense solve per angle
     for r, a in zip(records, grid):
