@@ -72,8 +72,8 @@ def _float_list(text: str) -> tuple:
     return tuple(_finite_float(v) for v in text.split(","))
 
 
-def _int_list(text: str) -> tuple:
-    return tuple(int(v) for v in text.split(","))
+def _positive_int_list(text: str) -> tuple:
+    return tuple(_positive_int(v) for v in text.split(","))
 
 
 @dataclass
@@ -385,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("expander", help="Cayley graphs of SL_n(Z/qZ)")
     pe.add_argument("what", choices=["run"])
     pe.add_argument("--n", type=int, default=3)
-    pe.add_argument("--q", type=_int_list, default=(2, 3, 4, 5))
+    pe.add_argument("--q", type=_positive_int_list, default=(2, 3, 4, 5))
     pe.add_argument("--p-rule", choices=["unit", "coprime"], default="coprime")
     pe.add_argument("--cap", type=int, default=DEFAULT_ORDER_CAP)
     pe.add_argument("--out", default=None)

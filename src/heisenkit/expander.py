@@ -45,7 +45,10 @@ CHUNK = 4096   # representatives per block; bounds the |W| x CHUNK image arrays
 
 def sl_order(n: int, q: int) -> int:
     """|SL_n(Z/qZ)| from multiplicativity over prime powers:
-    |SL_n(Z/p^k)| = p^{(k-1)(n^2-1)} p^{n(n-1)/2} prod_{i=2..n} (p^i - 1)."""
+    |SL_n(Z/p^k)| = p^{(k-1)(n^2-1)} p^{n(n-1)/2} prod_{i=2..n} (p^i - 1).
+    Refuses a modulus q < 1."""
+    if q < 1:
+        raise ValueError(f"modulus q must be at least 1, got {q}")
     if q == 1:
         return 1
     total = 1
@@ -409,8 +412,9 @@ def family_report(n: int, q_list, p_rule: str = "coprime",
     applications and quotient dimension behind lambda_2.  ``p_rule`` is
     "unit" (p = 1 only) or "coprime" (every residue prime to q).  Rows for
     p and q - p share one computation since the symmetrized generator sets
-    coincide.  A q whose classical order exceeds ``order_cap``, or whose
-    class table cannot fit in physical memory, is refused before its BFS.
+    coincide.  A q < 1, a q whose classical order exceeds ``order_cap``,
+    or one whose class table cannot fit in physical memory, is refused
+    before its BFS.
     """
     if p_rule not in ("unit", "coprime"):
         raise ValueError("p_rule must be 'unit' or 'coprime'")

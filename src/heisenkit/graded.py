@@ -5,7 +5,9 @@ normal-ordered monomials xbar^i ybar^j zbar^k (xbar = 1-x, etc.) of degree
 i + j + 2k <= N.  The central letter zbar commutes; the single rewrite
     ybar xbar = xbar ybar + zbar - zbar xbar - zbar ybar + zbar ybar xbar
 is an exact identity in R[H] and terminates under truncation because the
-recursive branch raises degree by two.
+recursive branch raises degree by two.  The involution stays in the
+quotient: it is fixed by ubar* = 1 - u^{-1} = -(ubar + ... + ubar^N) on
+each letter and reverses the order of a product.
 """
 
 from __future__ import annotations
@@ -125,23 +127,19 @@ def graded_mul(a: GradedElement, b: GradedElement) -> GradedElement:
 
 
 def _generator_power(letter: str, exponent: int, truncation: int) -> GradedElement:
-    """Graded image of x^a, y^b or z^c; negative powers expand through the
-    truncated geometric series (1 - u)^{-1} = sum u^k."""
+    """Graded image of x^a, y^b or z^c: a power of u = 1 - ubar, or for a
+    negative exponent of the truncated geometric series u^{-1} = sum ubar^k."""
     unit = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}[letter]
-    u = GradedElement.monomial(truncation, unit)
     one = GradedElement.monomial(truncation, (0, 0, 0))
     if exponent >= 0:
-        base = one - u
-        acc = one
-        for _ in range(exponent):
-            acc = graded_mul(acc, base)
-        return acc
-    kmax = truncation // degree(unit)
-    inv = GradedElement(truncation, {
-        tuple(k * c for c in unit): 1 for k in range(kmax + 1)})
+        base = one - GradedElement.monomial(truncation, unit)
+    else:
+        kmax = truncation // degree(unit)
+        base = GradedElement(truncation, {
+            tuple(k * c for c in unit): 1 for k in range(kmax + 1)})
     acc = one
-    for _ in range(-exponent):
-        acc = graded_mul(acc, inv)
+    for _ in range(abs(exponent)):
+        acc = graded_mul(acc, base)
     return acc
 
 
@@ -161,24 +159,19 @@ def to_graded(xi: AlgebraElement, truncation: int) -> GradedElement:
 
 
 def graded_star(a: GradedElement) -> GradedElement:
-    """Involution computed by the exact round trip through R[H]:
-    each basis monomial maps back to a word in the group algebra, is
-    starred there, and is re-graded."""
+    """The involution of R[H]/I^{N+1}.  I^{N+1} is *-stable, so * passes
+    to the anti-automorphism of the quotient fixed by its values on the
+    letters, ubar* = 1 - u^{-1}; the order reverses, so
+    (xbar^i ybar^j zbar^k)* = zbar*^k ybar*^j xbar*^i."""
     n = a.truncation
-    H = Heisenberg
-    xb = one_minus(H, H.x)
-    yb = one_minus(H, H.y)
-    zb = one_minus(H, H.z)
+    one = GradedElement.monomial(n, (0, 0, 0))
+    star = {u: one - _generator_power(u, -1, n) for u in "xyz"}
     out = GradedElement(n)
     for (i, j, k), c in a.terms.items():
-        word = AlgebraElement.one(H)
-        for _ in range(i):
-            word = word * xb
-        for _ in range(j):
-            word = word * yb
-        for _ in range(k):
-            word = word * zb
-        out = out + c * to_graded(word.star(), n)
+        img = one
+        for u in "z" * k + "y" * j + "x" * i:
+            img = graded_mul(img, star[u])
+        out = out + c * img
     return out
 
 
@@ -246,8 +239,8 @@ def gram_matrix_check(truncation: int = 5) -> dict:
     yb = GradedElement.monomial(n, (0, 1, 0))
     basis = [graded_mul(xb, xb), graded_mul(xb, yb),
              graded_mul(yb, xb), graded_mul(yb, yb)]
-    gram = [[evaluate_phi(graded_mul(graded_star(bi), bj)) for bj in basis]
-            for bi in basis]
+    stars = [graded_star(b) for b in basis]
+    gram = [[evaluate_phi(graded_mul(si, bj)) for bj in basis] for si in stars]
     arr = np.array([[float(v) for v in row] for row in gram])
     eigs = np.linalg.eigvalsh(arr)
     return {

@@ -55,12 +55,15 @@ def hermitian_operator(entries) -> np.ndarray:
     if a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {a.shape}")
     at = _adjoint(a)
-    scale = np.maximum(np.abs(a).max(axis=(-2, -1)), 1.0)
     skew = np.abs(a - at).max(axis=(-2, -1))
-    bad = skew > HERMITICITY_TOL * scale
-    if bad.any():
-        raise ValueError(f"matrix is not Hermitian: max asymmetry "
-                         f"{skew[bad].max():.3e}")
+    # the scale max(1, max |A|) is at least 1, so no matrix can fail while
+    # every asymmetry is within the bare tolerance
+    if np.any(skew > HERMITICITY_TOL):
+        scale = np.maximum(np.abs(a).max(axis=(-2, -1)), 1.0)
+        bad = skew > HERMITICITY_TOL * scale
+        if bad.any():
+            raise ValueError(f"matrix is not Hermitian: max asymmetry "
+                             f"{skew[bad].max():.3e}")
     return (a + at) / 2
 
 

@@ -305,13 +305,14 @@ def verify_xsmall(*, qmax: int = 40, tol: float = 1e-9,
     the low-X subspace sees Y as 2 (no consecutive residues), and
     ||P_{Y<=d} P_{X<=d}|| <= sqrt(2/(4-d)).
 
-    Only Y is decomposed, once per parity part for all the cuts that
-    apply.  X is diagonal, so P_X is the coordinate projection onto
-    {x <= delta}: ||P_Y P_X|| is the largest, over the parts, spectral norm
-    of P_Y with the columns outside that set zeroed, and the compression
-    residual max |P_X Y P_X - 2 P_X| = max |P_X (Y - 2) P_X| is read off
-    Y in the standard basis of l_2(Z/qZ).  A cut within CUT_AMBIGUITY_TOL
-    of an entry of X is refused."""
+    Only Y is decomposed, once per parity part and stack, for the union
+    of the cuts that apply at the stack's angles.  X is diagonal, so P_X
+    is the coordinate projection onto {x <= delta}: ||P_Y P_X|| is the
+    largest, over the parts, spectral norm of P_Y with the columns outside
+    that set zeroed, and the compression residual max |P_X Y P_X - 2 P_X|
+    = max |P_X (Y - 2) P_X| is read off Y in the standard basis of
+    l_2(Z/qZ).  A cut within CUT_AMBIGUITY_TOL of an entry of X is
+    refused."""
     grid = [a for a in farey_angles(qmax) if a.p != 0]
     notes = []
 
@@ -322,6 +323,10 @@ def verify_xsmall(*, qmax: int = 40, tol: float = 1e-9,
         # 2 b_m for m = 0..q-1, from the even part's diagonals 2 b_j, j <= q/2
         x_full = parts[0][0][:, np.minimum(np.arange(q), q - np.arange(q))]
         y_less_2 = rotation.y_op(angles[0]) - 2.0 * np.eye(q)
+        union = sorted(set().union(*cuts))
+        if not union:
+            return []
+        projections = [spectral_projection(y, union) for _, y in parts]
         out = []
         for group in sorted(set(cuts) - {()}):
             rows = [i for i, c in enumerate(cuts) if c == group]
@@ -329,10 +334,11 @@ def verify_xsmall(*, qmax: int = 40, tol: float = 1e-9,
             if np.any(np.abs(x_full[rows] - cut) < CUT_AMBIGUITY_TOL):
                 raise ValueError(f"ambiguous spectral cut: eigenvalue within "
                                  f"{CUT_AMBIGUITY_TOL} of delta={group}")
+            pick = [union.index(d) for d in group]
             norm = 0.0  # per (cut, angle), over the parts
-            for x, y in parts:
-                py = spectral_projection(y, group)[:, None]
-                py_px = py * (x[rows] <= cut)[..., None, :]  # columns masked
+            for (x, _), py in zip(parts, projections):
+                # P_Y P_X: the columns of P_Y outside {x <= cut} zeroed
+                py_px = py[pick][:, None] * (x[rows] <= cut)[..., None, :]
                 norm = np.maximum(norm, spectral_norm(py_px))
             low = x_full[rows] <= cut
             both_low = low[..., :, None] & low[..., None, :]

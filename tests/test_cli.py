@@ -100,6 +100,13 @@ def test_usage_errors(capsys):
     for flag, value in (("--R", "abc"), ("--R", "1/0"), ("--eps", "x"),
                         ("--R", "0")):
         assert main(["symmetry", "threshold", flag, value]) == 1
+    # moduli must be at least 1; q = 0 used to raise ZeroDivisionError out
+    # of main
+    capsys.readouterr()
+    for argv in ("expander run --q 0", "expander run --q 2,-3"):
+        assert main(argv.split()) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "must be at least 1" in err
 
 
 def test_verify_refuses_options_it_does_not_read(capsys):

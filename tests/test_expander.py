@@ -23,6 +23,9 @@ def test_sl_order_formula():
     assert sl_order(3, 5) == 372000
     assert sl_order(3, 6) == sl_order(3, 2) * sl_order(3, 3)  # CRT
     assert sl_order(2, 1) == 1
+    for q in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            sl_order(3, q)
 
 
 def test_stabiliser_has_all_signed_permutations_and_inverse_transpose():
@@ -359,6 +362,8 @@ def test_noncoprime_p_generates_proper_subgroup():
 def test_family_report_rejects_bad_rule():
     with pytest.raises(ValueError):
         family_report(3, [2], p_rule="everything")
+    with pytest.raises(ValueError, match="at least 1"):
+        family_report(3, [0])
 
 
 def test_family_report_small():

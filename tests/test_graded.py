@@ -126,6 +126,47 @@ def test_graded_star_involution():
         assert graded_star(graded_star(a)) == a
 
 
+def random_algebra_element(rng):
+    return AlgebraElement(H, {(rng.randint(-2, 2), rng.randint(-2, 2),
+                                rng.randint(-2, 2)):
+                               Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                               for _ in range(3)})
+
+
+def test_graded_star_is_the_image_of_the_group_algebra_star():
+    rng = random.Random(17)
+    for n in (5, 8, 10):
+        for _ in range(3):
+            xi = random_algebra_element(rng)
+            assert graded_star(to_graded(xi, n)) == to_graded(xi.star(), n)
+
+
+def test_graded_star_reverses_products():
+    rng = random.Random(19)
+    monos = [m for d in range(1, 5) for m in basis_monomials(d)]
+    for _ in range(6):
+        a, b = (GradedElement(7, {m: Fraction(rng.randint(-3, 3))
+                                  for m in rng.sample(monos, 3)})
+                for _ in range(2))
+        assert (graded_star(graded_mul(a, b))
+                == graded_mul(graded_star(b), graded_star(a)))
+
+
+def test_graded_star_of_every_monomial_matches_the_round_trip():
+    # each monomial's preimage xbar^i ybar^j zbar^k in R[H], starred there
+    # and re-graded
+    n = 8
+    xb, yb, zb = one_minus(H, H.x), one_minus(H, H.y), one_minus(H, H.z)
+    for d in range(n + 1):
+        for i, j, k in basis_monomials(d):
+            word = AlgebraElement.one(H)
+            for letter, e in ((xb, i), (yb, j), (zb, k)):
+                for _ in range(e):
+                    word = word * letter
+            assert (graded_star(mono(n, (i, j, k)))
+                    == to_graded(word.star(), n)), (i, j, k)
+
+
 def test_graded_dimension_formula():
     assert graded_dimension(0) == 1
     assert graded_dimension(2) == 4   # xbar^2, xbar ybar, ybar^2, zbar

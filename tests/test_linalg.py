@@ -258,6 +258,10 @@ def test_stack_skew_is_judged_on_each_matrix_scale():
     small = np.array([[1.0, 1e-11], [0.0, 1.0]])
     assert np.array_equal(hermitian_operator(np.stack([large, np.eye(2)])),
                           [(large + large.T) / 2, np.eye(2)])
+    # skew within the bare tolerance passes without the scale being taken
+    near = np.diag([1e6, 2.0])
+    near[0, 1] += 1e-12
+    assert np.array_equal(hermitian_operator(near), (near + near.T) / 2)
     for stack in ([large, small], [small, large]):
         with pytest.raises(ValueError, match="not Hermitian"):
             hermitian_operator(np.stack(stack))

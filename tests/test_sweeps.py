@@ -10,7 +10,8 @@ from heisenkit import sweeps
 from heisenkit.algebra import hermitian_square
 from heisenkit.cli import main
 from heisenkit.groups import Heisenberg3
-from heisenkit.rotation import RationalAngle, farey_angles, x_op, y_op
+from heisenkit.rotation import (RationalAngle, farey_angles, parity_stack,
+                               x_op, y_op)
 from heisenkit.sweeps import (_tensor_sweep, three_site_operator,
                               three_site_terms, two_site_operator,
                               two_site_terms, verify_bz, verify_formula,
@@ -142,6 +143,25 @@ def test_xsmall_refuses_a_cut_at_an_entry_of_X(monkeypatch):
                         lambda op, delta: project(op, np.add(delta, 1e-7)))
     with pytest.raises(ValueError, match="ambiguous"):
         verify_xsmall(qmax=8, deltas=(2 - sqrt(2),))
+
+
+def test_xsmall_decomposes_y_once_per_part_and_stack(monkeypatch):
+    # at order 12 each denominator is one stack, and Y's one call per
+    # parity part takes the sorted union of the stack's cuts (1/5 and 2/5
+    # apply different cuts)
+    project = sweeps.spectral_projection
+    calls = []
+    monkeypatch.setattr(sweeps, "spectral_projection",
+                        lambda op, delta: calls.append(tuple(delta))
+                        or project(op, delta))
+    report = verify_xsmall(qmax=12)
+    union = {}
+    for r in report.records:
+        union.setdefault(r.q, set()).add(r.extras["delta"])
+    assert sorted(union[5]) == [0.1, 0.3, 0.5]
+    parts = {q: len(parity_stack([RationalAngle(1, q)])) for q in union}
+    assert sorted(calls) == sorted(tuple(sorted(c)) for q, c in union.items()
+                                   for _ in range(parts[q]))
 
 
 def test_smalltheta_explicit_failure_at_half():
