@@ -384,10 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("expander", help="Cayley graphs of SL_n(Z/qZ)")
     pe.add_argument("what", choices=["run"])
-    pe.add_argument("--n", type=int, default=3)
+    pe.add_argument("--n", type=_positive_int, default=3)
     pe.add_argument("--q", type=_positive_int_list, default=(2, 3, 4, 5))
     pe.add_argument("--p-rule", choices=["unit", "coprime"], default="coprime")
-    pe.add_argument("--cap", type=int, default=DEFAULT_ORDER_CAP)
+    pe.add_argument("--cap", type=_positive_int, default=DEFAULT_ORDER_CAP)
     pe.add_argument("--out", default=None)
     pe.add_argument("--csv", default=None)
     pe.set_defaults(fn=cmd_expander)

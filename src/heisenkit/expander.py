@@ -412,12 +412,14 @@ def family_report(n: int, q_list, p_rule: str = "coprime",
     applications and quotient dimension behind lambda_2.  ``p_rule`` is
     "unit" (p = 1 only) or "coprime" (every residue prime to q).  Rows for
     p and q - p share one computation since the symmetrized generator sets
-    coincide.  A q < 1, a q whose classical order exceeds ``order_cap``,
-    or one whose class table cannot fit in physical memory, is refused
-    before its BFS.
+    coincide.  An n outside {2, 3}, a q < 1, a q whose classical order
+    exceeds ``order_cap``, or one whose class table cannot fit in physical
+    memory, is refused before its BFS.
     """
     if p_rule not in ("unit", "coprime"):
         raise ValueError("p_rule must be 'unit' or 'coprime'")
+    if not 2 <= n <= 3:
+        raise ValueError("supported desk scale is n in {2, 3}")
     rows = []
     cache: dict = {}
     for q in q_list:

@@ -19,12 +19,17 @@ sin(pi (1 - theta)) = sin(pi theta), so theta and 1 - theta have the same
 operators (bitwise, as ``rotation`` folds every residue into [0, q/2]): a
 full-circle sweep solves only the angles in [0, 1/2] and costs the same
 solves as the half circle.  The two- and three-site operators split into
-four blocks of about (q/2)^2 and eight of about (q/2)^3, Kronecker words
-over each part's ``rotation.site_letters``, streamed one at a time per
-angle.  Only the all-even block is always solved; a later block is solved
-only when ``linalg.exceeds`` cannot certify, with one Cholesky, that it
-does not lower the minimum so far, so the margin is the same float as the
-minimum over dense solves of every block.
+four blocks of about (q/2)^2 and eight of about (q/2)^3, sums of Kronecker
+words over each part's letters X and I (diagonal) and Y and S = XY + YX
+(tridiagonal).  Each block is summed from its nonzeros alone: their
+positions are built once per denominator and verdict, for every run and
+every R of a search, and the sum adds them in term order, so a block is
+the same float array as the dense sum of ``rotation.kron_word`` products.
+The blocks are streamed one at a time per angle.  Only the all-even block
+is always solved; a later block is solved only when ``linalg.exceeds``
+cannot certify, with one Cholesky, that it does not lower the minimum so
+far, so the margin is the same float as the minimum over dense solves of
+every block.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from math import asin, cos, pi, sqrt
+from math import asin, cos, pi, prod, sqrt
 
 import numpy as np
 
@@ -399,39 +404,157 @@ def three_site_operator(angle: RationalAngle, R: float) -> np.ndarray:
                      three_site_terms(R))
 
 
-def _block_min_eigenvalue(parts, terms) -> float:
-    """min eig of the operator ``terms`` as the minimum over its real
-    parity blocks, one block per choice of part in ``parts`` (the angle's
-    ``rotation.site_letters`` on each parity part) at each site.
+def _letter_values(parts) -> np.ndarray:
+    """One row per angle of ``parts`` (a run of ``rotation.parity_stack``):
+    the values of the letters X, I, Y and S = XY + YX (those of
+    ``rotation.site_letters``) at the entries that may be nonzero, letter
+    after letter and, within a letter, part after part (the columns of
+    ``_letter_steps``).  X and I are diagonal; Y is tridiagonal in the
+    parity bases, and S_ij = (x_i + x_j) Y_ij has its nonzeros."""
+    xs = [x for x, _ in parts]
+    bands = [np.nonzero(y) for _, y in parts]
+    ys = [y[band] for (_, y), band in zip(parts, bands)]
+    return np.concatenate(
+        xs + [np.ones_like(x) for x in xs]
+        + [np.broadcast_to(y, (len(x), len(y))) for x, y in zip(xs, ys)]
+        + [(x[:, r] + x[:, c]) * y for x, (r, c), y in zip(xs, bands, ys)],
+        axis=1)
 
-    The blocks are streamed, all-even first.  The first is solved densely;
-    each later one is solved only when ``exceeds`` cannot certify, with
-    one Cholesky, that its computed least eigenvalue would not be below
-    the minimum so far.  So the result is the dense eigenvalue of the
-    minimising block, the same float as the minimum over dense solves of
-    every block."""
-    sites = len(terms[0][1])
-    choices = product(parts, repeat=sites)
-    low = min_eigenvalue(_assemble(partial(rotation.kron_word, next(choices)),
-                                   terms))
-    for choice in choices:
-        block = _assemble(partial(rotation.kron_word, choice), terms)
-        if not exceeds(block, low):
-            low = min(low, min_eigenvalue(block))
+
+def _letter_steps(parts, sites: int) -> tuple:
+    """The Horner steps of ``_block_positions``: (times, plus per site,
+    each letter's slice of the columns of ``_letter_values``).
+
+    The state of an entry of a block is (choice, row, column, factor index
+    per site), all 0 before the first site.  Taking the letter entry in
+    column j at site s maps it to state * times[:, j] + plus[s][:, j]:
+    choice * parts + part, row * n + r, column * n + c and, at site s,
+    the factor index j, for the entry (r, c) of that letter on a part of
+    order n."""
+    diag = [np.arange(len(y)) for _, y in parts]
+    bands = [np.nonzero(y) for _, y in parts]
+    rows = np.concatenate(diag * 2 + [r for r, _ in bands] * 2)
+    cols = np.concatenate(diag * 2 + [c for _, c in bands] * 2)
+    counts = [len(d) for d in diag] * 2 + [len(r) for r, _ in bands] * 2
+    part = np.repeat(np.tile(np.arange(len(parts)), 4), counts)
+    n = np.array([len(y) for _, y in parts])[part]
+    index, ones, zeros = np.arange(len(part)), np.ones_like(part), np.zeros_like(part)
+    times = np.stack([len(parts) * ones, n, n] + [ones] * sites)
+    plus = [np.stack([part, rows, cols]
+                     + [index if t == s else zeros for t in range(sites)])
+            for s in range(sites)]
+    sizes = [sum(map(len, diag))] * 2 + [sum(len(r) for r, _ in bands)] * 2
+    spans = {letter: slice(end - size, end)
+             for letter, size, end in zip("XIYS", sizes, np.cumsum(sizes))}
+    return times.astype(np.int32), [p.astype(np.int32) for p in plus], spans
+
+
+def _block_positions(parts, words) -> dict:
+    """Where the parity blocks of one denominator get their nonzeros from.
+
+    Per choice of part at each site (a tuple of part indices): (the
+    block's order; the flat positions in the block of the nonzeros of
+    each word's Kronecker product, word after word; per site the index of
+    each one's factor in ``_letter_values``; the count per word).  None of
+    it depends on the angle or on the coefficients.  Each word's entries
+    are made for every choice at once, by a Horner step per site on the
+    state (choice, row, column, factor index per site), and then sorted by
+    choice, stably, so they stay in word order within a block."""
+    sites = len(words[0])
+    times, plus, spans = _letter_steps(parts, sites)
+    lengths = [prod(spans[letter].stop - spans[letter].start for letter in word)
+               for word in words]
+    ends = np.cumsum(lengths)
+    state = np.empty((len(times), ends[-1]), dtype=np.int32)
+    for word, end, length in zip(words, ends, lengths):
+        entries = plus[0][:, spans[word[0]]]
+        for s, letter in enumerate(word[1:], 1):
+            span = spans[letter]
+            entries = (entries[:, :, None] * times[:, None, span]
+                       + plus[s][:, None, span]).reshape(len(entries), -1)
+        state[:, end - length:end] = entries
+    choice, rows, cols, *factors = state
+    choices = list(product(range(len(parts)), repeat=sites))
+    counts = np.stack([np.bincount(choice[end - length:end], minlength=len(choices))
+                       for end, length in zip(ends, lengths)], axis=1)
+    order = np.argsort(choice.astype(np.min_scalar_type(len(choices))),
+                       kind="stable")
+    rows, cols = rows.take(order), cols.take(order)
+    index = np.min_scalar_type(times.shape[1])
+    factors = [f.take(order).astype(index) for f in factors]
+    out, start = {}, 0
+    for key, count in zip(choices, counts):
+        end = start + int(count.sum())
+        n = prod(len(parts[k][1]) for k in key)
+        flat = rows[start:end].astype(np.int64) * n + cols[start:end]
+        out[key] = (n, flat.astype(np.min_scalar_type(n * n)),
+                    [f[start:end] for f in factors], count)
+        start = end
+    return out
+
+
+def _parity_blocks(parts, terms, positions: dict):
+    """Yield (angle index, block): the real parity blocks of the operator
+    ``terms`` at each angle of ``parts`` (a run of ``rotation.parity_stack``),
+    one choice of part per site at a time, all-even first.
+
+    A block's values are each term's coefficient times the product of its
+    letters' values, multiplied in site order as ``rotation.kron_word``
+    does, and ``np.bincount`` adds them into the block in term order from
+    0.0; so every entry is the float of the dense sum
+    ``_assemble(partial(rotation.kron_word, choice), terms)``.  The
+    ``_block_positions`` of the denominator are built into ``positions``
+    when it is empty, and read from it on every later run of the same
+    denominator and terms' words."""
+    if not positions:
+        positions.update(_block_positions(parts, [word for _, word in terms]))
+    letters = _letter_values(parts)
+    coefficients = np.array([c for c, _ in terms])
+    for choice in product(range(len(parts)), repeat=len(terms[0][1])):
+        n, flat, factors, counts = positions[choice]
+        values = letters.take(factors[0], axis=1)
+        for f in factors[1:]:
+            values *= letters.take(f, axis=1)
+        values *= coefficients.repeat(counts)
+        for i, weights in enumerate(values):
+            yield i, np.bincount(flat, weights=weights,
+                                 minlength=n * n).reshape(n, n)
+
+
+def _block_min_eigenvalue(parts, terms, positions: dict) -> list:
+    """Per angle of ``parts`` (a run of ``rotation.parity_stack``), min eig
+    of the operator ``terms`` as the minimum over its ``_parity_blocks``
+    (``positions`` as there).
+
+    At each angle the blocks come all-even first.  The first is solved
+    densely; each later one is solved only when ``exceeds`` cannot
+    certify, with one Cholesky, that its computed least eigenvalue would
+    not be below the minimum so far.  So the result is the dense
+    eigenvalue of the minimising block, the same float as the minimum over
+    dense solves of every block."""
+    low = [None] * len(parts[0][0])
+    for i, block in _parity_blocks(parts, terms, positions):
+        if low[i] is None:
+            low[i] = min_eigenvalue(block)
+        elif not exceeds(block, low[i]):
+            low[i] = min(low[i], min_eigenvalue(block))
     return low
 
 
-def _tensor_sweep(inequality, grid, R: float) -> list:
+def _tensor_sweep(inequality, grid, R: float,
+                  positions: dict | None = None) -> list:
     """One record per angle of ``grid`` whose margin is the minimum
     eigenvalue, at that angle, of the operator whose terms ``inequality(R)``
-    gives (such as ``two_site_terms``)."""
+    gives (such as ``two_site_terms``).  ``positions`` keeps the blocks'
+    nonzero positions per denominator, for later sweeps of the same
+    inequality at other R."""
     terms = inequality(R)
+    store = {} if positions is None else positions
 
     def work(angles, parts):
-        sites = [[rotation.site_letters(x[i], y) for x, y in parts]
-                 for i in range(len(angles))]
-        return [AngleRecord(a.p, a.q, _block_min_eigenvalue(letters, terms))
-                for a, letters in zip(angles, sites)]
+        lows = _block_min_eigenvalue(parts, terms,
+                                     store.setdefault(angles[0].q, {}))
+        return [AngleRecord(a.p, a.q, low) for a, low in zip(angles, lows)]
 
     return _stacked_sweep(grid, work)
 
@@ -451,9 +574,11 @@ def _search_constants(name, inequality, qmax, tol, R, epsilon,
     if None not in th0_list:
         grid = [a for a in grid if a.fraction <= max(th0_list)]
 
+    positions: dict = {}  # the blocks' nonzero positions, for every R
+
     def scan():
         for R in r_list:
-            mineigs = _tensor_sweep(inequality, grid, R)
+            mineigs = _tensor_sweep(inequality, grid, R, positions)
             for eps in eps_list:
                 margins = [AngleRecord(r.p, r.q, r.margin - float(eps)
                                        * rotation.z_scalar(RationalAngle(r.p, r.q)))

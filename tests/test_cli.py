@@ -107,6 +107,13 @@ def test_usage_errors(capsys):
         assert main(argv.split()) == 1
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and "must be at least 1" in err
+    # so are the rank and the order cap; --n -1 used to reach factorial(-1)
+    # and --cap -5 was refused only as a cap every group exceeds
+    for argv in ("expander run --n -1", "expander run --n 0",
+                 "expander run --cap -5"):
+        assert main(argv.split()) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "must be at least 1" in err, argv
 
 
 def test_verify_refuses_options_it_does_not_read(capsys):

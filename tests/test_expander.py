@@ -364,6 +364,10 @@ def test_family_report_rejects_bad_rule():
         family_report(3, [2], p_rule="everything")
     with pytest.raises(ValueError, match="at least 1"):
         family_report(3, [0])
+    # the rank is checked before the memory guard's factorial(n)
+    for n in (-1, 1, 4):
+        with pytest.raises(ValueError, match=r"n in \{2, 3\}"):
+            family_report(n, [2])
 
 
 def test_family_report_small():

@@ -1,6 +1,8 @@
 """Sweep margins against closed forms, search behavior and determinism."""
 
 from fractions import Fraction
+from functools import partial
+from itertools import product
 from math import asin, pi, sqrt
 
 import numpy as np
@@ -10,15 +12,15 @@ from heisenkit import sweeps
 from heisenkit.algebra import hermitian_square
 from heisenkit.cli import main
 from heisenkit.groups import Heisenberg3
-from heisenkit.rotation import (RationalAngle, farey_angles, parity_stack,
-                               x_op, y_op)
+from heisenkit.rotation import (RationalAngle, farey_angles, kron_word,
+                               parity_stack, site_letters, x_op, y_op)
 from heisenkit.sweeps import (_tensor_sweep, three_site_operator,
                               three_site_terms, two_site_operator,
                               two_site_terms, verify_bz, verify_formula,
                               verify_prodnorm, verify_smalltheta,
                               verify_xsmall, verify_xyz1, verify_xyz2,
                               verify_zzz, zzz_theta0)
-from oracles import (evaluate3, parity_block_minima, parity_letters,
+from oracles import (evaluate3, parity_block_minima,
                      single_site_sweep, xyz2_block)
 
 SQRT2 = sqrt(2.0)
@@ -273,9 +275,65 @@ def test_screening_solves_a_later_block_that_holds_the_minimum(monkeypatch):
     assert int(np.argmin(minima)) == 2
     assert min(minima) < minima[0] - 1.0
     solved = _counting_dense_solves(monkeypatch)
-    low = sweeps._block_min_eigenvalue(parity_letters(angle), terms)
+    [low] = sweeps._block_min_eigenvalue(parity_stack([angle]), terms, {})
     assert low == min(minima)
     assert len(solved) == 2  # block 0, then the refused block 2
+
+
+def _full_words(R: float) -> tuple:
+    # every site of every word a letter other than I: in the two criteria
+    # each three-site word has an I, and a product of two floats does not
+    # depend on their order, so only words like these show the site order
+    return ((R, "XYS"), (1.0, "SSY"), (R, "YXX"), (1.0, "SYS"))
+
+
+@pytest.mark.parametrize("inequality",
+                         [two_site_terms, three_site_terms, _full_words])
+def test_parity_blocks_equal_the_kronecker_oracle_bitwise(inequality):
+    """Every block summed from its nonzeros is the float array of the dense
+    sum of Kronecker words over ``site_letters``, at every p/q with
+    q <= 13, every choice of parts and R = 2, 16: q <= 2 has only the
+    even part, and q = 3, 4 have an odd part of size 1."""
+    grid = farey_angles(13, max_value=None)
+    for q in range(1, 14):
+        angles = [a for a in grid if a.q == q]
+        parts = parity_stack(angles)
+        assert [len(y) for _, y in parts] == [q // 2 + 1, (q - 1) // 2][:len(parts)]
+        assert len(parts) == (1 if q <= 2 else 2)
+        letters = [[site_letters(x[i], y) for x, y in parts]
+                   for i in range(len(angles))]
+        for R in (2.0, 16.0):
+            terms = inequality(R)
+            blocks = list(sweeps._parity_blocks(parts, terms, {}))
+            oracle = [(i, sweeps._assemble(
+                           partial(kron_word, [letters[i][k] for k in choice]),
+                           terms))
+                      for choice in product(range(len(parts)),
+                                            repeat=len(terms[0][1]))
+                      for i in range(len(angles))]
+            assert len(blocks) == len(oracle)
+            for (i, block), (j, want) in zip(blocks, oracle):
+                assert i == j
+                assert np.array_equal(block, want), (angles[i], R)
+
+
+def test_positions_are_built_once_per_denominator_per_verdict(monkeypatch):
+    # theta0 = 1/2 fails at every R, so each verdict scans all of R_SCAN;
+    # the parts' orders add up to the denominator
+    built, build = [], sweeps._block_positions
+    monkeypatch.setattr(sweeps, "_block_positions", lambda parts, words: (
+        built.append(sum(len(y) for _, y in parts)) or build(parts, words)))
+
+    def refuse(sites, word):
+        raise AssertionError("a search built a Kronecker word")
+
+    monkeypatch.setattr(sweeps.rotation, "kron_word", refuse)
+    for verdict in range(2):
+        built.clear()
+        report = verify_smalltheta(qmax=6, theta0=Fraction(1, 2),
+                                   epsilon=Fraction(1, 16))
+        assert len(report.constants["scan"]) == len(sweeps.R_SCAN)
+        assert sorted(built) == list(range(1, 7)), verdict
 
 
 def test_search_builds_one_parity_stack_per_denominator_and_R(monkeypatch):
