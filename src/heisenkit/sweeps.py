@@ -21,10 +21,13 @@ full-circle sweep solves only the angles in [0, 1/2] and costs the same
 solves as the half circle.  The two- and three-site operators split into
 four blocks of about (q/2)^2 and eight of about (q/2)^3, sums of Kronecker
 words over each part's letters X and I (diagonal) and Y and S = XY + YX
-(tridiagonal).  Each block is summed from its nonzeros alone: their
-positions are built once per denominator and verdict, for every run and
-every R of a search, and the sum adds them in term order, so a block is
-the same float array as the dense sum of ``rotation.kron_word`` products.
+(tridiagonal).  One letter table, ``_letters``, holds the entries of the
+letters that may be nonzero: their values per angle and their (part,
+row, column).  Each block is summed from its nonzeros alone: their
+positions, walked out of that table word by word, are built once per
+denominator and verdict, for every run and every R of a search, and the
+sum adds them in term order, so a block is the same float array as the
+dense sum of ``rotation.kron_word`` products.
 The blocks are streamed one at a time per angle.  Only the all-even block
 is always solved; a later block is solved only when ``linalg.exceeds``
 cannot certify, with one Cholesky, that it does not lower the minimum so
@@ -173,6 +176,8 @@ def verify_bz(*, qmax: int = 60, tol: float = 1e-9,
     for lam in lambdas:
         if not lam > 0:
             raise ValueError(f"coupling must be positive, got {lam}")
+    if len(set(lambdas)) < len(lambdas):
+        raise ValueError(f"repeated coupling in {list(lambdas)}")
     grid = farey_angles(qmax, max_value=None if full_circle else Fraction(1, 2))
     c = np.array(lambdas, dtype=float)[:, None, None]
 
@@ -318,45 +323,42 @@ def verify_xsmall(*, qmax: int = 40, tol: float = 1e-9,
     = max |P_X (Y - 2) P_X| is read off Y in the standard basis of
     l_2(Z/qZ).  A cut within CUT_AMBIGUITY_TOL of an entry of X is
     refused."""
+    if len(set(deltas)) < len(deltas):
+        raise ValueError(f"repeated cut in {list(deltas)}")
     grid = [a for a in farey_angles(qmax) if a.p != 0]
     notes = []
 
     def work(angles, parts):
         q = angles[0].q
-        cuts = [tuple(d for d in deltas if 0 < d < 2.0 * (1.0 - cos(pi * a.theta)))
-                for a in angles]
+        gaps = np.array([2.0 * (1.0 - cos(pi * a.theta)) for a in angles])
+        union = sorted(d for d in deltas if 0 < d < gaps.max())
+        if not union:
+            return []
         # 2 b_m for m = 0..q-1, from the even part's diagonals 2 b_j, j <= q/2
         x_full = parts[0][0][:, np.minimum(np.arange(q), q - np.arange(q))]
         y_less_2 = rotation.y_op(angles[0]) - 2.0 * np.eye(q)
-        union = sorted(set().union(*cuts))
-        if not union:
-            return []
         projections = [spectral_projection(y, union) for _, y in parts]
         out = []
-        for group in sorted(set(cuts) - {()}):
-            rows = [i for i, c in enumerate(cuts) if c == group]
-            cut = np.array(group)[:, None, None]  # (cut, angle, entry)
-            if np.any(np.abs(x_full[rows] - cut) < CUT_AMBIGUITY_TOL):
+        for k, delta in enumerate(union):
+            rows = np.flatnonzero(delta < gaps)
+            if np.any(np.abs(x_full[rows] - delta) < CUT_AMBIGUITY_TOL):
                 raise ValueError(f"ambiguous spectral cut: eigenvalue within "
-                                 f"{CUT_AMBIGUITY_TOL} of delta={group}")
-            pick = [union.index(d) for d in group]
-            norm = 0.0  # per (cut, angle), over the parts
-            for (x, _), py in zip(parts, projections):
-                # P_Y P_X: the columns of P_Y outside {x <= cut} zeroed
-                py_px = py[pick][:, None] * (x[rows] <= cut)[..., None, :]
-                norm = np.maximum(norm, spectral_norm(py_px))
-            low = x_full[rows] <= cut
-            both_low = low[..., :, None] & low[..., None, :]
+                                 f"{CUT_AMBIGUITY_TOL} of delta={delta}")
+            # P_Y P_X: the columns of P_Y outside {x <= delta} zeroed
+            norm = np.max([spectral_norm(py[k] * (x[rows] <= delta)[:, None, :])
+                           for (x, _), py in zip(parts, projections)], axis=0)
+            low = x_full[rows] <= delta
+            both_low = low[:, :, None] & low[:, None, :]
             resid = np.max(np.abs(y_less_2 * both_low), axis=(-2, -1))
             size = np.sum(low, axis=-1)
             consecutive = (size > 1) & np.any(low & np.roll(low, -1, axis=-1),
                                               axis=-1)
-            out += [AngleRecord(angles[i].p, q, sqrt(2.0 / (4.0 - delta))
-                                - float(norm[k, r]),
-                                {"delta": delta, "eq_residual": float(resid[k, r]),
-                                 "low_set_size": int(size[k, r]),
-                                 "consecutive": bool(consecutive[k, r])})
-                    for k, delta in enumerate(group) for r, i in enumerate(rows)]
+            out += [AngleRecord(angles[i].p, q,
+                                sqrt(2.0 / (4.0 - delta)) - float(norm[r]),
+                                {"delta": delta, "eq_residual": float(resid[r]),
+                                 "low_set_size": int(size[r]),
+                                 "consecutive": bool(consecutive[r])})
+                    for r, i in enumerate(rows)]
         return out
 
     records = _stacked_sweep(grid, work)
@@ -404,49 +406,31 @@ def three_site_operator(angle: RationalAngle, R: float) -> np.ndarray:
                      three_site_terms(R))
 
 
-def _letter_values(parts) -> np.ndarray:
-    """One row per angle of ``parts`` (a run of ``rotation.parity_stack``):
-    the values of the letters X, I, Y and S = XY + YX (those of
-    ``rotation.site_letters``) at the entries that may be nonzero, letter
-    after letter and, within a letter, part after part (the columns of
-    ``_letter_steps``).  X and I are diagonal; Y is tridiagonal in the
-    parity bases, and S_ij = (x_i + x_j) Y_ij has its nonzeros."""
-    xs = [x for x, _ in parts]
-    bands = [np.nonzero(y) for _, y in parts]
-    ys = [y[band] for (_, y), band in zip(parts, bands)]
-    return np.concatenate(
-        xs + [np.ones_like(x) for x in xs]
-        + [np.broadcast_to(y, (len(x), len(y))) for x, y in zip(xs, ys)]
-        + [(x[:, r] + x[:, c]) * y for x, (r, c), y in zip(xs, bands, ys)],
-        axis=1)
-
-
-def _letter_steps(parts, sites: int) -> tuple:
-    """The Horner steps of ``_block_positions``: (times, plus per site,
-    each letter's slice of the columns of ``_letter_values``).
-
-    The state of an entry of a block is (choice, row, column, factor index
-    per site), all 0 before the first site.  Taking the letter entry in
-    column j at site s maps it to state * times[:, j] + plus[s][:, j]:
-    choice * parts + part, row * n + r, column * n + c and, at site s,
-    the factor index j, for the entry (r, c) of that letter on a part of
-    order n."""
-    diag = [np.arange(len(y)) for _, y in parts]
-    bands = [np.nonzero(y) for _, y in parts]
-    rows = np.concatenate(diag * 2 + [r for r, _ in bands] * 2)
-    cols = np.concatenate(diag * 2 + [c for _, c in bands] * 2)
-    counts = [len(d) for d in diag] * 2 + [len(r) for r, _ in bands] * 2
-    part = np.repeat(np.tile(np.arange(len(parts)), 4), counts)
-    n = np.array([len(y) for _, y in parts])[part]
-    index, ones, zeros = np.arange(len(part)), np.ones_like(part), np.zeros_like(part)
-    times = np.stack([len(parts) * ones, n, n] + [ones] * sites)
-    plus = [np.stack([part, rows, cols]
-                     + [index if t == s else zeros for t in range(sites)])
-            for s in range(sites)]
-    sizes = [sum(map(len, diag))] * 2 + [sum(len(r) for r, _ in bands)] * 2
-    spans = {letter: slice(end - size, end)
-             for letter, size, end in zip("XIYS", sizes, np.cumsum(sizes))}
-    return times.astype(np.int32), [p.astype(np.int32) for p in plus], spans
+def _letters(parts) -> tuple:
+    """The letters X, I, Y and S = XY + YX of ``rotation.site_letters`` at
+    their entries that may be nonzero, on each part of ``parts`` (a run of
+    ``rotation.parity_stack``): X and I are diagonal, Y is tridiagonal in
+    the parity bases and S_ij = (x_i + x_j) Y_ij.  Returns (the values,
+    one row per angle and one column per entry; each entry's part, row and
+    column; each letter's columns), indices as int32.  The columns go
+    letter after letter and, within a letter, part after part."""
+    cells = {letter: [] for letter in "XIYS"}  # per part (rows, cols, values)
+    for x, y in parts:
+        d, (r, c) = np.arange(len(y)), np.nonzero(y)
+        cells["X"].append((d, d, x))
+        cells["I"].append((d, d, np.ones_like(x)))
+        cells["Y"].append((r, c, np.broadcast_to(y[r, c], (len(x), len(r)))))
+        cells["S"].append((r, c, (x[:, r] + x[:, c]) * y[r, c]))
+    entries, values, spans, start = [], [], {}, 0
+    for letter, per_part in cells.items():
+        for k, (r, c, v) in enumerate(per_part):
+            entries.append((np.full(len(r), k), r, c))
+            values.append(v)
+        end = start + sum(len(r) for r, _, _ in per_part)
+        spans[letter], start = np.arange(start, end, dtype=np.int32), end
+    return (np.concatenate(values, axis=1),
+            tuple(np.concatenate(e).astype(np.int32) for e in zip(*entries)),
+            spans)
 
 
 def _block_positions(parts, words) -> dict:
@@ -455,39 +439,43 @@ def _block_positions(parts, words) -> dict:
     Per choice of part at each site (a tuple of part indices): (the
     block's order; the flat positions in the block of the nonzeros of
     each word's Kronecker product, word after word; per site the index of
-    each one's factor in ``_letter_values``; the count per word).  None of
-    it depends on the angle or on the coefficients.  Each word's entries
-    are made for every choice at once, by a Horner step per site on the
-    state (choice, row, column, factor index per site), and then sorted by
+    each one's factor among the columns of ``_letters``; the count per
+    word).  None of it depends on the angle or on the coefficients.  Each
+    word's entries are walked for every choice at once over the mesh of
+    its letters' columns, which gives the factors: site by site,
+    choice = choice * parts + part, row = row * n + r, col = col * n + c
+    for the entry (r, c) of a part of order n.  They are then sorted by
     choice, stably, so they stay in word order within a block."""
+    _, (part, rows, cols), spans = _letters(parts)
+    n = np.array([len(y) for _, y in parts], dtype=np.int32)[part]
     sites = len(words[0])
-    times, plus, spans = _letter_steps(parts, sites)
-    lengths = [prod(spans[letter].stop - spans[letter].start for letter in word)
-               for word in words]
-    ends = np.cumsum(lengths)
-    state = np.empty((len(times), ends[-1]), dtype=np.int32)
-    for word, end, length in zip(words, ends, lengths):
-        entries = plus[0][:, spans[word[0]]]
-        for s, letter in enumerate(word[1:], 1):
-            span = spans[letter]
-            entries = (entries[:, :, None] * times[:, None, span]
-                       + plus[s][:, None, span]).reshape(len(entries), -1)
-        state[:, end - length:end] = entries
-    choice, rows, cols, *factors = state
     choices = list(product(range(len(parts)), repeat=sites))
-    counts = np.stack([np.bincount(choice[end - length:end], minlength=len(choices))
-                       for end, length in zip(ends, lengths)], axis=1)
+    lengths = [prod(len(spans[letter]) for letter in word) for word in words]
+    ends = np.cumsum(lengths)
+    walk = np.empty((3 + sites, ends[-1]), dtype=np.int32)
+    counts = []
+    for word, end, length in zip(words, ends, lengths):
+        mesh = np.ix_(*(spans[letter] for letter in word))
+        choice = row = col = 0
+        for j in mesh:
+            choice = choice * len(parts) + part[j]
+            row = row * n[j] + rows[j]
+            col = col * n[j] + cols[j]
+        for dest, a in zip(walk[:, end - length:end], (choice, row, col, *mesh)):
+            dest.reshape(row.shape)[...] = a
+        counts.append(np.bincount(choice.ravel(), minlength=len(choices)))
+    choice, rows, cols, *factors = walk
     order = np.argsort(choice.astype(np.min_scalar_type(len(choices))),
                        kind="stable")
     rows, cols = rows.take(order), cols.take(order)
-    index = np.min_scalar_type(times.shape[1])
+    index = np.min_scalar_type(len(part))
     factors = [f.take(order).astype(index) for f in factors]
     out, start = {}, 0
-    for key, count in zip(choices, counts):
+    for key, count in zip(choices, np.stack(counts, axis=1)):
         end = start + int(count.sum())
-        n = prod(len(parts[k][1]) for k in key)
-        flat = rows[start:end].astype(np.int64) * n + cols[start:end]
-        out[key] = (n, flat.astype(np.min_scalar_type(n * n)),
+        size = prod(len(parts[k][1]) for k in key)
+        flat = rows[start:end].astype(np.int64) * size + cols[start:end]
+        out[key] = (size, flat.astype(np.min_scalar_type(size * size)),
                     [f[start:end] for f in factors], count)
         start = end
     return out
@@ -496,19 +484,16 @@ def _block_positions(parts, words) -> dict:
 def _parity_blocks(parts, terms, positions: dict):
     """Yield (angle index, block): the real parity blocks of the operator
     ``terms`` at each angle of ``parts`` (a run of ``rotation.parity_stack``),
-    one choice of part per site at a time, all-even first.
+    one choice of part per site at a time, all-even first, from
+    ``positions``, the ``_block_positions`` of ``parts`` and the terms'
+    words.
 
     A block's values are each term's coefficient times the product of its
     letters' values, multiplied in site order as ``rotation.kron_word``
     does, and ``np.bincount`` adds them into the block in term order from
     0.0; so every entry is the float of the dense sum
-    ``_assemble(partial(rotation.kron_word, choice), terms)``.  The
-    ``_block_positions`` of the denominator are built into ``positions``
-    when it is empty, and read from it on every later run of the same
-    denominator and terms' words."""
-    if not positions:
-        positions.update(_block_positions(parts, [word for _, word in terms]))
-    letters = _letter_values(parts)
+    ``_assemble(partial(rotation.kron_word, choice), terms)``."""
+    letters = _letters(parts)[0]
     coefficients = np.array([c for c, _ in terms])
     for choice in product(range(len(parts)), repeat=len(terms[0][1])):
         n, flat, factors, counts = positions[choice]
@@ -541,19 +526,19 @@ def _block_min_eigenvalue(parts, terms, positions: dict) -> list:
     return low
 
 
-def _tensor_sweep(inequality, grid, R: float,
-                  positions: dict | None = None) -> list:
+def _tensor_sweep(inequality, grid, R: float, positions: dict) -> list:
     """One record per angle of ``grid`` whose margin is the minimum
     eigenvalue, at that angle, of the operator whose terms ``inequality(R)``
-    gives (such as ``two_site_terms``).  ``positions`` keeps the blocks'
-    nonzero positions per denominator, for later sweeps of the same
-    inequality at other R."""
+    gives (such as ``two_site_terms``).  ``positions`` maps a denominator
+    to its ``_block_positions``; those missing are built into it, for
+    later sweeps of the same inequality at other R."""
     terms = inequality(R)
-    store = {} if positions is None else positions
 
     def work(angles, parts):
-        lows = _block_min_eigenvalue(parts, terms,
-                                     store.setdefault(angles[0].q, {}))
+        q = angles[0].q
+        if q not in positions:
+            positions[q] = _block_positions(parts, [word for _, word in terms])
+        lows = _block_min_eigenvalue(parts, terms, positions[q])
         return [AngleRecord(a.p, a.q, low) for a, low in zip(angles, lows)]
 
     return _stacked_sweep(grid, work)

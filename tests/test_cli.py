@@ -81,6 +81,12 @@ def test_usage_errors(capsys):
                  "verify xsmall --qmax 5 --deltas inf,nan"):
         assert main(argv.split()) == 1
         assert "must be finite" in capsys.readouterr().err
+    # a repeated coupling or cut used to give duplicate records
+    for argv in ("verify bz --qmax 4 --lambda 1,1",
+                 "verify xsmall --qmax 8 --deltas 0.1,0.1"):
+        assert main(argv.split()) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: repeated") and err.count("\n") == 1
     # search constants must be positive; these used to print [PASS]
     assert main(["verify", "formula", "--qmax", "4", "--R", "2",
                  "--epsilon", "-1"]) == 1

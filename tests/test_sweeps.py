@@ -248,7 +248,7 @@ def test_tensor_operators_match_group_algebra():
             assert np.max(np.abs(np.kron(dense2, eye) - two)) <= 1e-12
             for inequality, dense, oracle in ((two_site_terms, dense2, two),
                                               (three_site_terms, dense3, three)):
-                block_min = _tensor_sweep(inequality, [angle], R)[0].margin
+                block_min = _tensor_sweep(inequality, [angle], R, {})[0].margin
                 assert abs(block_min - np.linalg.eigvalsh(dense)[0]) <= 1e-12
                 assert abs(block_min - np.linalg.eigvalsh(oracle)[0]) <= 1e-12
 
@@ -274,10 +274,37 @@ def test_screening_solves_a_later_block_that_holds_the_minimum(monkeypatch):
     minima = parity_block_minima(angle, terms)
     assert int(np.argmin(minima)) == 2
     assert min(minima) < minima[0] - 1.0
+    parts = parity_stack([angle])
+    positions = sweeps._block_positions(parts, [word for _, word in terms])
     solved = _counting_dense_solves(monkeypatch)
-    [low] = sweeps._block_min_eigenvalue(parity_stack([angle]), terms, {})
+    [low] = sweeps._block_min_eigenvalue(parts, terms, positions)
     assert low == min(minima)
     assert len(solved) == 2  # block 0, then the refused block 2
+
+
+def test_letter_table_equals_site_letters_bitwise():
+    """Each letter of ``_letters``, scattered into a dense matrix per angle
+    and part, is the float array of that letter of ``site_letters``, at
+    every p/q with q <= 13."""
+    grid = farey_angles(13, max_value=None)
+    for q in range(1, 14):
+        angles = [a for a in grid if a.q == q]
+        parts = parity_stack(angles)
+        values, (part, rows, cols), spans = sweeps._letters(parts)
+        assert values.shape == (len(angles), len(part))
+        assert {a.dtype for a in (part, rows, cols, *spans.values())} == {
+            np.dtype(np.int32)}
+        assert sorted(np.concatenate(list(spans.values()))) == list(
+            range(len(part)))
+        for k, (x, y) in enumerate(parts):
+            for letter, span in spans.items():
+                span = span[part[span] == k]
+                assert len(set(zip(rows[span], cols[span]))) == len(span)
+                for i, angle in enumerate(angles):
+                    dense = np.zeros((len(y), len(y)))
+                    dense[rows[span], cols[span]] = values[i, span]
+                    want = site_letters(x[i], y)[letter]
+                    assert np.array_equal(dense, want), (angle, k, letter)
 
 
 def _full_words(R: float) -> tuple:
@@ -304,7 +331,9 @@ def test_parity_blocks_equal_the_kronecker_oracle_bitwise(inequality):
                    for i in range(len(angles))]
         for R in (2.0, 16.0):
             terms = inequality(R)
-            blocks = list(sweeps._parity_blocks(parts, terms, {}))
+            positions = sweeps._block_positions(parts,
+                                                [word for _, word in terms])
+            blocks = list(sweeps._parity_blocks(parts, terms, positions))
             oracle = [(i, sweeps._assemble(
                            partial(kron_word, [letters[i][k] for k in choice]),
                            terms))
@@ -363,7 +392,7 @@ def test_screened_tensor_sweep_equals_the_all_blocks_oracle(
         monkeypatch, inequality, qmax, R):
     grid = farey_angles(qmax)
     solved = _counting_dense_solves(monkeypatch)
-    records = _tensor_sweep(inequality, grid, R)
+    records = _tensor_sweep(inequality, grid, R, {})
     assert [(r.p, r.q) for r in records] == [(a.p, a.q) for a in grid]
     assert len(solved) == len(grid)  # one dense solve per angle
     for r, a in zip(records, grid):
