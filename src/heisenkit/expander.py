@@ -8,12 +8,12 @@ these maps {e_{i,j}(+-p)} onto itself, so it is a graph automorphism that
 fixes e and keeps word length: W's orbits are an equitable partition, and
 each orbit lies in one BFS level.  A matrix is its base-q code; a class
 is named by its canonical code, the least code among its |W| images, and
-its size is the number of distinct images.  A BFS level is a sorted array
-of canonical codes.  Each generator e_{i,j}(v) acts on it as the column
-operation g[r, j] += v g[r, i] mod q on the digits, every product is
-canonicalised, and the canonical codes not yet known form the next level.
-Nothing of size q^(n^2) or |G| is stored: the largest table is the
-(classes, degree) neighbour table of class ids.
+its size is |W| over the number of images equal to it.  A BFS level is a
+sorted array of canonical codes.  Each generator e_{i,j}(v) acts on it as
+a column operation on the digits, every product is canonicalised, and the
+canonical codes not yet known form the next level; class ids are assigned
+after the walk.  Nothing of size q^(n^2) or |G| is stored: the largest
+table is the (classes, degree) neighbour table of class ids.
 
 Before a map of W is trusted it is checked in integers: each generator
 phi fixes e, maps the generating set S onto itself, and
@@ -112,12 +112,13 @@ def enumerate_group(n: int, q: int, p: int = 1,
     generator.  All |W| images of a product come from one float64 matmul
     over its digit stack (``_stack``), exact because every code is below
     q^(n^2) <= 2^53, and the least image is its canonical code.  The
-    canonical codes not among the known ones (found by ``searchsorted``)
-    are the next level, numbered in sorted order after all earlier levels.
-    That numbers the classes in the order of their least members in a
-    vertex-by-vertex BFS that numbers each level in code order.  The
-    number of distinct images of a representative is its class size.
-    Levels are processed ``CHUNK`` representatives at a time.
+    canonical codes not in the sorted array of known codes are the next
+    level.  A representative is its own least image, so its class size is
+    |W| over the number of its images equal to its code (orbit-stabiliser).
+    Levels are processed ``CHUNK`` representatives at a time.  After the
+    walk one ``argsort`` of all codes numbers the classes level by level,
+    each in code order: the order of their least members in a
+    vertex-by-vertex BFS that numbers each level in code order.
 
     Raises when the enumeration exceeds ``order_cap`` and when a generator
     of W fails the gate described in the module docstring.
@@ -140,16 +141,16 @@ def enumerate_group(n: int, q: int, p: int = 1,
     maps = stabiliser_maps(n)
     weights = np.zeros((len(maps), 4 * n * n))
     np.add.at(weights, (np.arange(len(maps))[:, None], maps), powers)
-    level = powers[::n + 1].sum(keepdims=True)               # the identity
-    known, known_id = level, np.zeros(1, dtype=np.int64)     # sorted by code
-    codes, sizes, rows = [], [], []
+    level = known = powers[::n + 1].sum(keepdims=True)   # the identity
+    codes, sizes, canons = [], [], []
     order = 0
     while level.size:
         canon = np.empty((level.size, len(gens)), dtype=np.int64)
         for lo in range(0, level.size, CHUNK):
-            d = level[lo:lo + CHUNK] // powers[:, None] % q
+            reps = level[lo:lo + CHUNK]
+            d = reps // powers[:, None] % q
             stack = _stack(d, n, q)
-            sizes.append(_distinct_columns(weights @ stack))
+            sizes.append(len(maps) // (weights @ stack == reps).sum(axis=0))
             order += int(sizes[-1].sum())
             for col, gen in enumerate(gens):
                 prod = _stack(_times(d, gen, n, q), n, q)
@@ -161,17 +162,16 @@ def enumerate_group(n: int, q: int, p: int = 1,
         found = np.unique(canon)
         at = np.minimum(np.searchsorted(known, found), known.size - 1)
         fresh = found[known[at] != found]
-        first = known_id.size
-        known = np.concatenate([known, fresh])
-        known_id = np.concatenate([known_id,
-                                   np.arange(first, first + fresh.size)])
-        by_code = np.argsort(known, kind="stable")
-        known, known_id = known[by_code], known_id[by_code]
-        rows.append(known_id[np.searchsorted(known, canon)])
+        known = np.sort(np.concatenate([known, fresh]))
         codes.append(level)
+        canons.append(canon)
         level = fresh
-    return CayleyGraph(n, q, p, order, len(gens), np.concatenate(codes),
-                       np.concatenate(sizes), np.concatenate(rows))
+    codes = np.concatenate(codes)
+    by_code = np.argsort(codes)                         # known = codes[by_code]
+    for canon in canons:                    # class ids written over the codes
+        by_code.take(np.searchsorted(known, canon), out=canon)
+    return CayleyGraph(n, q, p, order, len(gens), codes, np.concatenate(sizes),
+                       np.concatenate(canons))
 
 
 def _stabiliser_generators(n: int) -> list[np.ndarray]:
@@ -236,12 +236,6 @@ def _times(d: np.ndarray, gen: tuple[int, int, int], n: int,
     out = d.copy()
     out[j::n] = (d[j::n] + v * d[i::n]) % q
     return out
-
-
-def _distinct_columns(images: np.ndarray) -> np.ndarray:
-    """Number of distinct entries in each column."""
-    images = np.sort(images, axis=0)
-    return 1 + (images[1:] != images[:-1]).sum(axis=0)
 
 
 def _generator_actions(gens, n: int, q: int, powers: np.ndarray):
@@ -343,15 +337,12 @@ def spectral_gap(graph: CayleyGraph) -> GapResult:
     unit = np.sqrt(sizes / v_count)
     shift = 3.0 * deg
 
-    def deflated(u):
-        return quotient @ u - shift * (unit @ u) * unit
-
     matvecs = 0
 
     def apply(u):
         nonlocal matvecs
         matvecs += 1
-        return deflated(u)
+        return quotient @ u - shift * (unit @ u) * unit
 
     v0 = np.random.default_rng(START_SEED).standard_normal(sizes.size)
     try:
@@ -412,14 +403,16 @@ def family_report(n: int, q_list, p_rule: str = "coprime",
     applications and quotient dimension behind lambda_2.  ``p_rule`` is
     "unit" (p = 1 only) or "coprime" (every residue prime to q).  Rows for
     p and q - p share one computation since the symmetrized generator sets
-    coincide.  An n outside {2, 3}, a q < 1, a q whose classical order
-    exceeds ``order_cap``, or one whose class table cannot fit in physical
-    memory, is refused before its BFS.
+    coincide.  An n outside {2, 3}, a repeated q, a q < 1, a q whose
+    classical order exceeds ``order_cap``, or one whose class table cannot
+    fit in physical memory, is refused before its BFS.
     """
     if p_rule not in ("unit", "coprime"):
         raise ValueError("p_rule must be 'unit' or 'coprime'")
     if not 2 <= n <= 3:
         raise ValueError("supported desk scale is n in {2, 3}")
+    if len(set(q_list)) < len(q_list):
+        raise ValueError(f"repeated modulus in {list(q_list)}")
     rows = []
     cache: dict = {}
     for q in q_list:
@@ -440,8 +433,6 @@ def family_report(n: int, q_list, p_rule: str = "coprime",
                              f"bytes of physical memory")
         ps = [1] if p_rule == "unit" or q == 1 else coprime_residues(q)
         for p in ps:
-            if q > 1 and gcd(p, q) != 1:
-                raise ValueError(f"p={p} is not coprime to q={q}")
             key = (q, min(p % q, (-p) % q) if q > 1 else 0)
             if key not in cache:
                 t0 = time.perf_counter()

@@ -22,6 +22,8 @@ from .algebra import (AlgebraElement, TermDict, accumulate, heis_laplacian,
 from .groups import Heisenberg
 
 MAX_TRUNCATION = 10
+PHI_TRUNCATION = 5            # phi and its checks work in R[H]/I^6
+SQUARE_SWAP_TRUNCATION = 4    # the ybar^2 xbar^2 chain is stated mod I^5
 
 Monomial = tuple  # (i, j, k) meaning xbar^i ybar^j zbar^k
 
@@ -195,7 +197,7 @@ def evaluate_phi(a: GradedElement) -> Fraction:
                 for m, c in a.terms.items() if degree(m) == 4), Fraction(0))
 
 
-def box_element(truncation: int = 5) -> GradedElement:
+def box_element() -> GradedElement:
     """(1/4) sum_{s,t in S} (1-s)*(1-t)*(1-t)(1-s) for S = {x^±1, y^±1},
     computed exactly in R[H] and then graded."""
     H = Heisenberg
@@ -205,19 +207,19 @@ def box_element(truncation: int = 5) -> GradedElement:
         for t in gens:
             us, ut = one_minus(H, s), one_minus(H, t)
             total = total + us.star() * ut.star() * ut * us
-    return to_graded(Fraction(1, 4) * total, truncation)
+    return to_graded(Fraction(1, 4) * total, PHI_TRUNCATION)
 
 
-def phi_report(truncation: int = 5) -> dict:
+def phi_report() -> dict:
     """The headline values: phi(Delta^2) = 0, phi(box) = 4,
     phi(zbar* zbar) = 2, and the uniform non-positivity witness
     phi(R Delta^2 + box/4 - zbar* zbar) = -1 for every R."""
     H = Heisenberg
     delta = heis_laplacian()
     zb = one_minus(H, H.z)
-    phi_d2 = evaluate_phi(to_graded(delta * delta, truncation))
-    phi_box = evaluate_phi(box_element(truncation))
-    phi_zz = evaluate_phi(to_graded(zb.star() * zb, truncation))
+    phi_d2 = evaluate_phi(to_graded(delta * delta, PHI_TRUNCATION))
+    phi_box = evaluate_phi(box_element())
+    phi_zz = evaluate_phi(to_graded(zb.star() * zb, PHI_TRUNCATION))
     return {
         "phi_delta_sq": phi_d2,
         "phi_box": phi_box,
@@ -230,11 +232,11 @@ def phi_report(truncation: int = 5) -> dict:
 GRAM_EXPECTED = ((1, 0, 0, -1), (0, 1, 0, 0), (0, 0, 1, 0), (-1, 0, 0, 1))
 
 
-def gram_matrix_check(truncation: int = 5) -> dict:
+def gram_matrix_check() -> dict:
     """Bilinear form phi(xi* eta) on the ordered degree-two words
     {xbar xbar, xbar ybar, ybar xbar, ybar ybar}; compares with the
     expected 4x4 and checks positive semidefiniteness."""
-    n = truncation
+    n = PHI_TRUNCATION
     xb = GradedElement.monomial(n, (1, 0, 0))
     yb = GradedElement.monomial(n, (0, 1, 0))
     basis = [graded_mul(xb, xb), graded_mul(xb, yb),
@@ -252,11 +254,11 @@ def gram_matrix_check(truncation: int = 5) -> dict:
     }
 
 
-def rederive_square_swap_lines(truncation: int = 4) -> dict:
+def rederive_square_swap_lines() -> dict:
     """Re-derive the chain of congruences used for ybar^2 xbar^2 mod I^5:
     each displayed intermediate expression must normal-order to the same
     element; any coefficient mismatch is reported."""
-    n = truncation
+    n = SQUARE_SWAP_TRUNCATION
     mono = lambda m: GradedElement.monomial(n, m)
     yyxx = graded_mul(mono((0, 2, 0)), mono((2, 0, 0)))
     yx = graded_mul(mono((0, 1, 0)), mono((1, 0, 0)))
@@ -273,10 +275,10 @@ def rederive_square_swap_lines(truncation: int = 4) -> dict:
     }
 
 
-def phi_selfadjoint_check(truncation: int = 5) -> bool:
+def phi_selfadjoint_check() -> bool:
     """phi(xi*) == phi(xi) on every degree-four basis monomial."""
     for m in basis_monomials(4):
-        st = graded_star(GradedElement.monomial(truncation, m))
+        st = graded_star(GradedElement.monomial(PHI_TRUNCATION, m))
         if evaluate_phi(st) != PHI_VALUES.get(m, Fraction(0)):
             return False
     return True

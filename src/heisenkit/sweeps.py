@@ -321,8 +321,12 @@ def verify_xsmall(*, qmax: int = 40, tol: float = 1e-9,
     largest, over the parts, spectral norm of P_Y with the columns outside
     that set zeroed, and the compression residual max |P_X Y P_X - 2 P_X|
     = max |P_X (Y - 2) P_X| is read off Y in the standard basis of
-    l_2(Z/qZ).  A cut within CUT_AMBIGUITY_TOL of an entry of X is
-    refused."""
+    l_2(Z/qZ).  On [0, 1/2] the gap is at most 2, so a cut outside (0, 2)
+    never applies and is refused, as is a repeated cut or one within
+    CUT_AMBIGUITY_TOL of an entry of X."""
+    for delta in deltas:
+        if not 0 < delta < 2:
+            raise ValueError(f"cut must lie in (0, 2), got {delta}")
     if len(set(deltas)) < len(deltas):
         raise ValueError(f"repeated cut in {list(deltas)}")
     grid = [a for a in farey_angles(qmax) if a.p != 0]
@@ -331,7 +335,7 @@ def verify_xsmall(*, qmax: int = 40, tol: float = 1e-9,
     def work(angles, parts):
         q = angles[0].q
         gaps = np.array([2.0 * (1.0 - cos(pi * a.theta)) for a in angles])
-        union = sorted(d for d in deltas if 0 < d < gaps.max())
+        union = sorted(d for d in deltas if d < gaps.max())
         if not union:
             return []
         # 2 b_m for m = 0..q-1, from the even part's diagonals 2 b_j, j <= q/2

@@ -83,10 +83,22 @@ def test_usage_errors(capsys):
         assert "must be finite" in capsys.readouterr().err
     # a repeated coupling or cut used to give duplicate records
     for argv in ("verify bz --qmax 4 --lambda 1,1",
-                 "verify xsmall --qmax 8 --deltas 0.1,0.1"):
+                 "verify xsmall --qmax 8 --deltas 0.1,0.1",
+                 "expander run --n 3 --q 2,2 --p-rule unit",
+                 "expander run --n 2 --q 3,3 --p-rule coprime"):
         assert main(argv.split()) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: repeated") and err.count("\n") == 1
+    # the gap 2(1 - cos pi theta) on [0, 1/2] is at most 2: a cut outside
+    # (0, 2) never applies and used to be dropped from the sweep silently
+    for argv in ("verify xsmall --qmax 8 --deltas=-0.1,0.3",
+                 "verify xsmall --qmax 8 --deltas=0,0.3",
+                 "verify xsmall --qmax 8 --deltas=2,0.3",
+                 "verify xsmall --qmax 8 --deltas=-0.1"):
+        assert main(argv.split()) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cut must lie in (0, 2)")
+        assert err.count("\n") == 1
     # search constants must be positive; these used to print [PASS]
     assert main(["verify", "formula", "--qmax", "4", "--R", "2",
                  "--epsilon", "-1"]) == 1

@@ -104,6 +104,22 @@ def test_bfs_matches_matmul_closure(n, q, p):
     assert g.order == codes.size and g.degree == len(elementary_generators(n, q, p))
 
 
+def test_levels_split_across_chunks(monkeypatch):
+    # no level of these groups reaches the default CHUNK; at CHUNK = 7
+    # every level past the first few is split, and the tables must not
+    # change
+    groups = [(3, 3, 1), (3, 4, 1), (2, 16, 1)]
+    whole = [enumerate_group(*g) for g in groups]
+    monkeypatch.setattr(expander, "CHUNK", 7)
+    for g, ref in zip(groups, whole):
+        split = enumerate_group(*g)
+        assert split.order == ref.order
+        for field in ("codes", "sizes", "neighbors"):
+            a, b = getattr(split, field), getattr(ref, field)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), (g, field)
+
+
 def test_enumerate_order_cap():
     with pytest.raises(ValueError, match="cap"):
         enumerate_group(3, 5, 1, order_cap=1000)

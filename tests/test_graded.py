@@ -177,7 +177,7 @@ def test_graded_dimension_formula():
 
 
 def test_box_element():
-    box = box_element(5)
+    box = box_element()
     assert box.lowest_degree() == 4
     assert graded_star(box) == box
     assert evaluate_phi(box) == 4
@@ -208,7 +208,7 @@ def test_phi_nonpositivity_witness_uniform_in_R():
     delta = heis_laplacian()
     zb = one_minus(H, H.z)
     d2 = to_graded(delta * delta, 5)
-    box = box_element(5)
+    box = box_element()
     zz = to_graded(zb.star() * zb, 5)
     for R in (Fraction(1), Fraction(100), Fraction(10 ** 9), Fraction(1, 7)):
         value = (R * evaluate_phi(d2) + Fraction(1, 4) * evaluate_phi(box)

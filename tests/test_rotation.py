@@ -216,6 +216,39 @@ def test_mirror_angles_share_their_trigonometry():
             assert [a.b_m(m) for m in range(q)] == [b.b_m(m) for m in range(q)]
 
 
+def _dual_deviation(c, x, y):
+    """How far ``c`` is from a real involution that swaps diag(x) and y."""
+    r, dx = c.real, np.diag(x)
+    return max(np.max(np.abs(c.imag)), np.max(np.abs(r @ r - np.eye(len(x)))),
+               np.max(np.abs(r @ dx @ r - y)), np.max(np.abs(r @ y @ r - dx)))
+
+
+def test_parity_builders_are_fourier_duals():
+    """With F_jk = e^{2 pi i (p j k mod q)/q} / sqrt(q), F X F* = Y and
+    F Y F* = X at p/q, and F^2 is j -> -j.  So on each parity part, with V
+    its orthonormal basis, C = V^T F V (even part) or -i V^T F V (odd part)
+    is real, C^2 = I, and C swaps the part's ``parity_stack`` X diagonal
+    and Y block, at every p/q with q <= 60.  An X row taken from a
+    numerator other than +-p breaks the swap."""
+    grid = farey_angles(60, max_value=None)
+    worst, wrong = 0.0, []
+    for q in range(1, 61):
+        angles = [a for a in grid if a.q == q]
+        parts = parity_stack(angles)
+        onb = [v / np.linalg.norm(v, axis=0) for v in parity_bases(q)]
+        jk = np.outer(np.arange(q), np.arange(q))
+        for i, a in enumerate(angles):
+            f = np.exp(2j * pi * (a.p * jk % q) / q) / sqrt(q)
+            other = [k for k, b in enumerate(angles) if b.p not in (a.p, q - a.p)]
+            for phase, v, (x, y) in zip((1, -1j), onb, parts):
+                c = phase * (v.T @ f @ v)
+                worst = max(worst, _dual_deviation(c, x[i], y))
+                if other:
+                    wrong.append(_dual_deviation(c, x[other[0]], y))
+    assert worst <= 1e-13
+    assert len(wrong) > 1000 and min(wrong) > 1.0
+
+
 def test_tensor_matches_rank3_evaluation():
     """Kronecker factors must agree with genuine rank-3 group-algebra words."""
     G3 = Heisenberg3
