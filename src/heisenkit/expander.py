@@ -8,12 +8,15 @@ these maps {e_{i,j}(+-p)} onto itself, so it is a graph automorphism that
 fixes e and keeps word length: W's orbits are an equitable partition, and
 each orbit lies in one BFS level.  A matrix is its base-q code; a class
 is named by its canonical code, the least code among its |W| images, and
-its size is |W| over the number of images equal to it.  A BFS level is a
-sorted array of canonical codes.  Each generator e_{i,j}(v) acts on it as
-a column operation on the digits, every product is canonicalised, and the
-canonical codes not yet known form the next level; class ids are assigned
-after the walk.  Nothing of size q^(n^2) or |G| is stored: the largest
-table is the (classes, degree) neighbour table of class ids.
+its size is |W| over the number of images equal to it.  The images are
+float64 products of W's selections with a digit stack, taken in column
+blocks small enough that BLAS runs each on the calling thread.  A BFS
+level is a sorted array of canonical codes.  Each generator e_{i,j}(v)
+acts on it as a column operation on the digits, every product is
+canonicalised, and the canonical codes not yet known form the next level;
+class ids are assigned after the walk.  Nothing of size q^(n^2) or |G|
+is stored: the largest table is the (classes, degree) neighbour table of
+class ids.
 
 Before a map of W is trusted it is checked in integers: each generator
 phi fixes e, maps the generating set S onto itself, and
@@ -41,6 +44,12 @@ import numpy as np
 DEFAULT_ORDER_CAP = 400000
 START_SEED = 12345
 CHUNK = 4096   # representatives per block; bounds the |W| x CHUNK image arrays
+# multiply-adds per image product.  OpenBLAS runs a GEMM this small on the
+# calling thread.  Whole (48 x 36) @ (36 x 4096) chunk products woke a
+# second thread whose spin-wait doubled the BFS's CPU time for no wall
+# time: SL_3(Z/5) took 0.14 s wall and 0.29 s CPU, and 0.11 s for both in
+# blocks (OpenBLAS 0.3.31, 2 cores)
+IMAGE_BLOCK = 2 ** 18
 
 
 def sl_order(n: int, q: int) -> int:
@@ -109,16 +118,20 @@ def enumerate_group(n: int, q: int, p: int = 1,
     a sorted array of canonical codes, one per class.  Right multiplication
     by e_{i,j}(v) is the column operation g[r, j] += v g[r, i] mod q, so a
     level's products come from its digits by one digit update per
-    generator.  All |W| images of a product come from one float64 matmul
-    over its digit stack (``_stack``), exact because every code is below
-    q^(n^2) <= 2^53, and the least image is its canonical code.  The
-    canonical codes not in the sorted array of known codes are the next
-    level.  A representative is its own least image, so its class size is
-    |W| over the number of its images equal to its code (orbit-stabiliser).
-    Levels are processed ``CHUNK`` representatives at a time.  After the
-    walk one ``argsort`` of all codes numbers the classes level by level,
-    each in code order: the order of their least members in a
-    vertex-by-vertex BFS that numbers each level in code order.
+    generator.  All |W| images of a product come from float64 products
+    with its digit stack (``_stack``), exact because every code is below
+    q^(n^2) <= 2^53, and the least image is its canonical code.  They are
+    written into one preallocated array in column blocks of at most
+    ``IMAGE_BLOCK`` multiply-adds (``_images``), so that BLAS never wakes
+    a second thread for them.  The canonical codes not in the sorted array
+    of known codes are the next level.  A representative is its own least
+    image, so its class size is |W| over the number of its images equal to
+    its code (orbit-stabiliser).  Levels are processed ``CHUNK``
+    representatives at a time, and the homomorphism gate selects from a
+    chunk's representatives once for all generators.  After the walk one
+    ``argsort`` of all codes numbers the classes level by level, each in
+    code order: the order of their least members in a vertex-by-vertex BFS
+    that numbers each level in code order.
 
     Raises when the enumeration exceeds ``order_cap`` and when a generator
     of W fails the gate described in the module docstring.
@@ -142,6 +155,7 @@ def enumerate_group(n: int, q: int, p: int = 1,
     weights = np.zeros((len(maps), 4 * n * n))
     np.add.at(weights, (np.arange(len(maps))[:, None], maps), powers)
     level = known = powers[::n + 1].sum(keepdims=True)   # the identity
+    images = np.empty((len(maps), CHUNK))
     codes, sizes, canons = [], [], []
     order = 0
     while level.size:
@@ -150,12 +164,15 @@ def enumerate_group(n: int, q: int, p: int = 1,
             reps = level[lo:lo + CHUNK]
             d = reps // powers[:, None] % q
             stack = _stack(d, n, q)
-            sizes.append(len(maps) // (weights @ stack == reps).sum(axis=0))
+            image = _images(weights, stack, images[:, :reps.size])
+            sizes.append(len(maps) // (image == reps).sum(axis=0))
             order += int(sizes[-1].sum())
+            gate = [(sel, stack[sel], image_of) for sel, image_of in actions]
             for col, gen in enumerate(gens):
                 prod = _stack(_times(d, gen, n, q), n, q)
-                _check_homomorphism(actions, stack, prod, col, gens, n, q)
-                canon[lo:lo + CHUNK, col] = (weights @ prod).min(axis=0)
+                _check_homomorphism(gate, prod, col, gens, n, q)
+                canon[lo:lo + CHUNK, col] = _images(weights, prod,
+                                                    image).min(axis=0)
         if order > order_cap:
             raise ValueError(f"group enumeration reached {order} elements, "
                              f"beyond the cap {order_cap}")
@@ -218,15 +235,41 @@ def stabiliser_maps(n: int) -> np.ndarray:
 def _stack(d: np.ndarray, n: int, q: int) -> np.ndarray:
     """The digit stack [d; -d; cof; -cof] mod q (4 n*n, m) of the matrices
     given as digit columns d (n*n, m), cof the cofactor matrix (g^{-T} on
-    SL_n); every map of W selects its image from it."""
-    g = d.reshape(n, n, -1)
+    SL_n); every map of W selects its image from it.  Entry (r, c) of cof
+    is g[r+1, c+1] g[r+2, c+2] - g[r+1, c+2] g[r+2, c+1], indices mod 3,
+    for n = 3, and (-1)^(r+c) g[1-r, 1-c] for n = 2: flat gathers of d,
+    written into the one output array."""
+    nn = n * n
+    out = np.empty((4 * nn, d.shape[1]), dtype=np.int64)
+    out[:nn] = d
+    cof, scratch = out[2 * nn:3 * nn], out[3 * nn:]   # -cof comes last
     if n == 2:
-        cof = np.array([1, -1, -1, 1])[:, None] * g[::-1, ::-1].reshape(4, -1)
+        d.take([3, 2, 1, 0], axis=0, out=cof)
+        np.negative(cof[1:3], out=cof[1:3])
     else:
         r1, r2 = [1, 2, 0], [2, 0, 1]
-        cof = (g[r1][:, r1] * g[r2][:, r2]
-               - g[r1][:, r2] * g[r2][:, r1]).reshape(9, -1)
-    return np.concatenate([d, -d % q, cof % q, -cof % q])
+        d.take([3 * r + c for r in r1 for c in r1], axis=0, out=cof)
+        cof *= d[[3 * r + c for r in r2 for c in r2]]
+        d.take([3 * r + c for r in r1 for c in r2], axis=0, out=scratch)
+        scratch *= d[[3 * r + c for r in r2 for c in r1]]
+        cof -= scratch
+    np.negative(d, out=out[nn:2 * nn])
+    np.negative(cof, out=out[3 * nn:])
+    np.remainder(out[nn:], q, out=out[nn:])
+    return out
+
+
+def _images(weights: np.ndarray, stack: np.ndarray,
+            out: np.ndarray) -> np.ndarray:
+    """weights @ stack into ``out``: the codes of every image under W of
+    the matrices whose digit stack is ``stack``, one row per map.  The
+    product is taken in column blocks of at most ``IMAGE_BLOCK``
+    multiply-adds, so BLAS runs each on the calling thread.  Each code is a
+    sum of n^2 exact terms below 2^53, so the blocks do not change it."""
+    step = max(1, IMAGE_BLOCK // weights.size)
+    for lo in range(0, stack.shape[1], step):
+        np.matmul(weights, stack[:, lo:lo + step], out=out[:, lo:lo + step])
+    return out
 
 
 def _times(d: np.ndarray, gen: tuple[int, int, int], n: int,
@@ -264,15 +307,18 @@ def _generator_actions(gens, n: int, q: int, powers: np.ndarray):
     return actions
 
 
-def _check_homomorphism(actions, stack: np.ndarray, prod: np.ndarray,
-                        col: int, gens, n: int, q: int) -> None:
+def _check_homomorphism(gate, prod: np.ndarray, col: int, gens, n: int,
+                        q: int) -> None:
     """phi(r s) = phi(r) phi(s) for every generator phi of W, the
-    representatives r whose digit stack is ``stack`` and s = gens[col],
-    whose products r s have the stack ``prod``: digit selections and one
-    column operation, all in integers."""
-    for w, (sel, image_of) in enumerate(actions):
-        if not np.array_equal(prod[sel], _times(stack[sel],
-                                                gens[image_of[col]], n, q)):
+    representatives r and s = gens[col], whose products r s have the
+    stack ``prod``.  ``gate`` holds per phi its selection, phi(r) as
+    selected from the representatives' stack, and its generator
+    permutation; phi(r s) is selected from ``prod``, so each side comes
+    from its own digits.  Digit selections and one column operation, all
+    in integers."""
+    for w, (sel, image, image_of) in enumerate(gate):
+        if not np.array_equal(prod[sel], _times(image, gens[image_of[col]],
+                                                n, q)):
             raise ValueError(f"stabiliser generator {w} is not a "
                              f"homomorphism on the class representatives")
 
@@ -372,6 +418,11 @@ def _quotient_operator(neighbors: np.ndarray, sizes: np.ndarray):
     Refuses, in integers, a quotient that cannot carry lambda_2: every
     class must have a positive size, class 0 (the identity) must have size
     one, and |O_k| Q_kl = |O_l| Q_lk for every pair of classes.
+
+    Q's nonzeros are the runs of equal classes in the row-sorted table,
+    in row-major order, so their keys k * classes + l are sorted.  One sort
+    of the transposed keys l * classes + k (all distinct) pairs each (k, l)
+    with (l, k); that pairing serves both the check and M.
     """
     from scipy.sparse import csr_matrix
 
@@ -381,15 +432,27 @@ def _quotient_operator(neighbors: np.ndarray, sizes: np.ndarray):
     if sizes[0] != 1:
         raise ValueError("orbit partition does not keep the identity alone "
                          "in its class")
-    rows = np.sort(neighbors, axis=1)
-    counts = csr_matrix((np.ones(k * deg, dtype=np.int64), rows.ravel(),
-                         np.arange(0, k * deg + 1, deg)), shape=(k, k))
-    counts.sum_duplicates()
-    weighted = counts.multiply(sizes[:, None]).tocsr()
-    if (weighted != weighted.T).nnz:
+    flat = np.sort(neighbors, axis=1).ravel()
+    new = np.empty(flat.size, dtype=bool)
+    new[1:] = flat[1:] != flat[:-1]
+    new[::deg] = True                                   # each row starts a run
+    starts = np.flatnonzero(new)
+    cols = flat[starts]
+    del flat, new       # each del lowers the peak of a large expander run
+    counts = np.diff(starts, append=k * deg)            # Q_kl, row-major
+    indptr = np.searchsorted(starts, np.arange(0, k * deg + 1, deg))
+    rows = starts // deg
+    del starts
+    pair = np.argsort(cols * k + rows)                  # (k, l) -> (l, k)
+    weighted = sizes[rows] * counts
+    if not (np.array_equal(cols.take(pair), rows)
+            and np.array_equal(rows.take(pair), cols)
+            and np.array_equal(weighted.take(pair), weighted)):
         raise ValueError("orbit partition is not equitable: |O_k| Q_kl != "
                          "|O_l| Q_lk")
-    return counts.multiply(counts.T).sqrt().tocsr()
+    del rows, weighted
+    return csr_matrix((np.sqrt(counts * counts.take(pair)), cols, indptr),
+                      shape=(k, k))
 
 
 def coprime_residues(q: int) -> list[int]:

@@ -437,20 +437,22 @@ def _letters(parts) -> tuple:
             spans)
 
 
-def _block_positions(parts, words) -> dict:
+def _block_positions(parts, words, table) -> dict:
     """Where the parity blocks of one denominator get their nonzeros from.
 
-    Per choice of part at each site (a tuple of part indices): (the
-    block's order; the flat positions in the block of the nonzeros of
-    each word's Kronecker product, word after word; per site the index of
-    each one's factor among the columns of ``_letters``; the count per
-    word).  None of it depends on the angle or on the coefficients.  Each
-    word's entries are walked for every choice at once over the mesh of
-    its letters' columns, which gives the factors: site by site,
-    choice = choice * parts + part, row = row * n + r, col = col * n + c
-    for the entry (r, c) of a part of order n.  They are then sorted by
-    choice, stably, so they stay in word order within a block."""
-    _, (part, rows, cols), spans = _letters(parts)
+    Per choice of part at each site (a tuple of part indices, keyed in
+    ``itertools.product`` order, so all-even first): (the block's order;
+    the flat positions in the block of the nonzeros of each word's
+    Kronecker product, word after word; per site the index of each one's
+    factor among the columns of ``table``, the ``_letters`` of ``parts``;
+    the count per word).  None of it depends on the angle or on the
+    coefficients.  Each word's entries are walked for every choice at once
+    over the mesh of its letters' columns, which gives the factors: site
+    by site, choice = choice * parts + part, row = row * n + r,
+    col = col * n + c for the entry (r, c) of a part of order n.  They are
+    then sorted by choice, stably, so they stay in word order within a
+    block."""
+    _, (part, rows, cols), spans = table
     n = np.array([len(y) for _, y in parts], dtype=np.int32)[part]
     sites = len(words[0])
     choices = list(product(range(len(parts)), repeat=sites))
@@ -485,22 +487,20 @@ def _block_positions(parts, words) -> dict:
     return out
 
 
-def _parity_blocks(parts, terms, positions: dict):
+def _parity_blocks(letters, terms, positions: dict):
     """Yield (angle index, block): the real parity blocks of the operator
-    ``terms`` at each angle of ``parts`` (a run of ``rotation.parity_stack``),
-    one choice of part per site at a time, all-even first, from
-    ``positions``, the ``_block_positions`` of ``parts`` and the terms'
-    words.
+    ``terms`` at each angle of a run of ``rotation.parity_stack``, one
+    choice of part per site at a time, all-even first, from ``letters``,
+    the values of the run's ``_letters``, and ``positions``, the
+    run's ``_block_positions`` for the terms' words.
 
     A block's values are each term's coefficient times the product of its
     letters' values, multiplied in site order as ``rotation.kron_word``
     does, and ``np.bincount`` adds them into the block in term order from
     0.0; so every entry is the float of the dense sum
     ``_assemble(partial(rotation.kron_word, choice), terms)``."""
-    letters = _letters(parts)[0]
     coefficients = np.array([c for c, _ in terms])
-    for choice in product(range(len(parts)), repeat=len(terms[0][1])):
-        n, flat, factors, counts = positions[choice]
+    for n, flat, factors, counts in positions.values():
         values = letters.take(factors[0], axis=1)
         for f in factors[1:]:
             values *= letters.take(f, axis=1)
@@ -510,10 +510,10 @@ def _parity_blocks(parts, terms, positions: dict):
                                  minlength=n * n).reshape(n, n)
 
 
-def _block_min_eigenvalue(parts, terms, positions: dict) -> list:
-    """Per angle of ``parts`` (a run of ``rotation.parity_stack``), min eig
-    of the operator ``terms`` as the minimum over its ``_parity_blocks``
-    (``positions`` as there).
+def _block_min_eigenvalue(letters, terms, positions: dict) -> list:
+    """Per angle of a run of ``rotation.parity_stack``, min eig of the
+    operator ``terms`` as the minimum over its ``_parity_blocks``
+    (``letters`` and ``positions`` as there).
 
     At each angle the blocks come all-even first.  The first is solved
     densely; each later one is solved only when ``exceeds`` cannot
@@ -521,8 +521,8 @@ def _block_min_eigenvalue(parts, terms, positions: dict) -> list:
     not be below the minimum so far.  So the result is the dense
     eigenvalue of the minimising block, the same float as the minimum over
     dense solves of every block."""
-    low = [None] * len(parts[0][0])
-    for i, block in _parity_blocks(parts, terms, positions):
+    low = [None] * len(letters)
+    for i, block in _parity_blocks(letters, terms, positions):
         if low[i] is None:
             low[i] = min_eigenvalue(block)
         elif not exceeds(block, low[i]):
@@ -535,14 +535,17 @@ def _tensor_sweep(inequality, grid, R: float, positions: dict) -> list:
     eigenvalue, at that angle, of the operator whose terms ``inequality(R)``
     gives (such as ``two_site_terms``).  ``positions`` maps a denominator
     to its ``_block_positions``; those missing are built into it, for
-    later sweeps of the same inequality at other R."""
+    later sweeps of the same inequality at other R.  Each run's letter
+    table is built once and serves both."""
     terms = inequality(R)
 
     def work(angles, parts):
         q = angles[0].q
+        table = _letters(parts)
         if q not in positions:
-            positions[q] = _block_positions(parts, [word for _, word in terms])
-        lows = _block_min_eigenvalue(parts, terms, positions[q])
+            positions[q] = _block_positions(parts, [word for _, word in terms],
+                                            table)
+        lows = _block_min_eigenvalue(table[0], terms, positions[q])
         return [AngleRecord(a.p, a.q, low) for a, low in zip(angles, lows)]
 
     return _stacked_sweep(grid, work)

@@ -120,6 +120,60 @@ def test_levels_split_across_chunks(monkeypatch):
             assert a.tobytes() == b.tobytes(), (g, field)
 
 
+def test_image_blocks_do_not_change_tables(monkeypatch):
+    # a bound of 896 multiply-adds leaves 1 column per image product at
+    # n = 3 (48 maps x 36 stack rows) and 7 at n = 2 (8 x 16); the codes
+    # are exact, so the tables must not change
+    groups = [(3, 3, 1), (3, 4, 1), (2, 16, 1)]
+    whole = [enumerate_group(*g) for g in groups]
+    widths, matmul = set(), np.matmul
+
+    def spy(a, b, **kwargs):
+        widths.add(b.shape[1])
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(expander, "IMAGE_BLOCK", 896)
+    monkeypatch.setattr(np, "matmul", spy)
+    for g, ref in zip(groups, whole):
+        blocked = enumerate_group(*g)
+        assert blocked.order == ref.order
+        for field in ("codes", "sizes", "neighbors"):
+            a, b = getattr(blocked, field), getattr(ref, field)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), (g, field)
+    assert widths and max(widths) <= 7
+
+
+def _cofactor_matrix(g: list) -> list:
+    """The transpose of the adjugate of g: entry (r, c) is (-1)^(r+c)
+    times the minor of g without row r and column c, in Python ints."""
+    n = len(g)
+
+    def det(m):
+        return m[0][0] if len(m) == 1 else m[0][0] * m[1][1] - m[0][1] * m[1][0]
+
+    return [[(-1) ** (r + c) * det([[g[i][j] for j in range(n) if j != c]
+                                    for i in range(n) if i != r])
+             for c in range(n)] for r in range(n)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_stack_is_digits_cofactors_and_negatives(n):
+    nn = n * n
+    rng = np.random.default_rng(n)
+    for q in (2, 3, 7, 60):
+        d = rng.integers(0, q, size=(nn, 40))
+        stack = expander._stack(d, n, q)
+        assert stack.dtype == np.int64 and stack.shape == (4 * nn, 40)
+        assert np.array_equal(stack[:nn], d)
+        assert np.array_equal(stack[nn:2 * nn], -d % q)
+        assert np.array_equal(stack[3 * nn:], -stack[2 * nn:3 * nn] % q)
+        for m in range(d.shape[1]):
+            cof = _cofactor_matrix(d[:, m].reshape(n, n).tolist())
+            assert stack[2 * nn:3 * nn, m].tolist() == [
+                x % q for row in cof for x in row], (q, m)
+
+
 def test_enumerate_order_cap():
     with pytest.raises(ValueError, match="cap"):
         enumerate_group(3, 5, 1, order_cap=1000)

@@ -275,9 +275,11 @@ def test_screening_solves_a_later_block_that_holds_the_minimum(monkeypatch):
     assert int(np.argmin(minima)) == 2
     assert min(minima) < minima[0] - 1.0
     parts = parity_stack([angle])
-    positions = sweeps._block_positions(parts, [word for _, word in terms])
+    table = sweeps._letters(parts)
+    positions = sweeps._block_positions(parts, [word for _, word in terms],
+                                        table)
     solved = _counting_dense_solves(monkeypatch)
-    [low] = sweeps._block_min_eigenvalue(parts, terms, positions)
+    [low] = sweeps._block_min_eigenvalue(table[0], terms, positions)
     assert low == min(minima)
     assert len(solved) == 2  # block 0, then the refused block 2
 
@@ -331,9 +333,10 @@ def test_parity_blocks_equal_the_kronecker_oracle_bitwise(inequality):
                    for i in range(len(angles))]
         for R in (2.0, 16.0):
             terms = inequality(R)
-            positions = sweeps._block_positions(parts,
-                                                [word for _, word in terms])
-            blocks = list(sweeps._parity_blocks(parts, terms, positions))
+            table = sweeps._letters(parts)
+            positions = sweeps._block_positions(
+                parts, [word for _, word in terms], table)
+            blocks = list(sweeps._parity_blocks(table[0], terms, positions))
             oracle = [(i, sweeps._assemble(
                            partial(kron_word, [letters[i][k] for k in choice]),
                            terms))
@@ -350,8 +353,10 @@ def test_positions_are_built_once_per_denominator_per_verdict(monkeypatch):
     # theta0 = 1/2 fails at every R, so each verdict scans all of R_SCAN;
     # the parts' orders add up to the denominator
     built, build = [], sweeps._block_positions
-    monkeypatch.setattr(sweeps, "_block_positions", lambda parts, words: (
-        built.append(sum(len(y) for _, y in parts)) or build(parts, words)))
+    monkeypatch.setattr(
+        sweeps, "_block_positions", lambda parts, words, table: (
+            built.append(sum(len(y) for _, y in parts))
+            or build(parts, words, table)))
 
     def refuse(sites, word):
         raise AssertionError("a search built a Kronecker word")
