@@ -2,7 +2,7 @@
 algebras, rotation-representation sweeps, exact symmetrization identities,
 graded augmentation arithmetic, and Cayley-graph spectral gaps."""
 
-from .algebra import (AlgebraElement, e_term, heis_laplacian, heis_xyz,
+from .algebra import (AlgebraElement, heis_laplacian, heis_xyz,
                       hermitian_square, laplacian, one_minus,
                       sos_identity_sides, steinberg_check)
 from .expander import (CayleyGraph, enumerate_group, family_report, sl_order,
@@ -10,7 +10,7 @@ from .expander import (CayleyGraph, enumerate_group, family_report, sl_order,
 from .graded import (GradedElement, box_element, evaluate_phi,
                      graded_dimension, graded_mul, graded_star,
                      gram_matrix_check, phi_report, to_graded)
-from .groups import Heisenberg, Heisenberg3, SpecialLinear
+from .groups import Heisenberg, SpecialLinear
 from .linalg import (hermitian_norm, hermitian_operator, min_eigenvalue,
                      spectral_norm, spectral_projection)
 from .rotation import (RationalAngle, almost_mathieu, bz_bound, evaluate,

@@ -99,14 +99,6 @@ class AlgebraElement(TermDict):
         self.group = group
         super().__init__(terms)
 
-    @classmethod
-    def one(cls, group) -> "AlgebraElement":
-        return cls(group, {group.identity: 1})
-
-    @classmethod
-    def from_elt(cls, group, g) -> "AlgebraElement":
-        return cls(group, {g: 1})
-
     def context(self):
         return self.group
 
@@ -122,9 +114,6 @@ class AlgebraElement(TermDict):
     def star(self) -> "AlgebraElement":
         inv = self.group.inv
         return self._like({inv(g): c for g, c in self.terms.items()})
-
-    def coefficient(self, g) -> Fraction:
-        return self.terms.get(g, Fraction(0))
 
     def __repr__(self):
         items = ", ".join(f"{g}: {c}" for g, c in sorted(self.terms.items(), key=repr))
@@ -143,12 +132,6 @@ def hermitian_square(group, g) -> AlgebraElement:
     return u.star() * u
 
 
-def e_term(group: SpecialLinear, i: int, j: int, r: int) -> AlgebraElement:
-    """2 - e_{i,j}(r) - e_{i,j}(r)^{-1} over SL_n(Z/qZ)."""
-    g = group.elementary(i, j, r)
-    return hermitian_square(group, g)
-
-
 def laplacian(group, generators: Iterable) -> AlgebraElement:
     """|S| - sum_{s in S} s for the symmetrized generating set S."""
     sym = set()
@@ -159,18 +142,6 @@ def laplacian(group, generators: Iterable) -> AlgebraElement:
     for s in sorted(sym, key=repr):
         out = out + AlgebraElement(group, {s: -1})
     return out
-
-
-def laplacian_as_squares(group, generators: Iterable) -> AlgebraElement:
-    """(1/2) sum_{s in S} (1-s)*(1-s); must equal :func:`laplacian` exactly."""
-    sym = set()
-    for g in generators:
-        sym.add(g)
-        sym.add(group.inv(g))
-    out = AlgebraElement(group)
-    for s in sorted(sym, key=repr):
-        out = out + hermitian_square(group, s)
-    return Fraction(1, 2) * out
 
 
 def steinberg_check(n: int, q: int) -> dict:

@@ -6,9 +6,10 @@ payload to ``--out`` (JSON) and the rows to ``--csv``, prints the verdict
 line ``[PASS]``/``[FAIL] <command>[: summary] (N.NNs)`` and the note lines,
 and picks the exit code: 0 all checks pass, 2 a check failed, 1 usage error
 (a malformed or out-of-range option, an option the chosen check does not
-read, or a workload refused before it runs).  Reports are
-deterministic (identical argv gives byte-identical files); wall time goes
-to stdout only.  No other module knows the report format.
+read, an option so large that the arithmetic overflows, or a workload
+refused before it runs).  Reports are deterministic (identical argv gives
+byte-identical files); wall time goes to stdout only.  No other module
+knows the report format.
 """
 
 from __future__ import annotations
@@ -406,8 +407,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     t0 = time.perf_counter()
     try:
-        return _emit(args.fn(args), args, time.perf_counter() - t0)
-    except (ValueError, OSError, MemoryError) as exc:
+        # a finite but huge option (a coupling of 1e308) overflows in the
+        # operators; that is the option's fault, not a failed check
+        with np.errstate(over="raise", invalid="raise"):
+            return _emit(args.fn(args), args, time.perf_counter() - t0)
+    except (ValueError, OSError, MemoryError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

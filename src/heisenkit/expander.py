@@ -34,12 +34,13 @@ vertex-transitivity gives ||P_lambda delta_e||^2 = dim V_lambda / |G| > 0.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
-from math import factorial, gcd
+from math import gcd
 
 import numpy as np
+
+from .linalg import physical_memory
 
 DEFAULT_ORDER_CAP = 400000
 START_SEED = 12345
@@ -150,8 +151,8 @@ def enumerate_group(n: int, q: int, p: int = 1,
                          f"hold exactly")
     gens = elementary_generators(n, q, p)
     powers = q ** np.arange(n * n, dtype=np.int64)
-    actions = _generator_actions(gens, n, q, powers)
     maps = stabiliser_maps(n)
+    actions = _generator_actions(gens, n, q, powers)
     weights = np.zeros((len(maps), 4 * n * n))
     np.add.at(weights, (np.arange(len(maps))[:, None], maps), powers)
     level = known = powers[::n + 1].sum(keepdims=True)   # the identity
@@ -216,9 +217,17 @@ def stabiliser_maps(n: int) -> np.ndarray:
     block: bit 0 of b negates and bit 1 takes the cofactor matrix.  Both
     commute with W's generators (cof(P g P^T) = P cof(g) P^T for a signed
     permutation P, and cof(cof(g)) = g on SL_n), so applying b after a
-    reads a's selection at b's positions and XORs the blocks."""
+    reads a's selection at b's positions and XORs the blocks.  A generator
+    that does not fix the identity is refused before the closure, which
+    could otherwise grow far past W."""
     nn = n * n
     gens = _stabiliser_generators(n)
+    e = np.eye(n, dtype=np.int64).ravel()
+    e_stack = np.concatenate([e, -e, e, -e])        # cof(e) = e
+    for w, sel in enumerate(gens):
+        if not np.array_equal(e_stack[sel], e):
+            raise ValueError(f"stabiliser generator {w} does not fix the "
+                             f"identity")
     seen = {tuple(range(nn)): np.arange(nn)}
     todo = list(seen.values())
     while todo:
@@ -283,23 +292,19 @@ def _times(d: np.ndarray, gen: tuple[int, int, int], n: int,
 
 def _generator_actions(gens, n: int, q: int, powers: np.ndarray):
     """(selection, generator permutation) of each generator phi of W,
-    after checking that phi(e) = e and that phi maps the generating set
-    onto itself: image_of[k] is the index of phi(gens[k])."""
+    after checking that phi maps the generating set onto itself (that
+    phi(e) = e, ``stabiliser_maps`` checks): image_of[k] is the index of
+    phi(gens[k])."""
     nn = n * n
-    eye = np.eye(n, dtype=np.int64).reshape(nn, 1)
-    mats = np.repeat(eye, len(gens) + 1, axis=1)
+    mats = np.repeat(np.eye(n, dtype=np.int64).reshape(nn, 1), len(gens),
+                     axis=1)
     for k, (i, j, v) in enumerate(gens):
-        mats[i * n + j, k + 1] = v
+        mats[i * n + j, k] = v
     stack = _stack(mats, n, q)
-    gen_codes = (powers @ mats[:, 1:]).tolist()
-    index = {c: k for k, c in enumerate(gen_codes)}
+    index = {c: k for k, c in enumerate((powers @ mats).tolist())}
     actions = []
     for w, sel in enumerate(_stabiliser_generators(n)):
-        image = (powers @ stack[sel]).tolist()
-        image_of = [index.get(c, -1) for c in image[1:]]
-        if image[0] != powers[::n + 1].sum():
-            raise ValueError(f"stabiliser generator {w} does not fix the "
-                             f"identity")
+        image_of = [index.get(c, -1) for c in (powers @ stack[sel]).tolist()]
         if sorted(image_of) != list(range(len(gens))):
             raise ValueError(f"stabiliser generator {w} does not map the "
                              f"generating set onto itself")
@@ -476,6 +481,7 @@ def family_report(n: int, q_list, p_rule: str = "coprime",
         raise ValueError("supported desk scale is n in {2, 3}")
     if len(set(q_list)) < len(q_list):
         raise ValueError(f"repeated modulus in {list(q_list)}")
+    w_order = len(stabiliser_maps(n))
     rows = []
     cache: dict = {}
     for q in q_list:
@@ -484,12 +490,11 @@ def family_report(n: int, q_list, p_rule: str = "coprime",
         if sl_order(n, q) > order_cap:
             raise ValueError(f"|SL_{n}(Z/{q})| = {sl_order(n, q)} exceeds "
                              f"the order cap {order_cap}")
-        # a class holds at most |W| = 2^n n! elements (signed permutations
-        # up to sign, times inverse-transpose), so the class table has at
+        # a class holds at most |W| elements, so the class table has at
         # least this many bytes
-        table = (sl_order(n, q) // (2 ** n * factorial(n))
+        table = (sl_order(n, q) // w_order
                  * len(elementary_generators(n, q, 1)) * 8)
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        memory = physical_memory()
         if table > memory:
             raise ValueError(f"the class table of SL_{n}(Z/{q}) needs at "
                              f"least {table} bytes, more than the {memory} "

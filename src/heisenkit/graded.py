@@ -71,29 +71,19 @@ class GradedElement(TermDict):
     def _product(self, other: "GradedElement") -> "GradedElement":
         return graded_mul(self, other)
 
-    def lowest_degree(self) -> int | None:
-        return min((degree(m) for m in self.terms), default=None)
-
-    def degree_component(self, n: int) -> "GradedElement":
-        return self._like({m: c for m, c in self.terms.items() if degree(m) == n})
-
     def __repr__(self):
         parts = [f"{c}*x^{m[0]}y^{m[1]}z^{m[2]}" for m, c in sorted(self.terms.items())]
         return f"GradedElement(N={self.truncation}: {' + '.join(parts) or '0'})"
 
 
-def normal_form(word, zpow: int, truncation: int) -> dict:
-    """Normal-order a word over letters 'x', 'y' with an attached central
-    zbar power; leftmost 'yx' inversion rewritten first, branches above the
-    truncation dropped."""
-    return dict(_normal_form(tuple(word), zpow, truncation))
-
-
 @lru_cache(maxsize=4096)
 def _normal_form(word: tuple, zpow: int, truncation: int) -> tuple:
-    """``normal_form`` as a tuple of (monomial, coefficient) pairs, so the
-    cached value cannot be changed by a caller.  A run of ``graded_mul``
-    asks for few distinct words many times over."""
+    """Normal-order a word over the letters 'x', 'y' with an attached
+    central zbar power: the leftmost 'yx' inversion is rewritten first and
+    branches above the truncation are dropped.  Returns (monomial,
+    coefficient) pairs as a tuple, so the cached value cannot be changed
+    by a caller.  A run of ``graded_mul`` asks for few distinct words many
+    times over."""
     leaves = []
     stack = [(word, zpow, Fraction(1))]
     while stack:

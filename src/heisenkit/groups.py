@@ -10,7 +10,6 @@ from __future__ import annotations
 from math import gcd
 
 HeisElt = tuple[int, int, int]
-Heis3Elt = tuple[tuple[int, int, int], tuple[int, int, int], int]
 MatElt = tuple[tuple[int, ...], ...]
 
 
@@ -33,41 +32,6 @@ class Heisenberg:
     def inv(g: HeisElt) -> HeisElt:
         a, b, c = g
         return (-a, -b, a * b - c)
-
-
-class Heisenberg3:
-    """Rank-3 Heisenberg group: triples (a, b, c) with integer 3-vectors
-    a, b and corner c; product adds vectors and shifts c by the dot
-    product a . b'.  Satisfies [x_i, y_i] = z and [x_i, y_j] = 1 (i != j)."""
-
-    identity: Heis3Elt = ((0, 0, 0), (0, 0, 0), 0)
-
-    @staticmethod
-    def x(i: int) -> Heis3Elt:
-        a = tuple(1 if k == i else 0 for k in range(3))
-        return (a, (0, 0, 0), 0)
-
-    @staticmethod
-    def y(i: int) -> Heis3Elt:
-        b = tuple(1 if k == i else 0 for k in range(3))
-        return ((0, 0, 0), b, 0)
-
-    z: Heis3Elt = ((0, 0, 0), (0, 0, 0), 1)
-
-    @staticmethod
-    def mul(g: Heis3Elt, h: Heis3Elt) -> Heis3Elt:
-        a, b, c = g
-        a2, b2, c2 = h
-        dot = sum(u * v for u, v in zip(a, b2))
-        return (tuple(u + v for u, v in zip(a, a2)),
-                tuple(u + v for u, v in zip(b, b2)),
-                c + c2 + dot)
-
-    @staticmethod
-    def inv(g: Heis3Elt) -> Heis3Elt:
-        a, b, c = g
-        dot = sum(u * v for u, v in zip(a, b))
-        return (tuple(-u for u in a), tuple(-u for u in b), dot - c)
 
 
 def _det(rows: list[list[int]]) -> int:
@@ -128,9 +92,6 @@ class SpecialLinear:
                 minor = [r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i]
                 adj[j][i] = (-1) ** (i + j) * _det(minor)
         return tuple(tuple((dinv * adj[i][j]) % q for j in range(n)) for i in range(n))
-
-    def det(self, g: MatElt) -> int:
-        return _det([list(r) for r in g]) % self.q
 
     def commutator(self, g: MatElt, h: MatElt) -> MatElt:
         return self.mul(self.mul(g, h), self.mul(self.inv(g), self.inv(h)))

@@ -14,11 +14,20 @@ without computing it.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
 CUT_AMBIGUITY_TOL = 1e-8
 UNIT_ROUNDOFF = 2.0 ** -53  # u of IEEE double, half the machine epsilon
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory.  Not the available part: a workload that
+    is refused for its size is refused by its arguments and the machine
+    alone."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def _float_array(entries) -> np.ndarray:

@@ -46,11 +46,6 @@ class RationalAngle:
         if gcd(self.p, self.q) != 1:
             raise ValueError(f"{self.p}/{self.q} is not reduced")
 
-    @classmethod
-    def from_fraction(cls, f: Fraction) -> "RationalAngle":
-        f = Fraction(f)
-        return cls(f.numerator, f.denominator)
-
     @property
     def theta(self) -> float:
         return self.p / self.q

@@ -47,13 +47,18 @@ import numpy as np
 
 from . import rotation
 from .linalg import (CUT_AMBIGUITY_TOL, exceeds, hermitian_norm,
-                     min_eigenvalue, spectral_norm, spectral_projection)
+                     min_eigenvalue, physical_memory, spectral_norm,
+                     spectral_projection)
 from .rotation import RationalAngle, farey_angles
 
 R_SCAN = (2, 4, 8, 16, 32)
 EPS_SCAN = (Fraction(1, 4), Fraction(1, 8), Fraction(1, 16))
 THETA0_SCAN = (Fraction(1, 8), Fraction(1, 16), Fraction(1, 32))
 IDENTITY_TOL = 1e-12
+# peak memory of a tensor sweep, in multiples of its largest parity
+# block's 8 N^2 bytes: one-angle sweeps raised peak RSS by 3.3-4.0x that
+# (three-site q = 20 and 24, two-site q = 80; numpy 2.4, OpenBLAS 0.3.31)
+SOLVE_PEAK_RATIO = 4
 
 
 @dataclass
@@ -112,7 +117,7 @@ def _finish(name, records, tol, constants=None, notes=None) -> SweepReport:
 STACK = 8  # angles per stacked solve; bounds the temporaries of a stack
 
 
-def _stacked_sweep(grid, work, closed_form=None) -> list:
+def _stacked_sweep(grid, work) -> list:
     """The records of ``work(angles, parts)`` over ``grid``, called on runs
     of at most STACK angles that share a denominator; ``parts`` holds, per
     parity part, the rows of the X diagonals that belong to the run and
@@ -123,10 +128,7 @@ def _stacked_sweep(grid, work, closed_form=None) -> list:
     solved: its records are those of p/q with p replaced.  So on a grid
     with mirror pairs (the full-circle grids of bz, xyz1 and xyz2),
     ``work`` may read an angle only through its parity stack and sin(pi
-    theta), which are bitwise equal at p/q and (q-p)/q.  ``closed_form``,
-    if given, maps the angles of one denominator to named arrays with one
-    value per angle; it is evaluated at every grid angle, mirrors included,
-    and its values join the extras of that angle's records."""
+    theta), which are bitwise equal at p/q and (q-p)/q."""
     by_q: dict = {}
     for a in grid:
         by_q.setdefault(a.q, []).append(a)
@@ -139,14 +141,9 @@ def _stacked_sweep(grid, work, closed_form=None) -> list:
         for i in range(0, len(solved), STACK):
             found += work(solved[i:i + STACK],
                           [(x[i:i + STACK], y) for x, y in parts])
-        found += [AngleRecord(q - r.p, q, r.margin, dict(r.extras))
-                  for r in found if 2 * r.p < q and q - r.p in numerators]
-        if closed_form is not None:
-            row = {a.p: i for i, a in enumerate(angles)}
-            values = closed_form(angles)
-            for r in found:
-                r.extras.update((k, float(v[row[r.p]])) for k, v in values.items())
-        records += found
+        records += found + [
+            AngleRecord(q - r.p, q, r.margin, dict(r.extras))
+            for r in found if 2 * r.p < q and q - r.p in numerators]
     records.sort(key=AngleRecord.sort_key)
     return records
 
@@ -156,15 +153,23 @@ def _diag(d: np.ndarray) -> np.ndarray:
     return d[..., None] * np.eye(d.shape[-1])
 
 
-def _min_eig(parts, op) -> np.ndarray:
-    """Per angle, the minimum eigenvalue of the operator ``op(x, y)`` over
-    its parity blocks."""
-    return np.min([min_eigenvalue(op(x, y)) for x, y in parts], axis=0)
-
-
 def _sines(angles) -> np.ndarray:
     """sin(pi theta) of each angle, as a column."""
     return np.array([[a.s] for a in angles])
+
+
+def _min_eig_sweep(grid, op) -> list:
+    """One record per angle of ``grid`` whose margin is the minimum
+    eigenvalue, over the parity blocks, of the operator ``op(s, x, y)``:
+    s is the column of sin(pi theta) of a run of angles and x, y a part of
+    its ``rotation.parity_stack``."""
+    def work(angles, parts):
+        s = _sines(angles)
+        margins = np.min([min_eigenvalue(op(s, x, y)) for x, y in parts],
+                         axis=0)
+        return [AngleRecord(a.p, a.q, float(m)) for a, m in zip(angles, margins)]
+
+    return _stacked_sweep(grid, work)
 
 
 def verify_bz(*, qmax: int = 60, tol: float = 1e-9,
@@ -198,13 +203,7 @@ def verify_xyz1(*, qmax: int = 60, tol: float = 1e-9,
                 full_circle: bool = False) -> SweepReport:
     """X + Y >= sqrt(Z)/2, i.e. min eig(X + Y - sin(pi theta)) >= 0."""
     grid = farey_angles(qmax, max_value=None if full_circle else Fraction(1, 2))
-
-    def work(angles, parts):
-        s = _sines(angles)
-        margins = _min_eig(parts, lambda x, y: _diag(x - s) + y)
-        return [AngleRecord(a.p, a.q, float(m)) for a, m in zip(angles, margins)]
-
-    records = _stacked_sweep(grid, work)
+    records = _min_eig_sweep(grid, lambda s, x, y: _diag(x - s) + y)
     return _finish("xyz1", records, tol, constants={"qmax": qmax})
 
 
@@ -226,13 +225,7 @@ def verify_zzz(*, qmax: int = 60, tol: float = 1e-9, R: float | None = None,
     notes = []
     if all(a.p == 0 for a in grid):
         notes.append(f"empty sweep: no positive angle <= theta0={theta0:.6f} at qmax={qmax}")
-
-    def work(angles, parts):
-        s = _sines(angles)
-        margins = _min_eig(parts, lambda x, y: _diag(R * x - coeff * s) + y)
-        return [AngleRecord(a.p, a.q, float(m)) for a, m in zip(angles, margins)]
-
-    records = _stacked_sweep(grid, work)
+    records = _min_eig_sweep(grid, lambda s, x, y: _diag(R * x - coeff * s) + y)
     return _finish("zzz", records, tol, notes=notes,
                    constants={"R": R, "kappa": kappa, "theta0": theta0,
                               "qmax": qmax})
@@ -266,15 +259,16 @@ def verify_xyz2(*, qmax: int = 60, tol: float = 1e-9,
     b_{m-1} - b_m = -2 sin(pi theta) sin((2m-1) pi theta)."""
     grid = farey_angles(qmax, max_value=None if full_circle else Fraction(1, 2))
     notes = []
-
-    def work(angles, parts):
-        s = _sines(angles)
-        # (XY + YX)_ij = (x_i + x_j) Y_ij, as X is diagonal
-        margins = _min_eig(parts, lambda x, y: _diag(2.0 * s * x) + (
-            2.0 * s[:, :, None] + 0.5 * (x[:, :, None] + x[:, None, :])) * y)
-        return [AngleRecord(a.p, a.q, float(m)) for a, m in zip(angles, margins)]
-
-    records = _stacked_sweep(grid, work, closed_form=_xyz2_blocks)
+    # (XY + YX)_ij = (x_i + x_j) Y_ij, as X is diagonal
+    records = _min_eig_sweep(grid, lambda s, x, y: _diag(2.0 * s * x) + (
+        2.0 * s[:, :, None] + 0.5 * (x[:, :, None] + x[:, None, :])) * y)
+    by_q: dict = {}
+    for r in records:
+        by_q.setdefault(r.q, []).append(r)
+    for q, found in by_q.items():  # mirrors included, in angle order
+        values = _xyz2_blocks([RationalAngle(r.p, q) for r in found])
+        for i, r in enumerate(found):
+            r.extras.update((k, float(v[i])) for k, v in values.items())
     bad_det = [r for r in records if r.extras["det_min"] < -tol
                or r.extras["trace_min"] < -tol]
     bad_id = [r for r in records if r.extras["identity_residual"] > IDENTITY_TOL]
@@ -558,6 +552,8 @@ def _search_constants(name, inequality, qmax, tol, R, epsilon,
     Unset R and epsilon scan R_SCAN and EPS_SCAN; a theta0 of ``None``
     means the whole grid.  The minimum eigenvalues are computed once per R,
     and the margin at (R, epsilon) is min eig - epsilon * 4 sin^2(pi theta).
+    A grid whose largest parity block would not fit in physical memory is
+    refused before the scan.
     """
     r_list = [R] if R is not None else list(R_SCAN)
     eps_list = [epsilon] if epsilon is not None else list(EPS_SCAN)
@@ -565,6 +561,14 @@ def _search_constants(name, inequality, qmax, tol, R, epsilon,
     grid = farey_angles(qmax)
     if None not in th0_list:
         grid = [a for a in grid if a.fraction <= max(th0_list)]
+    # the all-even block of the largest denominator is the largest block
+    sites = len(inequality(r_list[0])[0][1])
+    order = (max((a.q for a in grid), default=1) // 2 + 1) ** sites
+    need, memory = SOLVE_PEAK_RATIO * 8 * order * order, physical_memory()
+    if need > memory:
+        raise ValueError(f"a parity block of order {order} needs about "
+                         f"{need} bytes to solve, more than the {memory} "
+                         f"bytes of physical memory")
 
     positions: dict = {}  # the blocks' nonzero positions, for every R
 

@@ -43,10 +43,6 @@ class FormalQuadratic(TermDict):
     __slots__ = ()
     coerce = staticmethod(operator.index)
 
-    @classmethod
-    def letter(cls, sym: EdgeSymbol, coeff=1) -> "FormalQuadratic":
-        return cls({(sym,): coeff})
-
     def _like(self, terms: dict) -> "FormalQuadratic":
         return FormalQuadratic(terms)
 

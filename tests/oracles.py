@@ -2,11 +2,11 @@
 eigenvalue oracles, the single-site sweeps solved one dense q x q matrix
 per angle, the parity letters conjugated out of the dense q x q letters,
 the tensor operators' least eigenvalues from a dense solve of every parity
-block, the rank-3 representation evaluated word by word, plain
-fixture graphs for the spectral-gap solver, Cayley graphs enumerated vertex
-by vertex with their stabiliser orbits found by brute force, and lambda_2
-solved on the whole adjacency of a graph rather than on its orbit
-quotient."""
+block, the rank-3 Heisenberg group and its representation evaluated word
+by word, plain fixture graphs for the spectral-gap solver, Cayley graphs
+enumerated vertex by vertex with their stabiliser orbits found by brute
+force, and lambda_2 solved on the whole adjacency of a graph rather than
+on its orbit quotient."""
 
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ import numpy as np
 from heisenkit import rotation
 from heisenkit.algebra import AlgebraElement
 from heisenkit.expander import elementary_generators
-from heisenkit.groups import Heis3Elt
 from heisenkit.linalg import (hermitian_operator, min_eigenvalue,
                               spectral_norm, spectral_projection)
 from heisenkit.rotation import RationalAngle, farey_angles, pi_theta
@@ -224,6 +223,44 @@ def parity_block_minima(angle: RationalAngle, terms) -> list:
 
 def _site_matrix(angle: RationalAngle, a: int, b: int) -> np.ndarray:
     return pi_theta(angle, (a, b, a * b))  # x^a y^b with no central phase
+
+
+Heis3Elt = tuple[tuple[int, int, int], tuple[int, int, int], int]
+
+
+class Heisenberg3:
+    """Rank-3 Heisenberg group: triples (a, b, c) with integer 3-vectors
+    a, b and corner c; product adds vectors and shifts c by the dot
+    product a . b'.  Satisfies [x_i, y_i] = z and [x_i, y_j] = 1 (i != j)."""
+
+    identity: Heis3Elt = ((0, 0, 0), (0, 0, 0), 0)
+
+    @staticmethod
+    def x(i: int) -> Heis3Elt:
+        a = tuple(1 if k == i else 0 for k in range(3))
+        return (a, (0, 0, 0), 0)
+
+    @staticmethod
+    def y(i: int) -> Heis3Elt:
+        b = tuple(1 if k == i else 0 for k in range(3))
+        return ((0, 0, 0), b, 0)
+
+    z: Heis3Elt = ((0, 0, 0), (0, 0, 0), 1)
+
+    @staticmethod
+    def mul(g: Heis3Elt, h: Heis3Elt) -> Heis3Elt:
+        a, b, c = g
+        a2, b2, c2 = h
+        dot = sum(u * v for u, v in zip(a, b2))
+        return (tuple(u + v for u, v in zip(a, a2)),
+                tuple(u + v for u, v in zip(b, b2)),
+                c + c2 + dot)
+
+    @staticmethod
+    def inv(g: Heis3Elt) -> Heis3Elt:
+        a, b, c = g
+        dot = sum(u * v for u, v in zip(a, b))
+        return (tuple(-u for u in a), tuple(-u for u in b), dot - c)
 
 
 def pi_theta3(angle: RationalAngle, g: Heis3Elt) -> np.ndarray:

@@ -3,16 +3,16 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from heisenkit.algebra import (AlgebraElement, accumulate, e_term,
-                               heis_laplacian, heis_xyz, hermitian_square,
-                               laplacian,
-                               laplacian_as_squares, one_minus,
-                               sos_identity_sides, steinberg_check)
+from heisenkit.algebra import (AlgebraElement, accumulate, heis_laplacian,
+                               heis_xyz, hermitian_square, laplacian,
+                               one_minus, sos_identity_sides, steinberg_check)
 from heisenkit.graded import GradedElement
-from heisenkit.groups import Heisenberg, Heisenberg3, SpecialLinear
+from heisenkit.groups import Heisenberg, SpecialLinear
 from heisenkit.symmetrize import EdgeSymbol, FormalQuadratic
+from oracles import Heisenberg3
 
 H = Heisenberg
 
@@ -59,13 +59,14 @@ def test_mul_difference_of_squares():
 def test_mul_identity_neutral():
     rng = random.Random(1)
     xi = rand_elt(rng, H)
-    assert xi * AlgebraElement.one(H) == xi
-    assert AlgebraElement.one(H) * xi == xi
+    one = AlgebraElement(H, {H.identity: 1})
+    assert xi * one == xi
+    assert one * xi == xi
 
 
 def test_mul_xy_vs_yx():
-    x_elt = AlgebraElement.from_elt(H, H.x)
-    y_elt = AlgebraElement.from_elt(H, H.y)
+    x_elt = AlgebraElement(H, {H.x: 1})
+    y_elt = AlgebraElement(H, {H.y: 1})
     assert (x_elt * y_elt).terms == {(1, 1, 1): 1}
     assert (y_elt * x_elt).terms == {(1, 1, 0): 1}
 
@@ -94,14 +95,18 @@ def test_star_laplacian_selfadjoint():
 
 
 def test_laplacian_equals_square_form():
-    assert heis_laplacian() == laplacian_as_squares(H, [H.x, H.y])
+    # (1/2) sum over S = {x, x^-1, y, y^-1} of (1-s)*(1-s)
+    squares = AlgebraElement(H)
+    for s in (H.x, H.inv(H.x), H.y, H.inv(H.y)):
+        squares = squares + hermitian_square(H, s)
+    assert heis_laplacian() == Fraction(1, 2) * squares
     assert laplacian(H, []).is_zero()
 
 
 def test_e_term_involution_mod_2():
     G = SpecialLinear(3, 2)
-    e = e_term(G, 1, 2, 1)
     g = G.elementary(1, 2, 1)
+    e = hermitian_square(G, g)
     assert e.terms == {G.identity: 2, g: -2}  # generator is an involution mod 2
     assert e.star() == e
     assert e == one_minus(G, g).star() * one_minus(G, g)
@@ -109,14 +114,7 @@ def test_e_term_involution_mod_2():
 
 def test_e_term_zero_label():
     G = SpecialLinear(3, 5)
-    assert e_term(G, 1, 2, 0).is_zero()
-
-
-def test_e_term_matches_hermitian_square():
-    G = SpecialLinear(4, 7)
-    for (i, j, r) in [(1, 2, 3), (2, 4, 6), (3, 1, 1)]:
-        g = G.elementary(i, j, r)
-        assert e_term(G, i, j, r) == one_minus(G, g).star() * one_minus(G, g)
+    assert hermitian_square(G, G.elementary(1, 2, 0)).is_zero()
 
 
 def test_special_linear_det_and_inverse():
@@ -126,7 +124,7 @@ def test_special_linear_det_and_inverse():
     for _ in range(20):
         i, j = rng.sample([1, 2, 3], 2)
         g = G.mul(g, G.elementary(i, j, rng.randrange(7)))
-        assert G.det(g) == 1
+        assert round(np.linalg.det(np.array(g))) % 7 == 1
         assert G.mul(g, G.inv(g)) == G.identity
 
 
@@ -163,7 +161,7 @@ def test_sos_identity_exact():
 
 def test_hermitian_square_positive_diagonal():
     sq = hermitian_square(H, (1, 2, 3))
-    assert sq.coefficient(H.identity) == 2
+    assert sq.terms[H.identity] == 2
     assert sq.star() == sq
 
 
@@ -191,7 +189,7 @@ def test_term_dicts_share_one_base():
             a + b
         with pytest.raises(ValueError):
             a * b
-    fq = FormalQuadratic.letter(EdgeSymbol.make(1, 2, 1))
+    fq = FormalQuadratic({(EdgeSymbol.make(1, 2, 1),): 1})
     assert (fq * 3).terms == {w: 3 for w in fq.terms}
     with pytest.raises(TypeError):
         Fraction(1, 2) * fq  # integer coefficients only

@@ -118,6 +118,15 @@ def test_usage_errors(capsys):
     for flag, value in (("--R", "abc"), ("--R", "1/0"), ("--eps", "x"),
                         ("--R", "0")):
         assert main(["symmetry", "threshold", flag, value]) == 1
+    # finite but huge constants overflow in the operators; they used to
+    # print numpy warnings (a traceback under -W error) before the error
+    capsys.readouterr()
+    for argv in ("verify bz --qmax 5 --lambda 1e308",
+                 "verify formula --qmax 4 --R 1e308 --epsilon 1/8"):
+        assert main(argv.split()) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: overflow encountered in ")
+        assert err.count("\n") == 1
     # moduli must be at least 1; q = 0 used to raise ZeroDivisionError out
     # of main
     capsys.readouterr()
@@ -269,6 +278,24 @@ def test_expander_run_past_physical_memory_is_refused_quickly(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: the class table of SL_3(Z/30) needs")
     assert "physical memory" in err and err.count("\n") == 1
+
+
+def test_tensor_search_past_physical_memory_is_refused_quickly(monkeypatch,
+                                                                capsys):
+    # the all-even three-site block of order (q//2 + 1)^3 is solved in
+    # about 4 * 8 N^2 bytes: 3.8 MB at q = 12 (N = 343), 17 MB at q = 16
+    # (N = 729)
+    monkeypatch.setattr(sweeps, "physical_memory", lambda: 10 * 2 ** 20)
+    argv = ["verify", "formula", "--R", "16", "--epsilon", "1/8", "--qmax"]
+    assert main(argv + ["12"]) == 0
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    assert main(argv + ["16"]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err == (f"error: a parity block of order 729 needs about "
+                   f"{4 * 8 * 729 ** 2} bytes to solve, more than the "
+                   f"{10 * 2 ** 20} bytes of physical memory\n")
 
 
 def test_expander_run_past_default_cap(tmp_path):

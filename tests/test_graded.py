@@ -9,9 +9,9 @@ import pytest
 
 from heisenkit.algebra import AlgebraElement, heis_laplacian, heis_xyz, one_minus
 from heisenkit.graded import (GradedElement, basis_monomials,
-                              box_element, dimension_table, evaluate_phi,
-                              graded_dimension, graded_mul, graded_star,
-                              gram_matrix_check, normal_form, phi_report,
+                              box_element, degree, dimension_table,
+                              evaluate_phi, graded_dimension, graded_mul,
+                              graded_star, gram_matrix_check, phi_report,
                               phi_selfadjoint_check,
                               rederive_square_swap_lines, to_graded)
 from heisenkit.groups import Heisenberg
@@ -23,6 +23,15 @@ def mono(n, m, c=1):
     return GradedElement.monomial(n, m, c)
 
 
+def lowest_degree(a):
+    return min(degree(m) for m in a.terms)
+
+
+def component(a, n):
+    """The terms of ``a`` of degree n."""
+    return {m: c for m, c in a.terms.items() if degree(m) == n}
+
+
 def test_rewrite_rule_is_exact_in_group_algebra():
     # ybar xbar = xbar ybar + zbar - zbar xbar - zbar ybar + zbar ybar xbar
     xb, yb, zb = one_minus(H, H.x), one_minus(H, H.y), one_minus(H, H.z)
@@ -32,9 +41,10 @@ def test_rewrite_rule_is_exact_in_group_algebra():
 
 
 def test_normal_form_yx():
-    at3 = normal_form(("y", "x"), 0, 3)
+    # the product of two monomials normal-orders the word y x
+    at3 = graded_mul(mono(3, (0, 1, 0)), mono(3, (1, 0, 0))).terms
     assert at3 == {(1, 1, 0): 1, (0, 0, 1): 1, (1, 0, 1): -1, (0, 1, 1): -1}
-    at4 = normal_form(("y", "x"), 0, 4)
+    at4 = graded_mul(mono(4, (0, 1, 0)), mono(4, (1, 0, 0))).terms
     # the recursive branch resolves to zbar xbar ybar + zbar^2 at this depth
     assert at4 == {(1, 1, 0): 1, (0, 0, 1): 1, (1, 0, 1): -1, (0, 1, 1): -1,
                    (1, 1, 1): 1, (0, 0, 2): 1}
@@ -43,8 +53,8 @@ def test_normal_form_yx():
 def test_to_graded_basics():
     assert to_graded(one_minus(H, H.x), 4).terms == {(1, 0, 0): 1}
     # 1 - xy = xbar + ybar - xbar ybar
-    one = AlgebraElement.one(H)
-    xy = AlgebraElement.from_elt(H, H.mul(H.x, H.y))
+    one = AlgebraElement(H, {H.identity: 1})
+    xy = AlgebraElement(H, {H.mul(H.x, H.y): 1})
     assert to_graded(one - xy, 2).terms == {(1, 0, 0): 1, (0, 1, 0): 1,
                                             (1, 1, 0): -1}
 
@@ -105,7 +115,7 @@ def test_filtration_degrees_add():
     a = mono(8, (1, 0, 0)) + mono(8, (0, 1, 1))   # lowest degree 1
     b = mono(8, (0, 2, 0)) + mono(8, (0, 0, 2))   # lowest degree 2
     prod = graded_mul(a, b)
-    assert prod.lowest_degree() >= 3
+    assert lowest_degree(prod) >= 3
 
 
 def test_graded_star_examples():
@@ -114,7 +124,7 @@ def test_graded_star_examples():
     assert st.terms == {(1, 0, 0): -1, (2, 0, 0): -1, (3, 0, 0): -1}
     # (zbar^2)* has degree-4 part zbar^2
     st = graded_star(mono(5, (0, 0, 2)))
-    assert st.degree_component(4).terms == {(0, 0, 2): 1}
+    assert component(st, 4) == {(0, 0, 2): 1}
 
 
 def test_graded_star_involution():
@@ -159,7 +169,7 @@ def test_graded_star_of_every_monomial_matches_the_round_trip():
     xb, yb, zb = one_minus(H, H.x), one_minus(H, H.y), one_minus(H, H.z)
     for d in range(n + 1):
         for i, j, k in basis_monomials(d):
-            word = AlgebraElement.one(H)
+            word = AlgebraElement(H, {H.identity: 1})
             for letter, e in ((xb, i), (yb, j), (zb, k)):
                 for _ in range(e):
                     word = word * letter
@@ -178,7 +188,7 @@ def test_graded_dimension_formula():
 
 def test_box_element():
     box = box_element()
-    assert box.lowest_degree() == 4
+    assert lowest_degree(box) == 4
     assert graded_star(box) == box
     assert evaluate_phi(box) == 4
 
@@ -190,7 +200,7 @@ def test_box_has_sixteen_contributing_pairs():
         for t in gens:
             us, ut = one_minus(H, s), one_minus(H, t)
             img = to_graded(us.star() * ut.star() * ut * us, 4)
-            if not img.degree_component(4).is_zero():
+            if component(img, 4):
                 count += 1
     assert count == 16
 
@@ -240,9 +250,8 @@ def test_square_swap_intermediate_lines():
 
 def test_delta_squared_degree_four_component():
     d2 = to_graded(heis_laplacian() * heis_laplacian(), 5)
-    comp = d2.degree_component(4)
-    assert comp.terms == {(4, 0, 0): 1, (0, 4, 0): 1, (2, 2, 0): 2,
-                          (1, 1, 1): 4, (0, 0, 2): 2}
+    assert component(d2, 4) == {(4, 0, 0): 1, (0, 4, 0): 1, (2, 2, 0): 2,
+                                (1, 1, 1): 4, (0, 0, 2): 2}
 
 
 def test_truncation_guard():

@@ -10,14 +10,14 @@ import pytest
 from heisenkit.algebra import (AlgebraElement, heis_laplacian,
                                hermitian_square, one_minus,
                                sos_identity_sides)
-from heisenkit.groups import Heisenberg, Heisenberg3
+from heisenkit.groups import Heisenberg
 from heisenkit.linalg import spectral_norm
 from heisenkit.rotation import (RationalAngle, almost_mathieu, bz_bound,
                                 evaluate, farey_angles, letters, parity_bases,
                                 parity_stack, pi_theta, pi_x, pi_y,
                                 site_letters, tensor_operator, x_op, y_op,
                                 z_scalar)
-from oracles import evaluate3, parity_letters, pi_theta3
+from oracles import Heisenberg3, evaluate3, parity_letters, pi_theta3
 
 H = Heisenberg
 
@@ -29,8 +29,6 @@ def test_angle_validation():
         RationalAngle(3, 2)
     with pytest.raises(ValueError):
         RationalAngle(1, 0)
-    a = RationalAngle.from_fraction(Fraction(2, 6))
-    assert (a.p, a.q) == (1, 3)
 
 
 def test_farey_grid():

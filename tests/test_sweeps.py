@@ -11,7 +11,6 @@ import pytest
 from heisenkit import sweeps
 from heisenkit.algebra import hermitian_square
 from heisenkit.cli import main
-from heisenkit.groups import Heisenberg3
 from heisenkit.rotation import (RationalAngle, farey_angles, kron_word,
                                parity_stack, site_letters, x_op, y_op)
 from heisenkit.sweeps import (_tensor_sweep, three_site_operator,
@@ -20,7 +19,7 @@ from heisenkit.sweeps import (_tensor_sweep, three_site_operator,
                               verify_prodnorm, verify_smalltheta,
                               verify_xsmall, verify_xyz1, verify_xyz2,
                               verify_zzz, zzz_theta0)
-from oracles import (evaluate3, parity_block_minima,
+from oracles import (Heisenberg3, evaluate3, parity_block_minima,
                      single_site_sweep, xyz2_block)
 
 SQRT2 = sqrt(2.0)

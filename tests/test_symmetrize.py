@@ -18,6 +18,11 @@ from heisenkit.symmetrize import (EdgeSymbol, FormalQuadratic,
                                   stability_threshold)
 
 
+def letter(sym: EdgeSymbol) -> FormalQuadratic:
+    """The one-letter word ``sym`` with coefficient one."""
+    return FormalQuadratic({(sym,): 1})
+
+
 def test_edge_symbol_normalizes_label():
     s = EdgeSymbol.make(1, 3, 2, 1)
     assert s.label == (1, 2)
@@ -166,7 +171,7 @@ def test_orbit_sum_is_invariant():
 def test_orbit_sum_empty_and_caps():
     assert orbit_sum(FormalQuadratic(), 5).is_zero()
     assert orbit_sum(FormalQuadratic(), 9).is_zero()  # no cap on n
-    sym = FormalQuadratic.letter(EdgeSymbol.make(1, 6, 1))
+    sym = letter(EdgeSymbol.make(1, 6, 1))
     with pytest.raises(ValueError):
         orbit_sum(sym, 5)
 
@@ -198,14 +203,13 @@ def test_spade_to_heart_degenerate():
 
 def test_single_letter_orbit_multiplicity():
     # sum over Sym(5) of E_{1,3}(t_1 t_1) hits every ordered pair (m-2)! times
-    sym = FormalQuadratic.letter(EdgeSymbol.make(1, 3, 1, 1))
+    sym = letter(EdgeSymbol.make(1, 3, 1, 1))
     summed = orbit_sum(sym, 5)
     every_pair = FormalQuadratic()
     for i in range(1, 6):
         for j in range(1, 6):
             if i != j:
-                every_pair = every_pair + FormalQuadratic.letter(
-                    EdgeSymbol.make(i, j, 1, 1))
+                every_pair = every_pair + letter(EdgeSymbol.make(i, j, 1, 1))
     assert summed.divides_exactly(every_pair) == factorial(3)
 
 
@@ -285,8 +289,8 @@ def test_orbit_sum_vanishing_parts():
 
 
 def test_formal_quadratic_arithmetic():
-    a = FormalQuadratic.letter(EdgeSymbol.make(1, 2, 1))
-    b = FormalQuadratic.letter(EdgeSymbol.make(2, 3, 1))
+    a = letter(EdgeSymbol.make(1, 2, 1))
+    b = letter(EdgeSymbol.make(2, 3, 1))
     prod = a * b
     assert all(len(w) == 2 for w in prod.terms)
     with pytest.raises(ValueError):
