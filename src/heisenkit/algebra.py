@@ -89,8 +89,9 @@ class TermDict:
 class AlgebraElement(TermDict):
     """Finite formal sum over a group, with exact rational coefficients.
 
-    ``group`` must expose ``identity``, ``mul`` and ``inv``; elements must be
-    hashable canonical forms.  Zero coefficients are never stored.
+    ``group`` must expose ``identity`` and ``mul``, and ``inv`` for
+    ``star`` (so also for ``hermitian_square`` and ``laplacian``); elements
+    must be hashable canonical forms.  Zero coefficients are never stored.
     """
 
     __slots__ = ("group",)
@@ -151,7 +152,9 @@ def steinberg_check(n: int, q: int) -> dict:
       additivity   e_{i,j}(r) e_{i,j}(s) = e_{i,j}(r+s)
       commutator   [e_{i,j}(r), e_{j,k}(s)] = e_{i,k}(rs)   (i != k)
       disjointness [e_{i,j}(r), e_{k,l}(s)] = 1             (i != l, j != k)
-    Returns pass/fail counts per relation.
+    Each commutator relation [g, h] = c is checked as the product identity
+    g h = c h g, so no matrix is inverted.  Returns pass/fail counts per
+    relation.
     """
     G = SpecialLinear(n, q)
     pairs = [(r, s) for r in range(q) for s in range(q)]
@@ -162,16 +165,16 @@ def steinberg_check(n: int, q: int) -> dict:
             for j in idx:
                 if i == j:
                     continue
-                lhs = G.mul(G.elementary(i, j, r), G.elementary(i, j, s))
-                if lhs == G.elementary(i, j, r + s):
+                g = G.elementary(i, j, r)
+                if G.mul(g, G.elementary(i, j, s)) == G.elementary(i, j, r + s):
                     report["additivity"] += 1
                 else:
                     report["failures"].append(("additivity", i, j, r, s))
                 for k in idx:
                     if k in (i, j):
                         continue
-                    comm = G.commutator(G.elementary(i, j, r), G.elementary(j, k, s))
-                    if comm == G.elementary(i, k, r * s):
+                    if G.commutator_is(g, G.elementary(j, k, s),
+                                       G.elementary(i, k, r * s)):
                         report["commutator"] += 1
                     else:
                         report["failures"].append(("commutator", i, j, k, r, s))
@@ -179,8 +182,8 @@ def steinberg_check(n: int, q: int) -> dict:
                     for l in idx:
                         if k == l or i == l or j == k or (k, l) == (i, j):
                             continue
-                        comm = G.commutator(G.elementary(i, j, r), G.elementary(k, l, s))
-                        if comm == G.identity:
+                        if G.commutator_is(g, G.elementary(k, l, s),
+                                           G.identity):
                             report["disjoint"] += 1
                         else:
                             report["failures"].append(("disjoint", i, j, k, l, r, s))

@@ -77,6 +77,17 @@ def sl_order(n: int, q: int) -> int:
     return total
 
 
+def _check_modulus(n: int, q: int) -> None:
+    """Refuse a modulus q < 1, and one whose base-q codes of n x n matrices
+    pass the 2^53 that float64 images hold exactly."""
+    if q < 1:
+        raise ValueError(f"modulus q must be at least 1, got {q}")
+    if q ** (n * n) > 2 ** 53:
+        raise ValueError(f"codes of {n}x{n} matrices mod {q} reach "
+                         f"{q}^{n * n}, past the 2^53 that float64 images "
+                         f"hold exactly")
+
+
 def _sl_prime_power(n: int, p: int, k: int) -> int:
     base = p ** (n * (n - 1) // 2)
     for i in range(2, n + 1):
@@ -139,16 +150,11 @@ def enumerate_group(n: int, q: int, p: int = 1,
     """
     if not 2 <= n <= 3:
         raise ValueError("supported desk scale is n in {2, 3}")
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    _check_modulus(n, q)
     if q == 1:
         return CayleyGraph(n, q, p, 1, 0, np.zeros(1, dtype=np.int64),
                            np.ones(1, dtype=np.int64),
                            np.zeros((1, 0), dtype=np.int64))
-    if q ** (n * n) > 2 ** 53:
-        raise ValueError(f"codes of {n}x{n} matrices mod {q} reach "
-                         f"{q}^{n * n}, past the 2^53 that float64 images "
-                         f"hold exactly")
     gens = elementary_generators(n, q, p)
     powers = q ** np.arange(n * n, dtype=np.int64)
     maps = stabiliser_maps(n)
@@ -471,9 +477,9 @@ def family_report(n: int, q_list, p_rule: str = "coprime",
     applications and quotient dimension behind lambda_2.  ``p_rule`` is
     "unit" (p = 1 only) or "coprime" (every residue prime to q).  Rows for
     p and q - p share one computation since the symmetrized generator sets
-    coincide.  An n outside {2, 3}, a repeated q, a q < 1, a q whose
-    classical order exceeds ``order_cap``, or one whose class table cannot
-    fit in physical memory, is refused before its BFS.
+    coincide.  An n outside {2, 3}, a repeated q, a q < 1 or with q^(n^2)
+    past 2^53, a q whose classical order exceeds ``order_cap``, or one
+    whose class table cannot fit in physical memory, is refused before its BFS.
     """
     if p_rule not in ("unit", "coprime"):
         raise ValueError("p_rule must be 'unit' or 'coprime'")
@@ -485,6 +491,7 @@ def family_report(n: int, q_list, p_rule: str = "coprime",
     rows = []
     cache: dict = {}
     for q in q_list:
+        _check_modulus(n, q)   # so that sl_order's trial division is quick
         # coprime generators close up to all of SL_n(Z/q), so the classical
         # order is exactly what the BFS would enumerate
         if sl_order(n, q) > order_cap:

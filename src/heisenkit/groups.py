@@ -1,13 +1,12 @@
 """Concrete groups with canonical hashable elements.
 
-Every group here exposes ``identity``, ``mul``, ``inv`` and stores elements
-in a normal form (integer tuples, residue matrices), so the group-algebra
-layer never has to rewrite words.
+Every group here exposes ``identity`` and ``mul`` and stores elements in
+a normal form (integer tuples, residue matrices), so the group-algebra
+layer never has to rewrite words.  ``Heisenberg`` also has ``inv``; the
+SL_n relation checks are product identities that need none.
 """
 
 from __future__ import annotations
-
-from math import gcd
 
 HeisElt = tuple[int, int, int]
 MatElt = tuple[tuple[int, ...], ...]
@@ -32,20 +31,6 @@ class Heisenberg:
     def inv(g: HeisElt) -> HeisElt:
         a, b, c = g
         return (-a, -b, a * b - c)
-
-
-def _det(rows: list[list[int]]) -> int:
-    """Exact integer determinant by cofactor expansion (small n only)."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        total += (-1) ** j * rows[0][j] * _det(minor)
-    return total
 
 
 class SpecialLinear:
@@ -78,20 +63,7 @@ class SpecialLinear:
             for i in range(n)
         )
 
-    def inv(self, g: MatElt) -> MatElt:
-        """Inverse via the adjugate; valid because det(g) = 1 mod q."""
-        n, q = self.n, self.q
-        rows = [list(r) for r in g]
-        d = _det(rows) % q
-        if gcd(d, q) != 1:
-            raise ValueError("matrix is not invertible mod q")
-        dinv = pow(d, -1, q) if q > 1 else 0
-        adj = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                minor = [r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i]
-                adj[j][i] = (-1) ** (i + j) * _det(minor)
-        return tuple(tuple((dinv * adj[i][j]) % q for j in range(n)) for i in range(n))
-
-    def commutator(self, g: MatElt, h: MatElt) -> MatElt:
-        return self.mul(self.mul(g, h), self.mul(self.inv(g), self.inv(h)))
+    def commutator_is(self, g: MatElt, h: MatElt, c: MatElt) -> bool:
+        """Whether [g, h] = g h g^{-1} h^{-1} equals c, checked as the
+        inverse-free identity g h = c h g."""
+        return self.mul(g, h) == self.mul(self.mul(c, h), g)

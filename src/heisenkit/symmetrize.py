@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import ceil, factorial
 from typing import NamedTuple
 
 from .algebra import TermDict, accumulate
@@ -276,11 +276,9 @@ def stability_threshold(cert: StabilityCertificate, n: int) -> dict:
 
 
 def n_threshold(cert: StabilityCertificate) -> int:
-    """Smallest n >= m where the stabilized inequality applies."""
-    n = cert.m
-    while not stability_threshold(cert, n)["applies"]:
-        n += 1
-    return n
+    """Smallest n >= m where the stabilized inequality applies: the least
+    integer n with n - 3 >= (m-3) R, and at least m."""
+    return max(cert.m, 3 + ceil((cert.m - 3) * Fraction(cert.R)))
 
 
 EL5_ASSIGNMENT = {
@@ -296,29 +294,27 @@ def instantiate_el5(q: int, t_r: int, t_s: int) -> dict:
 
     x_i = e_{1,i+1}(.), y_i = e_{i+1,5}(.), z = e_{1,5}(t_r t_s); the
     variables alternate so that every [x_i, y_i] lands on t_r t_s in the
-    commutative ring.
+    commutative ring.  Each relation [g, h] = c is checked as the product
+    identity g h = c h g.
     """
     G = SpecialLinear(5, q)
     vals = {"r": t_r % q, "s": t_s % q, "rs": (t_r * t_s) % q}
     elt = {name: G.elementary(i, j, vals[v])
            for name, (i, j, v) in EL5_ASSIGNMENT.items()}
+    comm, one = G.commutator_is, G.identity
     checks = {}
     for i in (1, 2, 3):
-        comm = G.commutator(elt[f"x{i}"], elt[f"y{i}"])
-        checks[f"[x{i},y{i}]=z"] = comm == elt["z"]
+        checks[f"[x{i},y{i}]=z"] = comm(elt[f"x{i}"], elt[f"y{i}"], elt["z"])
         for j in (1, 2, 3):
             if i != j:
-                comm = G.commutator(elt[f"x{i}"], elt[f"y{j}"])
-                checks[f"[x{i},y{j}]=1"] = comm == G.identity
+                checks[f"[x{i},y{j}]=1"] = comm(elt[f"x{i}"], elt[f"y{j}"], one)
     for a in (1, 2, 3):
         for b in (1, 2, 3):
             if a < b:
-                checks[f"[x{a},x{b}]=1"] = (
-                    G.commutator(elt[f"x{a}"], elt[f"x{b}"]) == G.identity)
-                checks[f"[y{a},y{b}]=1"] = (
-                    G.commutator(elt[f"y{a}"], elt[f"y{b}"]) == G.identity)
+                checks[f"[x{a},x{b}]=1"] = comm(elt[f"x{a}"], elt[f"x{b}"], one)
+                checks[f"[y{a},y{b}]=1"] = comm(elt[f"y{a}"], elt[f"y{b}"], one)
     for name in elt:
-        checks[f"[{name},z]=1"] = G.commutator(elt[name], elt["z"]) == G.identity
+        checks[f"[{name},z]=1"] = comm(elt[name], elt["z"], one)
     return {"q": q, "t_r": t_r, "t_s": t_s,
             "assignment": dict(EL5_ASSIGNMENT),
             "checks": checks, "pass": all(checks.values())}

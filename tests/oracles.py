@@ -3,10 +3,11 @@ eigenvalue oracles, the single-site sweeps solved one dense q x q matrix
 per angle, the parity letters conjugated out of the dense q x q letters,
 the tensor operators' least eigenvalues from a dense solve of every parity
 block, the rank-3 Heisenberg group and its representation evaluated word
-by word, plain fixture graphs for the spectral-gap solver, Cayley graphs
-enumerated vertex by vertex with their stabiliser orbits found by brute
-force, and lambda_2 solved on the whole adjacency of a graph rather than
-on its orbit quotient."""
+by word, SL_n(Z/qZ) with an inverse and with one wrong product, plain
+fixture graphs for the spectral-gap solver, Cayley graphs enumerated
+vertex by vertex with their stabiliser orbits found by brute force, and
+lambda_2 solved on the whole adjacency of a graph rather than on its orbit
+quotient."""
 
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ import numpy as np
 from heisenkit import rotation
 from heisenkit.algebra import AlgebraElement
 from heisenkit.expander import elementary_generators
+from heisenkit.groups import SpecialLinear
 from heisenkit.linalg import (hermitian_operator, min_eigenvalue,
                               spectral_norm, spectral_projection)
 from heisenkit.rotation import RationalAngle, farey_angles, pi_theta
@@ -281,6 +283,39 @@ def evaluate3(angle: RationalAngle, xi: AlgebraElement) -> np.ndarray:
     for g, coeff in xi.terms.items():
         out += float(coeff) * pi_theta3(angle, g)
     return out
+
+
+class InvertibleSL(SpecialLinear):
+    """SL_n(Z/qZ) with the inverse that the package never needs: the
+    adjugate from its minors' determinants (each exact after rounding at
+    these sizes) times det^{-1} mod q."""
+
+    def inv(self, g):
+        m = np.array(g, dtype=np.int64)
+        adj = np.empty_like(m)
+        for r in range(self.n):
+            for c in range(self.n):
+                minor = np.delete(np.delete(m, r, 0), c, 1)
+                adj[c, r] = (-1) ** (r + c) * round(np.linalg.det(minor))
+        d = pow(round(np.linalg.det(m)), -1, self.q)
+        return tuple(tuple(int(v) for v in row) for row in adj * d % self.q)
+
+    def commutator(self, g, h):
+        return self.mul(self.mul(g, h), self.mul(self.inv(g), self.inv(h)))
+
+
+def plant_wrong_product(monkeypatch, a, b):
+    """Make ``SpecialLinear.mul`` wrong on the one product a b: its (1, 1)
+    entry comes out one too large."""
+    mul = SpecialLinear.mul
+
+    def wrong(self, g, h):
+        out = mul(self, g, h)
+        if (g, h) == (a, b):
+            out = (((out[0][0] + 1) % self.q, *out[0][1:]), *out[1:])
+        return out
+
+    monkeypatch.setattr(SpecialLinear, "mul", wrong)
 
 
 @dataclass

@@ -12,7 +12,7 @@ from heisenkit.algebra import (AlgebraElement, accumulate, heis_laplacian,
 from heisenkit.graded import GradedElement
 from heisenkit.groups import Heisenberg, SpecialLinear
 from heisenkit.symmetrize import EdgeSymbol, FormalQuadratic
-from oracles import Heisenberg3
+from oracles import Heisenberg3, InvertibleSL, plant_wrong_product
 
 H = Heisenberg
 
@@ -104,7 +104,7 @@ def test_laplacian_equals_square_form():
 
 
 def test_e_term_involution_mod_2():
-    G = SpecialLinear(3, 2)
+    G = InvertibleSL(3, 2)
     g = G.elementary(1, 2, 1)
     e = hermitian_square(G, g)
     assert e.terms == {G.identity: 2, g: -2}  # generator is an involution mod 2
@@ -113,12 +113,13 @@ def test_e_term_involution_mod_2():
 
 
 def test_e_term_zero_label():
-    G = SpecialLinear(3, 5)
+    G = InvertibleSL(3, 5)
     assert hermitian_square(G, G.elementary(1, 2, 0)).is_zero()
 
 
 def test_special_linear_det_and_inverse():
-    G = SpecialLinear(3, 7)
+    # SpecialLinear has no inverse; the oracle's is checked here
+    G = InvertibleSL(3, 7)
     rng = random.Random(4)
     g = G.identity
     for _ in range(20):
@@ -137,8 +138,52 @@ def test_steinberg_exhaustive_small():
 
 def test_steinberg_single_commutator():
     G = SpecialLinear(3, 7)
-    comm = G.commutator(G.elementary(1, 2, 1), G.elementary(2, 3, 1))
-    assert comm == G.elementary(1, 3, 1)
+    assert G.commutator_is(G.elementary(1, 2, 1), G.elementary(2, 3, 1),
+                           G.elementary(1, 3, 1))
+
+
+def _random_product(rng, G, length=12):
+    g = G.identity
+    for _ in range(length):
+        i, j = rng.sample(range(1, G.n + 1), 2)
+        g = G.mul(g, G.elementary(i, j, rng.randrange(G.q)))
+    return g
+
+
+@pytest.mark.parametrize("n, q", [(3, 7), (5, 5)])
+def test_commutator_is_matches_the_inverse_oracle(n, q):
+    G = InvertibleSL(n, q)
+    rng = random.Random(5 * n + q)
+    for _ in range(20):
+        g, h = _random_product(rng, G), _random_product(rng, G)
+        c = G.commutator(g, h)
+        assert G.commutator_is(g, h, c)
+        others = [G.mul(c, G.elementary(i, j, r))
+                  for i, j in ((1, 2), (n, 1)) for r in (1, q - 1)]
+        others += [G.identity] + [_random_product(rng, G) for _ in range(3)]
+        for other in others:
+            assert G.commutator_is(g, h, other) == (other == c)
+
+
+@pytest.mark.parametrize("a, b, failures", [
+    ((1, 2, 1), (1, 2, 2), [("additivity", 1, 2, 1, 2)]),
+    ((1, 2, 1), (2, 3, 1), [("commutator", 1, 2, 3, 1, 1)]),
+    # the checks [a, b] = 1 and [b, a] = 1 both form the product a b; the
+    # second has (r, s) = (1, 2) and comes first
+    ((1, 2, 2), (1, 3, 1), [("disjoint", 1, 3, 1, 2, 1, 2),
+                            ("disjoint", 1, 2, 1, 3, 2, 1)])],
+    ids=["additivity", "commutator", "disjoint"])
+def test_steinberg_reports_a_planted_wrong_relation(monkeypatch, a, b,
+                                                    failures):
+    G = SpecialLinear(3, 5)
+    plant_wrong_product(monkeypatch, G.elementary(*a), G.elementary(*b))
+    report = steinberg_check(3, 5)
+    assert report["failures"] == failures and not report["pass"]
+    monkeypatch.undo()
+    good = steinberg_check(3, 5)
+    assert good["pass"]
+    for key in ("additivity", "commutator", "disjoint"):
+        assert report[key] + sum(f[0] == key for f in failures) == good[key]
 
 
 def test_steinberg_zero_pairs():

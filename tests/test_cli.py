@@ -268,6 +268,18 @@ def test_oversize_expander_run_is_refused_quickly(capsys):
     assert "exceeds the order cap 400000" in capsys.readouterr().err
 
 
+def test_huge_modulus_is_refused_before_its_order(capsys):
+    # factoring q by trial division for |SL_2(Z/q)| took 25 s at the first
+    # q and minutes at the second; q^4 > 2^53 is refused first
+    for q in ("10000000000000061", "1000000000000000003"):
+        t0 = time.perf_counter()
+        assert main(["expander", "run", "--n", "2", "--q", q]) == 1
+        assert time.perf_counter() - t0 < 1.0
+        assert capsys.readouterr().err == (
+            f"error: codes of 2x2 matrices mod {q} reach {q}^4, past the "
+            f"2^53 that float64 images hold exactly\n")
+
+
 def test_expander_run_past_physical_memory_is_refused_quickly(capsys):
     # under the cap, but |SL_3(Z/30)| / |W| classes of 12 neighbours need
     # about 700 GB; the class BFS would run for hours before failing

@@ -1,6 +1,7 @@
 """Orbit-sum identities, pair censuses, the local-to-global summation and
 the stability threshold calculator."""
 
+import time
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -16,6 +17,7 @@ from heisenkit.symmetrize import (EdgeSymbol, FormalQuadratic,
                                   instantiate_el5, n_threshold, orbit_sum,
                                   spade_blocks, spade_to_heart,
                                   stability_threshold)
+from oracles import plant_wrong_product
 
 
 def letter(sym: EdgeSymbol) -> FormalQuadratic:
@@ -269,13 +271,53 @@ def test_el5_in_the_zero_ring():
 
 def test_el5_commutator_oracle():
     G = SpecialLinear(5, 5)
-    comm = G.commutator(G.elementary(1, 2, 2), G.elementary(2, 5, 3))
-    assert comm == G.elementary(1, 5, 6 % 5)
+    assert G.commutator_is(G.elementary(1, 2, 2), G.elementary(2, 5, 3),
+                           G.elementary(1, 5, 6 % 5))
     G7 = SpecialLinear(5, 7)
     for tr in range(7):
         for ts in range(7):
-            comm = G7.commutator(G7.elementary(1, 2, tr), G7.elementary(3, 5, ts))
-            assert comm == G7.identity  # x1 and y2 commute for any values
+            # x1 and y2 commute for any values
+            assert G7.commutator_is(G7.elementary(1, 2, tr),
+                                    G7.elementary(3, 5, ts), G7.identity)
+
+
+def test_el5_reports_a_planted_wrong_relation(monkeypatch):
+    # x1 y1 = e_{1,2}(2) e_{2,5}(3) comes out with its (1, 1) entry wrong
+    G = SpecialLinear(5, 5)
+    good = instantiate_el5(5, 2, 3)
+    plant_wrong_product(monkeypatch, G.elementary(1, 2, 2),
+                        G.elementary(2, 5, 3))
+    rec = instantiate_el5(5, 2, 3)
+    assert not rec["pass"]
+    assert [k for k, ok in rec["checks"].items() if not ok] == ["[x1,y1]=z"]
+    assert list(rec["checks"]) == list(good["checks"])
+
+
+def _brute_threshold(cert):
+    n = cert.m
+    while not stability_threshold(cert, n)["applies"]:
+        n += 1
+    return n
+
+
+def test_n_threshold_is_the_least_applying_n():
+    rs = [Fraction(1, 3), Fraction(1), Fraction(6), Fraction(100, 3),
+          Fraction(1, 7), Fraction(5, 2), Fraction(7, 4), Fraction(12),
+          0.3, 2.5]
+    for m in range(4, 12):
+        for R in rs:
+            cert = StabilityCertificate(m, R, Fraction(1))
+            assert n_threshold(cert) == _brute_threshold(cert), (m, R)
+
+
+def test_n_threshold_at_a_huge_R_is_immediate():
+    cert = StabilityCertificate(5, Fraction(10 ** 12), Fraction(1))
+    t0 = time.perf_counter()
+    n = n_threshold(cert)
+    assert time.perf_counter() - t0 < 0.1
+    assert n == 3 + 2 * 10 ** 12
+    assert stability_threshold(cert, n)["applies"]
+    assert not stability_threshold(cert, n - 1)["applies"]
 
 
 def test_orbit_sum_vanishing_parts():
