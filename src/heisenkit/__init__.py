@@ -2,14 +2,13 @@
 algebras, rotation-representation sweeps, exact symmetrization identities,
 graded augmentation arithmetic, and Cayley-graph spectral gaps."""
 
-from .algebra import (AlgebraElement, heis_laplacian, heis_xyz,
-                      hermitian_square, laplacian, one_minus,
+from .algebra import (AlgebraElement, heis_xyz, hermitian_square, one_minus,
                       sos_identity_sides, steinberg_check)
 from .expander import (CayleyGraph, enumerate_group, family_report, sl_order,
                        spectral_gap)
-from .graded import (GradedElement, box_element, evaluate_phi,
-                     graded_dimension, graded_mul, graded_star,
-                     gram_matrix_check, phi_report, to_graded)
+from .graded import (GradedElement, evaluate_phi, graded_dimension,
+                     graded_mul, graded_star, gram_matrix_check, phi_inputs,
+                     phi_report)
 from .groups import Heisenberg, SpecialLinear
 from .linalg import (hermitian_norm, hermitian_operator, min_eigenvalue,
                      spectral_norm, spectral_projection)

@@ -9,7 +9,6 @@ element is pushed through a representation (see :mod:`heisenkit.rotation`).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
 
 from .groups import Heisenberg, SpecialLinear
 
@@ -90,8 +89,8 @@ class AlgebraElement(TermDict):
     """Finite formal sum over a group, with exact rational coefficients.
 
     ``group`` must expose ``identity`` and ``mul``, and ``inv`` for
-    ``star`` (so also for ``hermitian_square`` and ``laplacian``); elements
-    must be hashable canonical forms.  Zero coefficients are never stored.
+    ``star`` (so also for ``hermitian_square``); elements must be hashable
+    canonical forms.  Zero coefficients are never stored.
     """
 
     __slots__ = ("group",)
@@ -131,18 +130,6 @@ def hermitian_square(group, g) -> AlgebraElement:
     """(1-g)*(1-g) = 2 - g - g^{-1}."""
     u = one_minus(group, g)
     return u.star() * u
-
-
-def laplacian(group, generators: Iterable) -> AlgebraElement:
-    """|S| - sum_{s in S} s for the symmetrized generating set S."""
-    sym = set()
-    for g in generators:
-        sym.add(g)
-        sym.add(group.inv(g))
-    out = AlgebraElement(group, {group.identity: len(sym)})
-    for s in sorted(sym, key=repr):
-        out = out + AlgebraElement(group, {s: -1})
-    return out
 
 
 def steinberg_check(n: int, q: int) -> dict:
@@ -198,10 +185,6 @@ def heis_xyz() -> tuple[AlgebraElement, AlgebraElement, AlgebraElement]:
     H = Heisenberg
     return (hermitian_square(H, H.x), hermitian_square(H, H.y),
             hermitian_square(H, H.z))
-
-
-def heis_laplacian() -> AlgebraElement:
-    return laplacian(Heisenberg, [Heisenberg.x, Heisenberg.y])
 
 
 def sos_identity_sides() -> tuple[AlgebraElement, AlgebraElement]:

@@ -376,7 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pg = sub.add_parser("graded", help="augmentation-quotient computations")
     pg.add_argument("what", choices=list(checks["graded"]))
-    pg.add_argument("--max", type=_positive_int, help="largest degree for dims")
+    pg.add_argument("--max", type=_positive_int,
+                    help=f"largest degree for dims (at most "
+                         f"{graded.MAX_TRUNCATION})")
     pg.add_argument("--points", type=_positive_int,
                     help="numeric grid size for sos-identity")
     pg.add_argument("--out", default=None)

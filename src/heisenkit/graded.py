@@ -7,7 +7,9 @@ i + j + 2k <= N.  The central letter zbar commutes; the single rewrite
 is an exact identity in R[H] and terminates under truncation because the
 recursive branch raises degree by two.  The involution stays in the
 quotient: it is fixed by ubar* = 1 - u^{-1} = -(ubar + ... + ubar^N) on
-each letter and reverses the order of a product.
+each letter and reverses the order of a product.  The pairs (ubar, ubar*)
+also give the inputs of the degree-four functional phi, so nothing here
+multiplies in R[H] itself.
 """
 
 from __future__ import annotations
@@ -17,9 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import (AlgebraElement, TermDict, accumulate, heis_laplacian,
-                      one_minus)
-from .groups import Heisenberg
+from .algebra import TermDict, accumulate
 
 MAX_TRUNCATION = 10
 PHI_TRUNCATION = 5            # phi and its checks work in R[H]/I^6
@@ -118,36 +118,18 @@ def graded_mul(a: GradedElement, b: GradedElement) -> GradedElement:
     return GradedElement(n, out)
 
 
-def _generator_power(letter: str, exponent: int, truncation: int) -> GradedElement:
-    """Graded image of x^a, y^b or z^c: a power of u = 1 - ubar, or for a
-    negative exponent of the truncated geometric series u^{-1} = sum ubar^k."""
-    unit = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}[letter]
-    one = GradedElement.monomial(truncation, (0, 0, 0))
-    if exponent >= 0:
-        base = one - GradedElement.monomial(truncation, unit)
-    else:
-        kmax = truncation // degree(unit)
-        base = GradedElement(truncation, {
-            tuple(k * c for c in unit): 1 for k in range(kmax + 1)})
-    acc = one
-    for _ in range(abs(exponent)):
-        acc = graded_mul(acc, base)
-    return acc
+LETTERS = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}
 
 
-def to_graded(xi: AlgebraElement, truncation: int) -> GradedElement:
-    """Exact image of a group-algebra element in R[H]/I^{N+1}.
-
-    A group element (a, b, c) = x^a y^b z^{c-ab} maps to the product of its
-    generator powers, which is already normal-ordered."""
-    out = GradedElement(truncation)
-    for (a, b, c), coeff in xi.terms.items():
-        img = graded_mul(
-            graded_mul(_generator_power("x", a, truncation),
-                       _generator_power("y", b, truncation)),
-            _generator_power("z", c - a * b, truncation))
-        out = out + coeff * img
-    return out
+def letter_pair(u: str, truncation: int) -> tuple:
+    """(ubar, ubar*) for the letter u: ubar = 1 - u, and ubar* = 1 - u^{-1}
+    = -(ubar + ubar^2 + ...), the geometric series of u^{-1} = (1 - ubar)^{-1}
+    cut at the truncation.  Powers of one letter are already normal-ordered."""
+    unit = LETTERS[u]
+    star = {tuple(k * e for e in unit): -1
+            for k in range(1, truncation // degree(unit) + 1)}
+    return (GradedElement.monomial(truncation, unit),
+            GradedElement(truncation, star))
 
 
 def graded_star(a: GradedElement) -> GradedElement:
@@ -157,7 +139,7 @@ def graded_star(a: GradedElement) -> GradedElement:
     (xbar^i ybar^j zbar^k)* = zbar*^k ybar*^j xbar*^i."""
     n = a.truncation
     one = GradedElement.monomial(n, (0, 0, 0))
-    star = {u: one - _generator_power(u, -1, n) for u in "xyz"}
+    star = {u: letter_pair(u, n)[1] for u in LETTERS}
     out = GradedElement(n)
     for (i, j, k), c in a.terms.items():
         img = one
@@ -187,29 +169,32 @@ def evaluate_phi(a: GradedElement) -> Fraction:
                 for m, c in a.terms.items() if degree(m) == 4), Fraction(0))
 
 
-def box_element() -> GradedElement:
-    """(1/4) sum_{s,t in S} (1-s)*(1-t)*(1-t)(1-s) for S = {x^±1, y^±1},
-    computed exactly in R[H] and then graded."""
-    H = Heisenberg
-    gens = [H.x, H.inv(H.x), H.y, H.inv(H.y)]
-    total = AlgebraElement(H)
-    for s in gens:
-        for t in gens:
-            us, ut = one_minus(H, s), one_minus(H, t)
-            total = total + us.star() * ut.star() * ut * us
-    return to_graded(Fraction(1, 4) * total, PHI_TRUNCATION)
+def phi_inputs(truncation: int = PHI_TRUNCATION) -> tuple:
+    """Delta^2, the box sum and zbar* zbar, built in R[H]/I^{N+1} from the
+    letter pairs (ubar, ubar*).  For s in S = {x^±1, y^±1}, 1 - s runs over
+    xbar, xbar*, ybar, ybar* (1 - u^{-1} = ubar*), so
+    Delta = sum_s (1 - s) = xbar + xbar* + ybar + ybar* and
+    box = (1/4) sum_{s,t} (1-s)*(1-t)*(1-t)(1-s) = (1/4) sum a* b* b a
+    over those four, each taken with its star."""
+    n = truncation
+    xb, xs = letter_pair("x", n)
+    yb, ys = letter_pair("y", n)
+    zb, zs = letter_pair("z", n)
+    delta = xb + xs + yb + ys
+    pairs = [(xb, xs), (xs, xb), (yb, ys), (ys, yb)]
+    box = GradedElement(n)
+    for a, a_star in pairs:
+        for b, b_star in pairs:
+            box = box + graded_mul(graded_mul(a_star, b_star), graded_mul(b, a))
+    return (graded_mul(delta, delta), Fraction(1, 4) * box,
+            graded_mul(zs, zb))
 
 
 def phi_report() -> dict:
     """The headline values: phi(Delta^2) = 0, phi(box) = 4,
     phi(zbar* zbar) = 2, and the uniform non-positivity witness
     phi(R Delta^2 + box/4 - zbar* zbar) = -1 for every R."""
-    H = Heisenberg
-    delta = heis_laplacian()
-    zb = one_minus(H, H.z)
-    phi_d2 = evaluate_phi(to_graded(delta * delta, PHI_TRUNCATION))
-    phi_box = evaluate_phi(box_element())
-    phi_zz = evaluate_phi(to_graded(zb.star() * zb, PHI_TRUNCATION))
+    phi_d2, phi_box, phi_zz = (evaluate_phi(e) for e in phi_inputs())
     return {
         "phi_delta_sq": phi_d2,
         "phi_box": phi_box,
@@ -240,8 +225,28 @@ def gram_matrix_check() -> dict:
         "matches_expected": all(gram[i][j] == GRAM_EXPECTED[i][j]
                                 for i in range(4) for j in range(4)),
         "eigenvalues": [float(e) for e in eigs],
-        "psd": bool(eigs[0] >= -1e-12),
+        "psd": is_psd(gram),
     }
+
+
+def is_psd(matrix) -> bool:
+    """Whether a symmetric rational matrix is positive semidefinite, decided
+    exactly by symmetric elimination in Fraction: each pivot leaves the
+    Schur complement of its entry.  A negative pivot, or a zero pivot with
+    a nonzero entry left in its row, means the matrix is not PSD."""
+    a = [[Fraction(v) for v in row] for row in matrix]
+    n = len(a)
+    for p in range(n):
+        pivot = a[p][p]
+        if pivot < 0 or (pivot == 0 and any(a[p][p + 1:])):
+            return False
+        if pivot == 0:
+            continue
+        for i in range(p + 1, n):
+            f = a[i][p] / pivot
+            for j in range(p + 1, n):
+                a[i][j] -= f * a[p][j]
+    return True
 
 
 def rederive_square_swap_lines() -> dict:
@@ -275,7 +280,12 @@ def phi_selfadjoint_check() -> bool:
 
 
 def dimension_table(max_degree: int) -> list:
-    """Rows (n, closed form, brute-force count) for n <= max_degree."""
+    """Rows (n, closed form, brute-force count) for n <= max_degree.  The
+    count takes about max_degree^4 / 8 steps, so max_degree is capped at
+    MAX_TRUNCATION, the largest truncation the engine works in."""
+    if max_degree > MAX_TRUNCATION:
+        raise ValueError(f"dims are tabled up to degree {MAX_TRUNCATION}, "
+                         f"got {max_degree}")
     rows = []
     for n in range(max_degree + 1):
         brute = sum(1 for i in range(n + 1) for j in range(n + 1)

@@ -212,12 +212,8 @@ def spade_to_heart(m: int, d: int) -> dict:
     """
     if m < 4:
         raise ValueError("need m >= 4 (four distinct indices)")
-    if d < 0:
-        raise ValueError("need d >= 0")
-    if d == 0:
-        return {"m": m, "d": 0, "adj_multiplicity": 0, "rhs_multiplicity": 0,
-                "op_multiplicity": 0, "adj_match": True, "rhs_match": True,
-                "all_zero": True}
+    if d < 1:
+        raise ValueError("need d >= 1 (with d = 0 every part is zero)")
     parts = build_parts(m, d)
     block, rhs = spade_blocks(d)
     adj_mult = orbit_sum(block, m).divides_exactly(parts["Adj"])

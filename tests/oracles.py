@@ -3,11 +3,12 @@ eigenvalue oracles, the single-site sweeps solved one dense q x q matrix
 per angle, the parity letters conjugated out of the dense q x q letters,
 the tensor operators' least eigenvalues from a dense solve of every parity
 block, the rank-3 Heisenberg group and its representation evaluated word
-by word, SL_n(Z/qZ) with an inverse and with one wrong product, plain
-fixture graphs for the spectral-gap solver, Cayley graphs enumerated
-vertex by vertex with their stabiliser orbits found by brute force, and
-lambda_2 solved on the whole adjacency of a graph rather than on its orbit
-quotient."""
+by word, the Laplacian of H and the route from R[H] into R[H]/I^{N+1}
+(to_graded) that the graded tests compare against, SL_n(Z/qZ) with an
+inverse and with one wrong product, plain fixture graphs for the
+spectral-gap solver, Cayley graphs enumerated vertex by vertex with their
+stabiliser orbits found by brute force, and lambda_2 solved on the whole
+adjacency of a graph rather than on its orbit quotient."""
 
 from __future__ import annotations
 
@@ -20,9 +21,10 @@ from math import cos, pi, sin, sqrt
 import numpy as np
 
 from heisenkit import rotation
-from heisenkit.algebra import AlgebraElement
+from heisenkit.algebra import AlgebraElement, one_minus
 from heisenkit.expander import elementary_generators
-from heisenkit.groups import SpecialLinear
+from heisenkit.graded import GradedElement, degree, graded_mul
+from heisenkit.groups import Heisenberg, SpecialLinear
 from heisenkit.linalg import (hermitian_operator, min_eigenvalue,
                               spectral_norm, spectral_projection)
 from heisenkit.rotation import RationalAngle, farey_angles, pi_theta
@@ -283,6 +285,60 @@ def evaluate3(angle: RationalAngle, xi: AlgebraElement) -> np.ndarray:
     for g, coeff in xi.terms.items():
         out += float(coeff) * pi_theta3(angle, g)
     return out
+
+
+def heis_laplacian() -> AlgebraElement:
+    """Delta = |S| - sum_{s in S} s in R[H] for S = {x^±1, y^±1}."""
+    H = Heisenberg
+    gens = (H.x, H.inv(H.x), H.y, H.inv(H.y))
+    return AlgebraElement(H, {H.identity: 4, **{g: -1 for g in gens}})
+
+
+def generator_power(letter: str, exponent: int, truncation: int) -> GradedElement:
+    """Graded image of x^a, y^b or z^c: a power of u = 1 - ubar, or for a
+    negative exponent of the truncated geometric series u^{-1} = sum ubar^k."""
+    unit = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}[letter]
+    one = GradedElement.monomial(truncation, (0, 0, 0))
+    if exponent >= 0:
+        base = one - GradedElement.monomial(truncation, unit)
+    else:
+        kmax = truncation // degree(unit)
+        base = GradedElement(truncation, {
+            tuple(k * c for c in unit): 1 for k in range(kmax + 1)})
+    acc = one
+    for _ in range(abs(exponent)):
+        acc = graded_mul(acc, base)
+    return acc
+
+
+def to_graded(xi: AlgebraElement, truncation: int) -> GradedElement:
+    """Exact image of a group-algebra element in R[H]/I^{N+1}, the route
+    through R[H] that the package does not take.
+
+    A group element (a, b, c) = x^a y^b z^{c-ab} maps to the product of its
+    generator powers, which is already normal-ordered."""
+    out = GradedElement(truncation)
+    for (a, b, c), coeff in xi.terms.items():
+        img = graded_mul(
+            graded_mul(generator_power("x", a, truncation),
+                       generator_power("y", b, truncation)),
+            generator_power("z", c - a * b, truncation))
+        out = out + coeff * img
+    return out
+
+
+def group_algebra_phi_inputs() -> tuple:
+    """Delta^2, the box sum (1/4) sum_{s,t in S} (1-s)*(1-t)*(1-t)(1-s) and
+    zbar* zbar, multiplied out in R[H] itself."""
+    H = Heisenberg
+    gens = [H.x, H.inv(H.x), H.y, H.inv(H.y)]
+    box = AlgebraElement(H)
+    for s in gens:
+        for t in gens:
+            us, ut = one_minus(H, s), one_minus(H, t)
+            box = box + us.star() * ut.star() * ut * us
+    delta, zb = heis_laplacian(), one_minus(H, H.z)
+    return delta * delta, Fraction(1, 4) * box, zb.star() * zb
 
 
 class InvertibleSL(SpecialLinear):

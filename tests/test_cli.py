@@ -10,6 +10,7 @@ import time
 from heisenkit import cli, expander, sweeps
 from heisenkit.algebra import sos_identity_sides
 from heisenkit.cli import build_parser, main
+from heisenkit.groups import Heisenberg
 from heisenkit.rotation import evaluate
 from heisenkit.sweeps import verify_formula
 
@@ -208,6 +209,36 @@ def test_graded_phi_gram_sos():
     assert main(["graded", "phi"]) == 0
     assert main(["graded", "gram"]) == 0
     assert main(["graded", "sos-identity", "--points", "6"]) == 0
+
+
+def test_graded_dims_refuses_degrees_above_the_cap(capsys):
+    # the brute-force count takes about N^4/8 steps: refused before it runs
+    t0 = time.perf_counter()
+    assert main(["graded", "dims", "--max", "11"]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    assert main(["graded", "dims", "--max", "10"]) == 0
+
+
+def test_graded_checks_stay_in_the_quotient(monkeypatch, tmp_path):
+    # dims, phi and gram give the same reports with no product or inverse
+    # in the Heisenberg group to call
+    def reports():
+        out = {}
+        for what in ("dims", "phi", "gram"):
+            path = tmp_path / f"{what}.json"
+            assert main(["graded", what, "--out", str(path)]) == 0
+            out[what] = path.read_bytes()
+        return out
+
+    def refuse(*_):
+        raise AssertionError("a graded check multiplied in R[H]")
+
+    want = reports()
+    monkeypatch.setattr(Heisenberg, "mul", staticmethod(refuse))
+    monkeypatch.setattr(Heisenberg, "inv", staticmethod(refuse))
+    assert reports() == want
 
 
 def test_symmetry_commands(tmp_path):

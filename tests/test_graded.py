@@ -7,14 +7,15 @@ from itertools import product
 import numpy as np
 import pytest
 
-from heisenkit.algebra import AlgebraElement, heis_laplacian, heis_xyz, one_minus
-from heisenkit.graded import (GradedElement, basis_monomials,
-                              box_element, degree, dimension_table,
-                              evaluate_phi, graded_dimension, graded_mul,
-                              graded_star, gram_matrix_check, phi_report,
-                              phi_selfadjoint_check,
-                              rederive_square_swap_lines, to_graded)
+from heisenkit.algebra import AlgebraElement, heis_xyz, one_minus
+from heisenkit.graded import (GRAM_EXPECTED, GradedElement, basis_monomials,
+                              degree, dimension_table, evaluate_phi,
+                              graded_dimension, graded_mul, graded_star,
+                              gram_matrix_check, is_psd, phi_inputs,
+                              phi_report, phi_selfadjoint_check,
+                              rederive_square_swap_lines)
 from heisenkit.groups import Heisenberg
+from oracles import group_algebra_phi_inputs, heis_laplacian, to_graded
 
 H = Heisenberg
 
@@ -187,7 +188,7 @@ def test_graded_dimension_formula():
 
 
 def test_box_element():
-    box = box_element()
+    box = phi_inputs()[1]
     assert lowest_degree(box) == 4
     assert graded_star(box) == box
     assert evaluate_phi(box) == 4
@@ -214,12 +215,16 @@ def test_phi_headline_values():
     assert evaluate_phi(mono(5, (4, 0, 0))) == 1
 
 
+def test_phi_inputs_match_the_group_algebra_route():
+    # Delta^2, box and zbar* zbar built from the letter pairs equal the
+    # images of the same products multiplied out in R[H]
+    products = group_algebra_phi_inputs()
+    for n in (4, 5):
+        assert phi_inputs(n) == tuple(to_graded(e, n) for e in products), n
+
+
 def test_phi_nonpositivity_witness_uniform_in_R():
-    delta = heis_laplacian()
-    zb = one_minus(H, H.z)
-    d2 = to_graded(delta * delta, 5)
-    box = box_element()
-    zz = to_graded(zb.star() * zb, 5)
+    d2, box, zz = phi_inputs()
     for R in (Fraction(1), Fraction(100), Fraction(10 ** 9), Fraction(1, 7)):
         value = (R * evaluate_phi(d2) + Fraction(1, 4) * evaluate_phi(box)
                  - evaluate_phi(zz))
@@ -241,6 +246,18 @@ def test_gram_matrix():
     assert rec["psd"]
     eigs = sorted(rec["eigenvalues"])
     assert np.allclose(eigs, [0.0, 1.0, 1.0, 2.0], atol=1e-12)
+
+
+def test_is_psd_decides_exactly():
+    # eigvalsh calls this one PSD (eigenvalues [0, 2]); its determinant
+    # is -10^-20
+    tight = [[1, 1], [1, 1 - Fraction(1, 10 ** 20)]]
+    assert np.linalg.eigvalsh(np.array(tight, dtype=float))[0] >= -1e-12
+    assert not is_psd(tight)
+    assert not is_psd([[0, 1], [1, 0]])   # zero pivot, nonzero row
+    assert not is_psd([[1, 0], [0, -1]])
+    assert is_psd(GRAM_EXPECTED)          # PSD and singular
+    assert is_psd([[0, 0], [0, 0]])
 
 
 def test_square_swap_intermediate_lines():

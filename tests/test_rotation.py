@@ -7,8 +7,7 @@ from math import cos, pi, sqrt
 import numpy as np
 import pytest
 
-from heisenkit.algebra import (AlgebraElement, heis_laplacian,
-                               hermitian_square, one_minus,
+from heisenkit.algebra import (AlgebraElement, hermitian_square, one_minus,
                                sos_identity_sides)
 from heisenkit.groups import Heisenberg
 from heisenkit.linalg import spectral_norm
@@ -17,7 +16,8 @@ from heisenkit.rotation import (RationalAngle, almost_mathieu, bz_bound,
                                 parity_stack, pi_theta, pi_x, pi_y,
                                 site_letters, tensor_operator, x_op, y_op,
                                 z_scalar)
-from oracles import Heisenberg3, evaluate3, parity_letters, pi_theta3
+from oracles import (Heisenberg3, evaluate3, heis_laplacian, parity_letters,
+                     pi_theta3)
 
 H = Heisenberg
 

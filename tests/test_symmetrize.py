@@ -197,10 +197,10 @@ def test_spade_to_heart_m4():
 
 
 def test_spade_to_heart_degenerate():
-    rec = spade_to_heart(5, 0)
-    assert rec["all_zero"]
-    with pytest.raises(ValueError):
-        spade_to_heart(3, 1)
+    # with d = 0 every multiplicity is 0: no record, so nothing can pass
+    for m, d in ((5, 0), (5, -1), (3, 1)):
+        with pytest.raises(ValueError):
+            spade_to_heart(m, d)
 
 
 def test_single_letter_orbit_multiplicity():
