@@ -36,6 +36,7 @@ from .sweeps import (verify_bz, verify_formula, verify_prodnorm,
                      verify_xyz2, verify_zzz)
 
 EXIT_PASS, EXIT_USAGE, EXIT_FAIL = 0, 1, 2
+MAX_SOS_POINTS = 120
 
 
 def _positive_fraction(text: str) -> Fraction:
@@ -160,6 +161,9 @@ def symmetry_spade(m: int = 4, d: int = 1) -> dict:
 
 def symmetry_threshold(m: int = 4, n: int = 5, R: Fraction = Fraction(6),
                        eps: Fraction = Fraction(1)) -> dict:
+    """A calculator: Adj_m + R Op_m >= eps Delta2_m pushed to rank n, and
+    the least rank it reaches.  R and eps are taken as given, not from a
+    verified inequality, so ``"pass": true`` says only that it ran."""
     cert = symmetrize.StabilityCertificate(m, R, eps)
     return {**symmetrize.stability_threshold(cert, n),
             "n_threshold": symmetrize.n_threshold(cert), "pass": True}
@@ -191,6 +195,11 @@ def graded_gram() -> dict:
 
 
 def graded_sos_identity(points: int = 10) -> dict:
+    # it lists about 0.3 points^2 Farey angles, then evaluates matrices of
+    # order up to `points` at `points` of them: a large grid never finishes
+    if points > MAX_SOS_POINTS:
+        raise ValueError(f"sos-identity is evaluated at up to "
+                         f"{MAX_SOS_POINTS} points, got {points}")
     # the sides are evaluated apart: when they match exactly, lhs - rhs is
     # the zero element and its image is zero whatever evaluate computes
     lhs, rhs = sos_identity_sides()
@@ -380,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"largest degree for dims (at most "
                          f"{graded.MAX_TRUNCATION})")
     pg.add_argument("--points", type=_positive_int,
-                    help="numeric grid size for sos-identity")
+                    help=f"numeric grid size for sos-identity (at most "
+                         f"{MAX_SOS_POINTS})")
     pg.add_argument("--out", default=None)
     pg.add_argument("--csv", default=None)
     pg.set_defaults(fn=cmd_exact)
@@ -409,11 +419,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     t0 = time.perf_counter()
     try:
-        # a finite but huge option (a coupling of 1e308) overflows in the
-        # operators; that is the option's fault, not a failed check
+        # a finite but huge option overflows in the operators (a coupling of
+        # 1e308) or as a float (an epsilon of 1e400): the option's fault
         with np.errstate(over="raise", invalid="raise"):
             return _emit(args.fn(args), args, time.perf_counter() - t0)
-    except (ValueError, OSError, MemoryError, FloatingPointError) as exc:
+    except (ValueError, OSError, MemoryError, FloatingPointError,
+            OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -4,9 +4,9 @@ spectral projections and Cholesky lower-bound certificates.
 Production eigensolves go through LAPACK (``numpy.linalg.eigh``).  Real
 input stays real and is solved as float64 symmetric; complex input is
 solved as complex128 Hermitian.  Every function but ``exceeds`` takes one
-matrix or a stack of shape (..., n, n); each matrix of a stack is
-validated on its own scale and solved by its own dense LAPACK call, and a
-stack gives one result per matrix.  ``exceeds`` takes one matrix and
+matrix or a stack of shape (..., n, n); each matrix of a stack must equal
+its conjugate transpose exactly, is solved as given by its own dense
+LAPACK call, and gives one result.  ``exceeds`` takes one matrix and
 answers with one Cholesky factorisation (LAPACK potrf) whether the least
 eigenvalue that ``min_eigenvalue`` would compute is at least a level,
 without computing it.
@@ -18,7 +18,6 @@ import os
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-12
 CUT_AMBIGUITY_TOL = 1e-8
 UNIT_ROUNDOFF = 2.0 ** -53  # u of IEEE double, half the machine epsilon
 
@@ -53,27 +52,18 @@ def _per_matrix(x, a: np.ndarray):
 
 
 def hermitian_operator(entries) -> np.ndarray:
-    """Validate and exactly symmetrize a Hermitian matrix or stack.
-
-    Rejects non-finite input and, in any matrix A of the stack, asymmetry
-    beyond 1e-12 max(1, max |A|); the returned array satisfies
-    A == A.conj().T exactly and is float64 for real input, complex128
-    otherwise.
-    """
+    """A Hermitian matrix or stack as float64 (real) or complex128, without
+    a copy when it already is one.  Non-finite input, and any matrix A of
+    the stack with A != A.conj().T in even one entry, is refused: symmetry
+    is exact or refused, never repaired."""
     a = _float_array(entries)
     if a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {a.shape}")
     at = _adjoint(a)
-    skew = np.abs(a - at).max(axis=(-2, -1))
-    # the scale max(1, max |A|) is at least 1, so no matrix can fail while
-    # every asymmetry is within the bare tolerance
-    if np.any(skew > HERMITICITY_TOL):
-        scale = np.maximum(np.abs(a).max(axis=(-2, -1)), 1.0)
-        bad = skew > HERMITICITY_TOL * scale
-        if bad.any():
-            raise ValueError(f"matrix is not Hermitian: max asymmetry "
-                             f"{skew[bad].max():.3e}")
-    return (a + at) / 2
+    if not np.array_equal(a, at):
+        raise ValueError(f"matrix is not Hermitian: max asymmetry "
+                         f"{np.abs(a - at).max():.3e}")
+    return a
 
 
 def min_eigenvalue(op: np.ndarray):
@@ -86,7 +76,7 @@ def exceeds(op: np.ndarray, level: float) -> bool:
     eigenvalue ``min_eigenvalue(op)`` would compute for the single
     Hermitian matrix ``op`` is at least ``level``.
 
-    The matrix is validated and copied by ``hermitian_operator``, the
+    The matrix is validated by ``hermitian_operator`` and copied, the
     copy's diagonal is shifted in place by sigma = level + delta, and True
     means that LAPACK's Cholesky of the shifted copy ran to completion.
     False certifies nothing: the matrix may still clear ``level``.
@@ -127,7 +117,7 @@ def exceeds(op: np.ndarray, level: float) -> bool:
     that skips the certified ones is the same float as the minimum over
     all of them.
     """
-    a = hermitian_operator(op)
+    a = hermitian_operator(op).copy()  # the caller may still solve ``op``
     if a.ndim != 2:
         raise ValueError(f"expected one matrix, got shape {a.shape}")
     if not np.isfinite(level):
@@ -164,19 +154,16 @@ def spectral_norm(m: np.ndarray):
     return _per_matrix(np.sqrt(np.maximum(w[..., -1], 0.0)), m)
 
 
-def spectral_projection(op: np.ndarray, delta) -> np.ndarray:
-    """The projection P_{A<=delta} onto the eigenspaces of each matrix A of
-    ``op`` at most ``delta``; refuses cuts within 1e-8 of an eigenvalue.
-
-    ``delta`` may be a sequence of cuts, all taken from one
-    eigendecomposition; the result then has shape (len(delta), ..., n, n).
-    """
+def spectral_projection(op: np.ndarray, deltas) -> np.ndarray:
+    """The projections P_{A<=delta} onto the eigenspaces of each matrix A of
+    ``op`` at most delta, for each cut delta of the sequence ``deltas``,
+    all taken from one eigendecomposition: shape (len(deltas), ..., n, n).
+    A cut within 1e-8 of an eigenvalue is refused."""
     w, v = np.linalg.eigh(hermitian_operator(op))
-    deltas = np.asarray(delta, dtype=float)
-    cuts = deltas.reshape(-1, *(1,) * w.ndim)
-    if np.any(np.abs(w - cuts) < CUT_AMBIGUITY_TOL):
-        raise ValueError(f"ambiguous spectral cut: eigenvalue within "
-                         f"{CUT_AMBIGUITY_TOL} of delta={delta}")
+    cuts = np.asarray(deltas, dtype=float).reshape(-1, *(1,) * w.ndim)
+    for delta, cut in zip(deltas, cuts):
+        if np.any(np.abs(w - cut) < CUT_AMBIGUITY_TOL):
+            raise ValueError(f"ambiguous spectral cut: eigenvalue within "
+                             f"{CUT_AMBIGUITY_TOL} of delta={delta}")
     vsel = v * (w <= cuts)[..., None, :]
-    out = vsel @ _adjoint(vsel)
-    return out if deltas.ndim else out[0]
+    return vsel @ _adjoint(vsel)

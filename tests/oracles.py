@@ -149,8 +149,8 @@ def _xsmall(a, deltas=(0.1, 0.3, 0.5), **_):
     for delta in deltas:
         if not (0 < delta < 2.0 * (1.0 - cos(pi * a.theta))):
             continue
-        px = spectral_projection(x, delta)
-        py = spectral_projection(y, delta)
+        px = spectral_projection(x, [delta])[0]
+        py = spectral_projection(y, [delta])[0]
         low = [m for m in range(a.q) if 2.0 * a.b_m(m) <= delta]
         consecutive = any((m + 1) % a.q in low for m in low) and len(low) > 1
         out.append(AngleRecord(

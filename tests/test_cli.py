@@ -128,6 +128,13 @@ def test_usage_errors(capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: overflow encountered in ")
         assert err.count("\n") == 1
+    # an exact constant too large for a float used to raise OverflowError
+    # out of main with a traceback
+    for argv in ("verify smalltheta --qmax 6 --R 2 --epsilon 1e400",
+                 "verify formula --qmax 4 --R 2 --epsilon 1e400"):
+        assert main(argv.split()) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
     # moduli must be at least 1; q = 0 used to raise ZeroDivisionError out
     # of main
     capsys.readouterr()
@@ -203,6 +210,19 @@ def test_nonpositive_counts_are_usage_errors():
     assert main(["graded", "sos-identity", "--points", "-3"]) == 1
     assert main(["graded", "dims", "--max", "-1"]) == 1
     assert main(["graded", "dims", "--max", "0"]) == 1
+
+
+def test_sos_identity_refuses_points_above_the_cap(capsys):
+    # P = 10^8 was still running after 20 s; 120, the cap, takes about
+    # 0.25 s
+    t0 = time.perf_counter()
+    assert main(["graded", "sos-identity", "--points", "100000000"]) == 1
+    assert main(["graded", "sos-identity", "--points", "121"]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err == (
+        "error: sos-identity is evaluated at up to 120 points, got 100000000\n"
+        "error: sos-identity is evaluated at up to 120 points, got 121\n")
+    assert main(["graded", "sos-identity", "--points", "120"]) == 0
 
 
 def test_graded_phi_gram_sos():

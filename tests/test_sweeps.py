@@ -146,6 +146,37 @@ def test_xsmall_refuses_a_cut_at_an_entry_of_X(monkeypatch):
         verify_xsmall(qmax=8, deltas=(2 - sqrt(2),))
 
 
+def test_single_site_builders_are_exactly_symmetric(monkeypatch):
+    # linalg refuses a matrix that differs from its transpose in one entry;
+    # every Y block and every stack the single-site sweeps build, at every
+    # angle with q <= 200, equals its transpose (no eigensolve is run)
+    parts = {q: parity_stack([RationalAngle(1 % q, q)])
+             for q in range(1, 201)}
+    for q, stack in parts.items():
+        for _, y in stack:
+            assert np.array_equal(y, y.T), q
+    checked = []
+
+    def symmetric(op):
+        assert np.array_equal(op, np.swapaxes(op, -1, -2))
+        checked.append(np.prod(op.shape[:-2]))
+        return np.zeros(op.shape[:-2])
+
+    monkeypatch.setattr(sweeps, "min_eigenvalue", symmetric)
+    monkeypatch.setattr(sweeps, "hermitian_norm", symmetric)
+    theta0 = zzz_theta0(1.0, 2 / 3)
+    for sweep, grid, copies in (
+            (verify_xyz1, farey_angles(200), 1),
+            (partial(verify_zzz, R=1.0, kappa=2 / 3),
+             [a for a in farey_angles(200) if a.theta <= theta0], 1),
+            (verify_xyz2, farey_angles(200), 1),
+            (verify_bz, farey_angles(200), 3),  # the three default couplings
+            (verify_prodnorm, farey_angles(200), 1)):
+        checked.clear()
+        sweep(qmax=200)
+        assert sum(checked) == copies * sum(len(parts[a.q]) for a in grid)
+
+
 def test_xsmall_decomposes_y_once_per_part_and_stack(monkeypatch):
     # at order 12 each denominator is one stack, and Y's one call per
     # parity part takes the sorted union of the stack's cuts (1/5 and 2/5
