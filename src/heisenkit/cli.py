@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import graded, symmetrize
+from . import graded, sweeps, symmetrize
 from .algebra import sos_identity_sides, steinberg_check
 from .expander import DEFAULT_ORDER_CAP, family_report
 from .rotation import evaluate, farey_angles
@@ -254,13 +254,13 @@ def cmd_verify(args) -> Result:
     payload = {
         "command": f"verify {args.inequality}",
         "params": {"qmax": str(report.constants["qmax"]),
-                   "tol": str(report.tol)},
+                   "tol": str(sweeps.TOL)},
         "name": report.name,
         "pass": report.passed,
         "min_margin": report.min_margin if report.records else None,
         "argmin_theta": f"{amin.p}/{amin.q}" if amin else None,
         "constants": report.constants,
-        "tol": report.tol,
+        "tol": sweeps.TOL,
         "n_records": len(report.records),
         "notes": report.notes,
         # floats among the extras are kept as their repr strings
@@ -325,11 +325,8 @@ def cmd_all(args) -> Result:
     )
     failures = []
     for check in checks:
-        argv = shlex.split(check)
-        if check.startswith("verify") and args.tol is not None:
-            argv += ["--tol", repr(args.tol)]
         t0 = time.perf_counter()
-        code = main(argv)
+        code = main(shlex.split(check))
         if code != EXIT_PASS:
             failures.append(check)
         print(f"  -> {check}: {'ok' if code == EXIT_PASS else 'FAILED'} "
@@ -354,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("inequality", choices=list(checks["verify"]))
     pv.add_argument("--qmax", type=_positive_int,
                     help="Farey grid order (default per inequality)")
-    pv.add_argument("--tol", type=_finite_float)
     pv.add_argument("--lambda", dest="lambdas", type=_float_list,
                     help="couplings, comma separated")
     pv.add_argument("--R", type=_positive_float)
@@ -406,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.set_defaults(fn=cmd_expander)
 
     pa = sub.add_parser("all", help="run the full verification suite")
-    pa.add_argument("--tol", type=_finite_float)
     pa.set_defaults(fn=cmd_all)
     return top
 

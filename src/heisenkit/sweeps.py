@@ -3,11 +3,11 @@
 Each ``verify_*`` function sweeps a Farey grid, records one margin per angle
 (min eigenvalue of the slack operator, or bound minus norm) and reports the
 global minimum.  Positivity in the group C*-algebra is accepted when every
-margin clears ``-tol``; the grid order is the accuracy knob.  A sweep's
-keyword parameters are its only options (the ``verify`` command refuses any
-other).  The default grid order ``qmax`` is 60 for the single-site sweeps,
-40 for the projection sweep, 24 for the two-site inequality and 12 for the
-three-site inequality.  Every margin is a dense LAPACK eigenvalue of a
+margin clears ``-TOL``; the grid order is the accuracy knob and no option
+moves the gate.  A sweep's keyword parameters are its only options (the
+``verify`` command refuses any other).  The default grid order ``qmax`` is
+60 for the single-site sweeps, 40 for the projection sweep, 24 for the
+two-site inequality and 12 for the three-site inequality.  Every margin is a dense LAPACK eigenvalue of a
 real parity block.  Every sweep, single-site or tensor, runs through one
 driver, ``_stacked_sweep``: it builds the parity blocks of X and Y with
 ``rotation.parity_stack`` once per denominator and hands them to the
@@ -54,6 +54,7 @@ from .rotation import RationalAngle, farey_angles
 R_SCAN = (2, 4, 8, 16, 32)
 EPS_SCAN = (Fraction(1, 4), Fraction(1, 8), Fraction(1, 16))
 THETA0_SCAN = (Fraction(1, 8), Fraction(1, 16), Fraction(1, 32))
+TOL = 1e-9  # the PASS gate: every margin must clear -TOL
 IDENTITY_TOL = 1e-12
 # peak memory of a tensor sweep, in multiples of its largest parity
 # block's 8 N^2 bytes: one-angle sweeps raised peak RSS by 3.3-4.0x that
@@ -83,7 +84,6 @@ class SweepReport:
 
     name: str
     records: list
-    tol: float
     constants: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
 
@@ -97,18 +97,18 @@ class SweepReport:
 
     @property
     def passed(self) -> bool:
-        return self.min_margin >= -self.tol and not any(
+        return self.min_margin >= -TOL and not any(
             n.startswith("FAIL") for n in self.notes)
 
     def witnesses(self) -> list:
-        return [r for r in self.records if r.margin < -self.tol]
+        return [r for r in self.records if r.margin < -TOL]
 
 
-def _finish(name, records, tol, constants=None, notes=None) -> SweepReport:
+def _finish(name, records, constants=None, notes=None) -> SweepReport:
     if not records:
         notes = (notes or []) + ["FAIL: sweep produced no records"]
-    return SweepReport(name=name, records=records, tol=tol,
-                       constants=constants or {}, notes=notes or [])
+    return SweepReport(name=name, records=records, constants=constants or {},
+                       notes=notes or [])
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +172,7 @@ def _min_eig_sweep(grid, op) -> list:
     return _stacked_sweep(grid, work)
 
 
-def verify_bz(*, qmax: int = 60, tol: float = 1e-9,
-              lambdas: tuple = (1.0, 2.0, 4.0),
+def verify_bz(*, qmax: int = 60, lambdas: tuple = (1.0, 2.0, 4.0),
               full_circle: bool = False) -> SweepReport:
     """Almost Mathieu norm bound: ||H|| <= lam+2 - (2 lam/(lam+2)) sin(pi theta),
     H = (lam+2) - (lam/2 X + Y); ||H|| is the largest |eigenvalue| of the
@@ -195,16 +194,15 @@ def verify_bz(*, qmax: int = 60, tol: float = 1e-9,
                 for lam, row in zip(lambdas, norms) for a, n in zip(angles, row)]
 
     records = _stacked_sweep(grid, work)
-    return _finish("bz", records, tol,
+    return _finish("bz", records,
                    constants={"lambdas": list(lambdas), "qmax": qmax})
 
 
-def verify_xyz1(*, qmax: int = 60, tol: float = 1e-9,
-                full_circle: bool = False) -> SweepReport:
+def verify_xyz1(*, qmax: int = 60, full_circle: bool = False) -> SweepReport:
     """X + Y >= sqrt(Z)/2, i.e. min eig(X + Y - sin(pi theta)) >= 0."""
     grid = farey_angles(qmax, max_value=None if full_circle else Fraction(1, 2))
     records = _min_eig_sweep(grid, lambda s, x, y: _diag(x - s) + y)
-    return _finish("xyz1", records, tol, constants={"qmax": qmax})
+    return _finish("xyz1", records, constants={"qmax": qmax})
 
 
 def zzz_theta0(R: float, kappa: float) -> float:
@@ -212,7 +210,7 @@ def zzz_theta0(R: float, kappa: float) -> float:
     return min(0.25, asin(kappa * sqrt((1.0 - kappa) / R)) / pi)
 
 
-def verify_zzz(*, qmax: int = 60, tol: float = 1e-9, R: float | None = None,
+def verify_zzz(*, qmax: int = 60, R: float | None = None,
                kappa: float | None = None) -> SweepReport:
     """R X + Y >= sqrt((1-kappa) R) sin(pi theta) for theta <= theta0(R, kappa)."""
     if R is None or kappa is None:
@@ -226,7 +224,7 @@ def verify_zzz(*, qmax: int = 60, tol: float = 1e-9, R: float | None = None,
     if all(a.p == 0 for a in grid):
         notes.append(f"empty sweep: no positive angle <= theta0={theta0:.6f} at qmax={qmax}")
     records = _min_eig_sweep(grid, lambda s, x, y: _diag(R * x - coeff * s) + y)
-    return _finish("zzz", records, tol, notes=notes,
+    return _finish("zzz", records, notes=notes,
                    constants={"R": R, "kappa": kappa, "theta0": theta0,
                               "qmax": qmax})
 
@@ -252,8 +250,7 @@ def _xyz2_blocks(angles) -> dict:
             "identity_residual": np.max(np.abs(bm1 - bm - rhs), axis=1)}
 
 
-def verify_xyz2(*, qmax: int = 60, tol: float = 1e-9,
-                full_circle: bool = False) -> SweepReport:
+def verify_xyz2(*, qmax: int = 60, full_circle: bool = False) -> SweepReport:
     """(X+Y) sqrt(Z) + (XY+YX)/2 >= 0, via the operator sweep and the exact
     2x2 block determinants, plus the corrected difference identity
     b_{m-1} - b_m = -2 sin(pi theta) sin((2m-1) pi theta)."""
@@ -269,19 +266,18 @@ def verify_xyz2(*, qmax: int = 60, tol: float = 1e-9,
         values = _xyz2_blocks([RationalAngle(r.p, q) for r in found])
         for i, r in enumerate(found):
             r.extras.update((k, float(v[i])) for k, v in values.items())
-    bad_det = [r for r in records if r.extras["det_min"] < -tol
-               or r.extras["trace_min"] < -tol]
+    bad_det = [r for r in records if r.extras["det_min"] < -TOL
+               or r.extras["trace_min"] < -TOL]
     bad_id = [r for r in records if r.extras["identity_residual"] > IDENTITY_TOL]
     if bad_det:
         notes.append(f"FAIL: {len(bad_det)} angle(s) with negative block det/trace")
     if bad_id:
         notes.append(f"FAIL: {len(bad_id)} angle(s) violate the corrected "
                      f"difference identity beyond {IDENTITY_TOL}")
-    return _finish("xyz2", records, tol, notes=notes,
-                   constants={"qmax": qmax})
+    return _finish("xyz2", records, notes=notes, constants={"qmax": qmax})
 
 
-def verify_prodnorm(*, qmax: int = 60, tol: float = 1e-9) -> SweepReport:
+def verify_prodnorm(*, qmax: int = 60) -> SweepReport:
     """||pi((1-x)(1-y))|| <= 4 cos(pi theta / 2).
 
     The product is neither normal nor parity-commuting, but
@@ -300,10 +296,10 @@ def verify_prodnorm(*, qmax: int = 60, tol: float = 1e-9) -> SweepReport:
                 for a, n in zip(angles, squares)]
 
     records = _stacked_sweep(grid, work)
-    return _finish("prodnorm", records, tol, constants={"qmax": qmax})
+    return _finish("prodnorm", records, constants={"qmax": qmax})
 
 
-def verify_xsmall(*, qmax: int = 40, tol: float = 1e-9,
+def verify_xsmall(*, qmax: int = 40,
                   deltas: tuple = (0.1, 0.3, 0.5)) -> SweepReport:
     """Spectral-projection facts for 0 < delta < 2(1 - cos(pi theta)):
     the low-X subspace sees Y as 2 (no consecutive residues), and
@@ -360,14 +356,14 @@ def verify_xsmall(*, qmax: int = 40, tol: float = 1e-9,
         return out
 
     records = _stacked_sweep(grid, work)
-    bad_eq = [r for r in records if r.extras["eq_residual"] > tol]
+    bad_eq = [r for r in records if r.extras["eq_residual"] > TOL]
     bad_cons = [r for r in records if r.extras["consecutive"]]
     if bad_eq:
         notes.append(f"FAIL: compression identity violated at {len(bad_eq)} point(s)")
     if bad_cons:
         notes.append(f"FAIL: low-X residue set has consecutive members at "
                      f"{len(bad_cons)} point(s)")
-    return _finish("xsmall", records, tol, notes=notes,
+    return _finish("xsmall", records, notes=notes,
                    constants={"deltas": list(deltas), "qmax": qmax})
 
 
@@ -545,18 +541,22 @@ def _tensor_sweep(inequality, grid, R: float, positions: dict) -> list:
     return _stacked_sweep(grid, work)
 
 
-def _search_constants(name, inequality, qmax, tol, R, epsilon,
+def _search_constants(name, inequality, qmax, R, epsilon,
                       th0_list) -> SweepReport:
     """First-pass-wins scan of R, then epsilon, then theta0.
 
     Unset R and epsilon scan R_SCAN and EPS_SCAN; a theta0 of ``None``
     means the whole grid.  The minimum eigenvalues are computed once per R,
     and the margin at (R, epsilon) is min eig - epsilon * 4 sin^2(pi theta).
-    A grid whose largest parity block would not fit in physical memory is
-    refused before the scan.
+    An epsilon too large for a float, and a grid whose largest parity
+    block would not fit in physical memory, are refused before the scan.
     """
     r_list = [R] if R is not None else list(R_SCAN)
     eps_list = [epsilon] if epsilon is not None else list(EPS_SCAN)
+    try:
+        eps_floats = [float(eps) for eps in eps_list]
+    except OverflowError:
+        raise ValueError("epsilon is too large for a float") from None
     explicit = len(r_list) == len(eps_list) == len(th0_list) == 1
     grid = farey_angles(qmax)
     if None not in th0_list:
@@ -575,10 +575,10 @@ def _search_constants(name, inequality, qmax, tol, R, epsilon,
     def scan():
         for R in r_list:
             mineigs = _tensor_sweep(inequality, grid, R, positions)
-            for eps in eps_list:
-                margins = [AngleRecord(r.p, r.q, r.margin - float(eps)
-                                       * rotation.z_scalar(RationalAngle(r.p, r.q)))
-                           for r in mineigs]
+            z = [rotation.z_scalar(RationalAngle(r.p, r.q)) for r in mineigs]
+            for eps, e in zip(eps_list, eps_floats):
+                margins = [AngleRecord(r.p, r.q, r.margin - e * zr)
+                           for r, zr in zip(mineigs, z)]
                 for th0 in th0_list:
                     combo = {"R": R, "epsilon": eps}
                     if th0 is not None:
@@ -599,18 +599,18 @@ def _search_constants(name, inequality, qmax, tol, R, epsilon,
         scanned[key] = worst
         if worst > best[0]:
             best = (worst, combo, records)
-        if worst >= -tol:
+        if worst >= -TOL:
             break
     else:
         params = "theta0, R, epsilon" if th0_list != [None] else "R, epsilon"
         notes.insert(0, f"FAIL: no passing ({params}) in scan range")
     constants = {"scan": scanned, "qmax": qmax,
                  "mode": "explicit" if explicit else "search", **(best[1] or {})}
-    return _finish(name, best[2], tol, constants=constants, notes=notes)
+    return _finish(name, best[2], constants=constants, notes=notes)
 
 
-def verify_smalltheta(*, qmax: int = 24, tol: float = 1e-9,
-                      R: float | None = None, epsilon: Fraction | None = None,
+def verify_smalltheta(*, qmax: int = 24, R: float | None = None,
+                      epsilon: Fraction | None = None,
                       theta0: Fraction | None = None) -> SweepReport:
     """Two-site inequality for small angles.
 
@@ -621,16 +621,15 @@ def verify_smalltheta(*, qmax: int = 24, tol: float = 1e-9,
     report carries the best candidate's records and fails.
     """
     th0_list = [theta0] if theta0 is not None else list(THETA0_SCAN)
-    return _search_constants("smalltheta", two_site_terms, qmax, tol, R,
-                             epsilon, th0_list)
+    return _search_constants("smalltheta", two_site_terms, qmax, R, epsilon,
+                             th0_list)
 
 
-def verify_formula(*, qmax: int = 12, tol: float = 1e-9,
-                   R: float | None = None,
+def verify_formula(*, qmax: int = 12, R: float | None = None,
                    epsilon: Fraction | None = None) -> SweepReport:
     """Three-site inequality over the full grid in [0, 1/2].
 
     Pinned (R, epsilon) sweep directly; unset constants scan the same
     geometric grids as the two-site search (first-pass-wins)."""
-    return _search_constants("formula", three_site_terms, qmax, tol, R,
-                             epsilon, [None])
+    return _search_constants("formula", three_site_terms, qmax, R, epsilon,
+                             [None])

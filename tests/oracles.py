@@ -20,7 +20,7 @@ from math import cos, pi, sin, sqrt
 
 import numpy as np
 
-from heisenkit import rotation
+from heisenkit import rotation, sweeps
 from heisenkit.algebra import AlgebraElement, one_minus
 from heisenkit.expander import elementary_generators
 from heisenkit.graded import GradedElement, degree, graded_mul
@@ -161,11 +161,12 @@ def _xsmall(a, deltas=(0.1, 0.3, 0.5), **_):
     return out
 
 
-def single_site_sweep(name: str, *, qmax: int, tol: float = 1e-9,
-                      full_circle: bool = False, **params) -> SweepReport:
+def single_site_sweep(name: str, *, qmax: int, full_circle: bool = False,
+                      **params) -> SweepReport:
     """The single-site sweep ``verify_<name>`` computed one angle at a time
     on the dense q x q operators built from ``x_op``/``y_op``, with the
-    records, notes and verdict of the sweep (not its constants)."""
+    records, notes and verdict of the sweep (not its constants), gated on
+    ``sweeps.TOL`` as it stands at the call."""
     work = {"bz": _bz, "xyz1": _xyz1, "zzz": _zzz, "xyz2": _xyz2,
             "prodnorm": _prodnorm, "xsmall": _xsmall}[name]
     grid = farey_angles(qmax, max_value=None if full_circle else Fraction(1, 2))
@@ -180,7 +181,7 @@ def single_site_sweep(name: str, *, qmax: int, tol: float = 1e-9,
         grid = [a for a in grid if a.p != 0]
     records = sorted((r for a in grid for r in work(a, **params)),
                      key=AngleRecord.sort_key)
-    ex = [r.extras for r in records]
+    ex, tol = [r.extras for r in records], sweeps.TOL
     if name == "xyz2":
         checks = [(sum(e["det_min"] < -tol or e["trace_min"] < -tol for e in ex),
                    "FAIL: {} angle(s) with negative block det/trace"),
@@ -198,7 +199,7 @@ def single_site_sweep(name: str, *, qmax: int, tol: float = 1e-9,
     notes += [text.format(n) for n, text in checks if n]
     if not records:
         notes.append("FAIL: sweep produced no records")
-    return SweepReport(name=name, records=records, tol=tol, notes=notes)
+    return SweepReport(name=name, records=records, notes=notes)
 
 
 def parity_letters(angle: RationalAngle) -> list[dict[str, np.ndarray]]:

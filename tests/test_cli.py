@@ -63,7 +63,7 @@ def test_usage_errors(capsys):
     assert main(["frobnicate"]) == 1
     assert main(["verify", "zzz", "--qmax", "10"]) == 1  # missing R/kappa
     assert main(["--jobs", "2", "verify", "bz"]) == 1
-    # non-finite tolerances are refused; inf would pass this known failure
+    # --tol is not an option, whatever its value
     known_failure = ["verify", "smalltheta", "--theta0", "1/2", "--R", "8",
                      "--epsilon", "1/16", "--qmax", "8"]
     for tol in ("inf", "-inf", "nan"):
@@ -151,6 +151,37 @@ def test_usage_errors(capsys):
         assert err.count("error:") == 1 and "must be at least 1" in err, argv
 
 
+def test_no_option_moves_the_gate(capsys):
+    # the two-site inequality fails at theta0 = 1/2; --tol 10 used to
+    # print [PASS] at margin -0.8 and exit 0
+    known_failure = ["verify", "smalltheta", "--qmax", "8", "--theta0", "1/2",
+                     "--R", "8", "--epsilon", "1/16"]
+    assert main(known_failure) == 2
+    capsys.readouterr()
+    assert main(known_failure + ["--tol", "10"]) == 1
+    assert "[PASS]" not in capsys.readouterr().out
+    assert main(["all", "--tol", "1e-7"]) == 1
+    for table in cli._checks().values():
+        for check in table.values():
+            assert "tol" not in inspect.signature(check).parameters
+
+
+def test_overflowing_epsilon_is_refused_before_the_scan(monkeypatch, capsys):
+    # float(epsilon) used to overflow inside the scan, after the first R
+    # sweep, with "integer division result too large for a float"
+    def no_sweep(*args):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(sweeps, "_tensor_sweep", no_sweep)
+    monkeypatch.setattr(sweeps, "physical_memory", lambda: 0)
+    for argv in ("verify formula --qmax 16 --R 16 --epsilon 1e400",
+                 "verify smalltheta --qmax 6 --R 2 --epsilon 1e400"):
+        assert main(argv.split()) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "epsilon" in err
+        assert err.count("\n") == 1 and len(err) < 80
+
+
 def test_verify_refuses_options_it_does_not_read(capsys):
     # each of these used to pass with the option silently ignored
     for argv, flags in (("verify prodnorm --qmax 6 --full-circle",
@@ -184,7 +215,7 @@ def test_check_parameters_are_options(monkeypatch):
             # an option left out is not passed, so each needs a default
             assert all(p.default is not p.empty for p in params.values())
     calls = _record_all(monkeypatch)
-    cli.cmd_all(build_parser().parse_args(["all", "--tol", "1e-7"]))
+    cli.cmd_all(build_parser().parse_args(["all"]))
     for args in calls:
         if args.command != "expander":
             name = args.inequality if args.command == "verify" else args.what
@@ -453,14 +484,14 @@ def _record_all(monkeypatch, code_of=lambda argv: 0):
 
 def test_all_table_parses_and_forwards(monkeypatch):
     calls = _record_all(monkeypatch)
-    args = build_parser().parse_args(["all", "--tol", "1e-7"])
+    args = build_parser().parse_args(["all"])
     result = cli.cmd_all(args)
     assert result.payload == {"command": "all", "pass": True}
     assert result.summary == "26 of 26 components passed"
     assert result.lines == []
     assert len(calls) == 26
     verify = [c for c in calls if c.command == "verify"]
-    assert len(verify) == 10 and all(c.tol == 1e-7 for c in verify)
+    assert len(verify) == 10
     assert {c.command for c in calls} == {"verify", "symmetry", "graded",
                                           "expander"}
 
@@ -541,7 +572,7 @@ PINNED_REPORTS = {
 }
 
 
-def test_report_bytes_are_pinned(tmp_path):
+def test_report_bytes_are_pinned(tmp_path, monkeypatch):
     out, csv = tmp_path / "r.json", tmp_path / "r.csv"
     for check, (want_json, want_csv) in PINNED_REPORTS.items():
         argv = check.split() + ["--out", str(out)]
@@ -552,8 +583,8 @@ def test_report_bytes_are_pinned(tmp_path):
         if want_csv is not None:
             assert csv.read_bytes() == want_csv.encode()
     # witness extras stay the repr strings of their floats
-    assert main(["verify", "bz", "--qmax", "4", "--tol", "-1",
-                 "--out", str(out)]) == 2
+    monkeypatch.setattr(sweeps, "TOL", -1.0)
+    assert main(["verify", "bz", "--qmax", "4", "--out", str(out)]) == 2
     witnesses = json.loads(out.read_text())["witnesses"]
     assert len(witnesses) == 12
     assert [w["lambda"] for w in witnesses[:3]] == ["1.0", "2.0", "4.0"]
