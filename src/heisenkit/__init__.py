@@ -13,8 +13,7 @@ from .groups import Heisenberg, SpecialLinear
 from .linalg import (hermitian_norm, hermitian_operator, min_eigenvalue,
                      spectral_norm, spectral_projection)
 from .rotation import (RationalAngle, almost_mathieu, bz_bound, evaluate,
-                       farey_angles, pi_theta, tensor_operator, x_op, y_op,
-                       z_scalar)
+                       farey_angles, pi_theta, x_op, y_op, z_scalar)
 from .sweeps import (SweepReport, verify_bz, verify_formula, verify_prodnorm,
                      verify_smalltheta, verify_xsmall, verify_xyz1,
                      verify_xyz2, verify_zzz)

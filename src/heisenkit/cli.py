@@ -407,6 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -418,8 +419,11 @@ def main(argv=None) -> int:
         # 1e308) or as a float (an epsilon of 1e400): the option's fault
         with np.errstate(over="raise", invalid="raise"):
             return _emit(args.fn(args), args, time.perf_counter() - t0)
-    except (ValueError, OSError, MemoryError, FloatingPointError,
-            OverflowError) as exc:
+    except FloatingPointError as exc:
+        print(f"error: {exc} in {shlex.join(argv)!r}: an option is too "
+              f"large for double precision", file=sys.stderr)
+        return EXIT_USAGE
+    except (ValueError, OSError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,12 +1,12 @@
-"""Dense Hermitian linear algebra: validation, minimum eigenvalues, norms,
-spectral projections and Cholesky lower-bound certificates.
+"""Dense real symmetric linear algebra: validation, minimum eigenvalues,
+norms, spectral projections and Cholesky lower-bound certificates.
 
-Production eigensolves go through LAPACK (``numpy.linalg.eigh``).  Real
-input stays real and is solved as float64 symmetric; complex input is
-solved as complex128 Hermitian.  Every function but ``exceeds`` takes one
-matrix or a stack of shape (..., n, n); each matrix of a stack must equal
-its conjugate transpose exactly, is solved as given by its own dense
-LAPACK call, and gives one result.  ``exceeds`` takes one matrix and
+Every operator that heisenkit solves is real symmetric, so every function
+takes real input only, solved as float64 through LAPACK
+(``numpy.linalg.eigh``); complex input is refused.  Every function but
+``exceeds`` takes one matrix or a stack of shape (..., n, n); each matrix
+of a stack must equal its transpose exactly, is solved as given by its own
+dense LAPACK call, and gives one result.  ``exceeds`` takes one matrix and
 answers with one Cholesky factorisation (LAPACK potrf) whether the least
 eigenvalue that ``min_eigenvalue`` would compute is at least a level,
 without computing it.
@@ -30,10 +30,11 @@ def physical_memory() -> int:
 
 
 def _float_array(entries) -> np.ndarray:
-    """``entries`` as a finite float64 array, or complex128 when they are
-    complex, of shape (..., n, m)."""
+    """``entries`` as a finite float64 array of shape (..., n, m)."""
     a = np.asarray(entries)
-    a = a.astype(complex if np.iscomplexobj(a) else float, copy=False)
+    if np.iscomplexobj(a):
+        raise ValueError(f"expected real entries, got {a.dtype}")
+    a = a.astype(float, copy=False)
     if a.ndim < 2:
         raise ValueError(f"expected a matrix or a stack, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -42,8 +43,7 @@ def _float_array(entries) -> np.ndarray:
 
 
 def _adjoint(a: np.ndarray) -> np.ndarray:
-    at = np.swapaxes(a, -1, -2)
-    return at.conj() if np.iscomplexobj(at) else at
+    return np.swapaxes(a, -1, -2)
 
 
 def _per_matrix(x, a: np.ndarray):
@@ -52,10 +52,10 @@ def _per_matrix(x, a: np.ndarray):
 
 
 def hermitian_operator(entries) -> np.ndarray:
-    """A Hermitian matrix or stack as float64 (real) or complex128, without
-    a copy when it already is one.  Non-finite input, and any matrix A of
-    the stack with A != A.conj().T in even one entry, is refused: symmetry
-    is exact or refused, never repaired."""
+    """A symmetric matrix or stack as float64, without a copy when it
+    already is one.  Complex or non-finite input, and any matrix A of the
+    stack with A != A.T in even one entry, is refused: symmetry is exact or
+    refused, never repaired."""
     a = _float_array(entries)
     if a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {a.shape}")
@@ -67,14 +67,14 @@ def hermitian_operator(entries) -> np.ndarray:
 
 
 def min_eigenvalue(op: np.ndarray):
-    """Smallest eigenvalue of each Hermitian matrix."""
+    """Smallest eigenvalue of each symmetric matrix."""
     return _per_matrix(np.linalg.eigvalsh(hermitian_operator(op))[..., 0], op)
 
 
 def exceeds(op: np.ndarray, level: float) -> bool:
     """Whether one Cholesky factorisation certifies that the least
     eigenvalue ``min_eigenvalue(op)`` would compute for the single
-    Hermitian matrix ``op`` is at least ``level``.
+    symmetric matrix ``op`` is at least ``level``.
 
     The matrix is validated by ``hermitian_operator`` and copied, the
     copy's diagonal is shifted in place by sigma = level + delta, and True
@@ -110,12 +110,9 @@ def exceeds(op: np.ndarray, level: float) -> bool:
         delta >= (k |level| + h T + 2 n u F) / (1 - k),  k = u + h n (1 + u).
 
     The allowance is twice that bound, which covers the rounding of its
-    own evaluation; for complex entries every operation's relative error
-    is taken as 4u instead of u in g (a complex product errs by at most
-    2 sqrt(2) u; Higham, Lemma 3.5).  So when ``exceeds`` is True,
-    ``min_eigenvalue(op) >= level`` holds, and a minimum over matrices
-    that skips the certified ones is the same float as the minimum over
-    all of them.
+    own evaluation.  So when ``exceeds`` is True, ``min_eigenvalue(op) >=
+    level`` holds, and a minimum over matrices that skips the certified
+    ones is the same float as the minimum over all of them.
     """
     a = hermitian_operator(op).copy()  # the caller may still solve ``op``
     if a.ndim != 2:
@@ -125,8 +122,7 @@ def exceeds(op: np.ndarray, level: float) -> bool:
     n = a.shape[0]
     diagonal = np.einsum("ii->i", a)  # a view: the shift happens in place
     u = UNIT_ROUNDOFF
-    unit = 4.0 * u if np.iscomplexobj(a) else u
-    g = (n + 1) * unit / (1.0 - (n + 1) * unit)
+    g = (n + 1) * u / (1.0 - (n + 1) * u)
     h = u + (1.0 + u) * g / (1.0 - g)
     k = u + h * n * (1.0 + u)
     bound = (k * abs(level) + h * float(np.abs(diagonal).sum())
@@ -140,14 +136,14 @@ def exceeds(op: np.ndarray, level: float) -> bool:
 
 
 def hermitian_norm(op: np.ndarray):
-    """Operator norm of each Hermitian matrix, max(-lambda_min, lambda_max)
+    """Operator norm of each symmetric matrix, max(-lambda_min, lambda_max)
     of its spectrum (no A*A is formed, so the condition is not squared)."""
     w = np.linalg.eigvalsh(hermitian_operator(op))
     return _per_matrix(np.maximum(-w[..., 0], w[..., -1]), op)
 
 
 def spectral_norm(m: np.ndarray):
-    """Largest singular value of each matrix; works for non-Hermitian
+    """Largest singular value of each real matrix; works for non-symmetric
     products too."""
     m = _float_array(m)
     w = np.linalg.eigvalsh(_adjoint(m) @ m)

@@ -10,9 +10,8 @@ and every Kronecker word over them are float64.  Both commute with the
 parity j -> -j, which splits l_2(Z/qZ) into an even and an odd part and
 every Kronecker word into one real block per choice of part at each site.
 One builder makes those parts: ``parity_stack`` gives, per part, X's
-diagonals for every angle of one denominator and Y's block, and
-``site_letters`` turns one diagonal and the block into the part's letters
-X, Y, S = XY + YX and I.
+diagonals for every angle of one denominator and Y's block, from which
+``sweeps._letters`` takes the part's letters X, Y, S = XY + YX and I.
 
 Every trigonometric value is computed from a residue k mod q folded into
 [0, q/2]: cos(2 pi k/q) and sin(pi k/q) (for 0 <= k < q) take the same
@@ -158,20 +157,6 @@ def bz_bound(angle: RationalAngle, lam: float) -> float:
     return lam + 2.0 - (2.0 * lam / (lam + 2.0)) * angle.s
 
 
-def site_letters(x: np.ndarray, y: np.ndarray) -> dict[str, np.ndarray]:
-    """The one-site letters of the Kronecker words on one parity part (or
-    on all of l_2(Z/qZ)): X = diag(x), Y = y, the on-site anticommutator
-    S = XY + YX and the identity I.  X is diagonal, so
-    S_ij = (x_i + x_j) Y_ij."""
-    return {"X": np.diag(x), "Y": y, "S": (x[:, None] + x[None, :]) * y,
-            "I": np.eye(len(x))}
-
-
-def letters(angle: RationalAngle) -> dict[str, np.ndarray]:
-    """``site_letters`` of X and Y at ``angle`` in the standard basis."""
-    return site_letters(np.diag(x_op(angle)), y_op(angle))
-
-
 def parity_bases(q: int) -> list[np.ndarray]:
     """Orthogonal bases, as columns, of the even and the odd part of
     l_2(Z/qZ) under j -> -j.
@@ -202,8 +187,7 @@ def parity_stack(angles) -> list[tuple[np.ndarray, np.ndarray]]:
     representatives j = 0..q//2 of the even part and 1..(q-1)//2 of the
     odd part) and Y does not depend on p, so each part is the pair
     (diagonals of X, one row per angle, shape (len(angles), n);
-    the block of Y, shape (n, n)).  ``site_letters`` of one row and the
-    block are the part's letters at that angle.
+    the block of Y, shape (n, n)).
     """
     q = angles[0].q
     if any(a.q != q for a in angles):
@@ -216,27 +200,3 @@ def parity_stack(angles) -> list[tuple[np.ndarray, np.ndarray]]:
         out.append((x, (v.T @ y @ v) * (1.0 / np.sqrt(np.outer(n, n)))))
     return out
 
-
-def kron_word(sites, word: str) -> np.ndarray:
-    """Kronecker product of ``sites[i][word[i]]`` over the sites, where each
-    site is a letter table such as ``site_letters(x, y)``."""
-    out = sites[0][word[0]]
-    for site, letter in zip(sites[1:], word[1:]):
-        b = site[letter]  # np.kron of two matrices, without its n-d overhead
-        out = (out[:, None, :, None] * b[None, :, None, :]).reshape(
-            out.shape[0] * b.shape[0], out.shape[1] * b.shape[1])
-    return out
-
-
-def tensor_operator(angle: RationalAngle, word: str) -> np.ndarray:
-    """Kronecker product of per-site operators at a common angle.
-
-    ``word`` is a string over {X, Y, S, I}, one letter per site (2 or 3
-    sites); S is the on-site anticommutator XY + YX.
-    """
-    if len(word) not in (2, 3):
-        raise ValueError(f"expected 2 or 3 sites, got {len(word)}")
-    table = letters(angle)
-    if not set(word) <= set(table):
-        raise ValueError(f"unknown factor in {word!r}; use X, Y, S or I")
-    return kron_word([table] * len(word), word)

@@ -27,7 +27,7 @@ row, column).  Each block is summed from its nonzeros alone: their
 positions, walked out of that table word by word, are built once per
 denominator and verdict, for every run and every R of a search, and the
 sum adds them in term order, so a block is the same float array as the
-dense sum of ``rotation.kron_word`` products.
+dense sum of the words' ``np.kron`` products over the part's letters.
 The blocks are streamed one at a time per angle.  Only the all-even block
 is always solved; a later block is solved only when ``linalg.exceeds``
 cannot certify, with one Cholesky, that it does not lower the minimum so
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import reduce
 from itertools import product
 from math import asin, cos, pi, prod, sqrt
 
@@ -372,7 +372,8 @@ def verify_xsmall(*, qmax: int = 40,
 
 # Each tensor inequality is described once, as ((coefficient, Kronecker
 # word), ...) at coupling R; the dense operators and the parity-block sweep
-# are both derived from the description.
+# are both derived from the description.  A word has one letter per site:
+# X, Y, the on-site anticommutator S = XY + YX, or the identity I.
 
 def two_site_terms(R: float) -> tuple:
     """R(X(x)Y + Y(x)X) + X(x)X + Y(x)Y + (XY+YX)(x)1."""
@@ -385,29 +386,34 @@ def three_site_terms(R: float) -> tuple:
             (1.0, "XXI"), (1.0, "YYI"), (1.0, "SII"))
 
 
-def _assemble(word_operator, terms) -> np.ndarray:
-    return sum(c * word_operator(word) for c, word in terms)
+def _dense_operator(angle: RationalAngle, terms) -> np.ndarray:
+    """The sum, in term order, of each coefficient times the ``np.kron``
+    product of its word's letters at ``angle`` in the standard basis."""
+    x, y = rotation.x_op(angle), rotation.y_op(angle)
+    table = {"X": x, "Y": y, "S": x @ y + y @ x, "I": np.eye(angle.q)}
+    return sum(c * reduce(np.kron, [table[k] for k in word])
+               for c, word in terms)
 
 
 def two_site_operator(angle: RationalAngle, R: float) -> np.ndarray:
     """The dense q^2 x q^2 two-site operator (``two_site_terms``)."""
-    return _assemble(partial(rotation.tensor_operator, angle), two_site_terms(R))
+    return _dense_operator(angle, two_site_terms(R))
 
 
 def three_site_operator(angle: RationalAngle, R: float) -> np.ndarray:
     """The dense q^3 x q^3 three-site operator (``three_site_terms``)."""
-    return _assemble(partial(rotation.tensor_operator, angle),
-                     three_site_terms(R))
+    return _dense_operator(angle, three_site_terms(R))
 
 
 def _letters(parts) -> tuple:
-    """The letters X, I, Y and S = XY + YX of ``rotation.site_letters`` at
-    their entries that may be nonzero, on each part of ``parts`` (a run of
-    ``rotation.parity_stack``): X and I are diagonal, Y is tridiagonal in
-    the parity bases and S_ij = (x_i + x_j) Y_ij.  Returns (the values,
-    one row per angle and one column per entry; each entry's part, row and
-    column; each letter's columns), indices as int32.  The columns go
-    letter after letter and, within a letter, part after part."""
+    """The letters X, Y, S = XY + YX and I at their entries that may be
+    nonzero, on each part (x, y) of ``parts`` (a run of
+    ``rotation.parity_stack``): X = diag(x) at each angle's row of x and I
+    are diagonal, Y = y is tridiagonal in the parity bases and
+    S_ij = (x_i + x_j) Y_ij.  Returns (the values, one row per angle and
+    one column per entry; each entry's part, row and column; each letter's
+    columns), indices as int32.  The columns go letter after letter and,
+    within a letter, part after part."""
     cells = {letter: [] for letter in "XIYS"}  # per part (rows, cols, values)
     for x, y in parts:
         d, (r, c) = np.arange(len(y)), np.nonzero(y)
@@ -485,10 +491,11 @@ def _parity_blocks(letters, terms, positions: dict):
     run's ``_block_positions`` for the terms' words.
 
     A block's values are each term's coefficient times the product of its
-    letters' values, multiplied in site order as ``rotation.kron_word``
-    does, and ``np.bincount`` adds them into the block in term order from
-    0.0; so every entry is the float of the dense sum
-    ``_assemble(partial(rotation.kron_word, choice), terms)``."""
+    letters' values, multiplied in site order as ``np.kron`` does, and
+    ``np.bincount`` adds them into the block in term order from 0.0; so
+    every entry is the float of the dense sum, in term order, of each
+    coefficient times the ``np.kron`` product of its word's letters on the
+    block's parts."""
     coefficients = np.array([c for c, _ in terms])
     for n, flat, factors, counts in positions.values():
         values = letters.take(factors[0], axis=1)

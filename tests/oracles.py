@@ -1,20 +1,22 @@
 """Reference implementations that only the tests use: independent
 eigenvalue oracles, the single-site sweeps solved one dense q x q matrix
-per angle, the parity letters conjugated out of the dense q x q letters,
-the tensor operators' least eigenvalues from a dense solve of every parity
-block, the rank-3 Heisenberg group and its representation evaluated word
-by word, the Laplacian of H and the route from R[H] into R[H]/I^{N+1}
-(to_graded) that the graded tests compare against, SL_n(Z/qZ) with an
-inverse and with one wrong product, plain fixture graphs for the
-spectral-gap solver, Cayley graphs enumerated vertex by vertex with their
-stabiliser orbits found by brute force, and lambda_2 solved on the whole
-adjacency of a graph rather than on its orbit quotient."""
+per angle, the one-site letters X, Y, S and I and the sums of their
+Kronecker words, the parity letters conjugated out of the dense q x q
+letters, the tensor operators' least eigenvalues from a dense solve of
+every parity block, the rank-3 Heisenberg group and its representation
+evaluated word by word, the Laplacian of H and the route from R[H] into
+R[H]/I^{N+1} (to_graded) that the graded tests compare against,
+SL_n(Z/qZ) with an inverse and with one wrong product, plain fixture
+graphs for the spectral-gap solver, Cayley graphs enumerated vertex by
+vertex with their stabiliser orbits found by brute force, and lambda_2
+solved on the whole adjacency of a graph rather than on its orbit
+quotient."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import reduce
 from itertools import product
 from math import cos, pi, sin, sqrt
 
@@ -28,25 +30,21 @@ from heisenkit.groups import Heisenberg, SpecialLinear
 from heisenkit.linalg import (hermitian_operator, min_eigenvalue,
                               spectral_norm, spectral_projection)
 from heisenkit.rotation import RationalAngle, farey_angles, pi_theta
-from heisenkit.sweeps import (IDENTITY_TOL, AngleRecord, SweepReport,
-                              _assemble, zzz_theta0)
+from heisenkit.sweeps import IDENTITY_TOL, AngleRecord, SweepReport, zzz_theta0
 
 
 def jacobi_eigenvalues(op: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues via cyclic Jacobi on the 2d x 2d real-symmetric embedding.
+    """Eigenvalues of a real symmetric matrix by cyclic Jacobi.
 
-    H = A + iB embeds as [[A, -B], [B, A]]; its spectrum is that of H with
-    every eigenvalue doubled.  Deterministic row-cyclic sweep order;
-    convergence when the off-diagonal Frobenius mass drops below
-    tol * ||M||_F.  Independent of LAPACK -- used as a cross-check oracle.
+    Deterministic row-cyclic sweep order; convergence when the off-diagonal
+    Frobenius mass drops below tol * ||M||_F.  Independent of LAPACK --
+    used as a cross-check oracle.
     """
-    h = hermitian_operator(op)
-    a, b = h.real.copy(), h.imag.copy()
-    m = np.block([[a, -b], [b, a]])
+    m = hermitian_operator(op).copy()
     n = m.shape[0]
     norm = np.linalg.norm(m)
     if norm == 0.0:
-        return np.zeros(h.shape[0])
+        return np.zeros(n)
     for _ in range(max_sweeps):
         off = np.sqrt(max(np.linalg.norm(m) ** 2 - np.sum(np.diag(m) ** 2), 0.0))
         if off < tol * norm:
@@ -72,8 +70,7 @@ def jacobi_eigenvalues(op: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60)
                 cp, cq = m[:, p].copy(), m[:, q].copy()
                 m[:, p] = c * cp - s * cq
                 m[:, q] = s * cp + c * cq
-    w = np.sort(np.diag(m))
-    return w[::2]  # each eigenvalue of H appears twice in the embedding
+    return np.sort(np.diag(m))
 
 
 def char_poly_coeffs(op: np.ndarray) -> np.ndarray:
@@ -140,7 +137,7 @@ def _prodnorm(a, **_):
     eye = np.eye(a.q, dtype=complex)
     m = (eye - rotation.pi_x(a)) @ (eye - rotation.pi_y(a))
     return [AngleRecord(a.p, a.q,
-                        4.0 * cos(pi * a.theta / 2.0) - spectral_norm(m))]
+                        4.0 * cos(pi * a.theta / 2.0) - np.linalg.norm(m, 2))]
 
 
 def _xsmall(a, deltas=(0.1, 0.3, 0.5), **_):
@@ -202,6 +199,35 @@ def single_site_sweep(name: str, *, qmax: int, full_circle: bool = False,
     return SweepReport(name=name, records=records, notes=notes)
 
 
+def site_letters(x: np.ndarray, y: np.ndarray) -> dict[str, np.ndarray]:
+    """The one-site letters of the Kronecker words on one parity part (or
+    on all of l_2(Z/qZ)): X = diag(x), Y = y, the on-site anticommutator
+    S = XY + YX and the identity I.  X is diagonal, so
+    S_ij = (x_i + x_j) Y_ij."""
+    return {"X": np.diag(x), "Y": y, "S": (x[:, None] + x[None, :]) * y,
+            "I": np.eye(len(x))}
+
+
+def letters(angle: RationalAngle) -> dict[str, np.ndarray]:
+    """``site_letters`` of X and Y at ``angle`` in the standard basis."""
+    return site_letters(np.diag(rotation.x_op(angle)), rotation.y_op(angle))
+
+
+def tensor_word(angle: RationalAngle, word: str) -> np.ndarray:
+    """The ``np.kron`` product of the letters of ``word`` at ``angle``, one
+    letter of X, Y, S and I per site."""
+    table = letters(angle)
+    return reduce(np.kron, [table[k] for k in word])
+
+
+def kron_sum(sites, terms) -> np.ndarray:
+    """The sum, in term order, of each coefficient times the ``np.kron``
+    product of ``sites[i][word[i]]`` over the sites, where each site is a
+    letter table such as ``site_letters(x, y)``."""
+    return sum(c * reduce(np.kron, [site[k] for site, k in zip(sites, word)])
+               for c, word in terms)
+
+
 def parity_letters(angle: RationalAngle) -> list[dict[str, np.ndarray]]:
     """The dense letters X, Y, S = XY + YX and I at ``angle``, restricted to
     each nonempty parity part by conjugation with the orthonormal bases
@@ -222,7 +248,7 @@ def parity_block_minima(angle: RationalAngle, terms) -> list:
     one dense solve per block, in the order of ``sweeps``' block stream
     (all-even first); their minimum is the operator's least eigenvalue."""
     sites = len(terms[0][1])
-    return [min_eigenvalue(_assemble(partial(rotation.kron_word, choice), terms))
+    return [min_eigenvalue(kron_sum(choice, terms))
             for choice in product(parity_letters(angle), repeat=sites)]
 
 

@@ -182,6 +182,20 @@ def test_overflowing_epsilon_is_refused_before_the_scan(monkeypatch, capsys):
         assert err.count("\n") == 1 and len(err) < 80
 
 
+def test_overflow_refusals_name_the_options(capsys):
+    # each used to exit 1 with only "error: overflow encountered in dot"
+    # (or "in multiply"), naming neither the option nor its value
+    for argv, option in (
+            ("verify formula --qmax 3 --R 1e300 --epsilon 1/4", "--R 1e300"),
+            ("verify smalltheta --qmax 12 --R 1e300 --epsilon 1/4 "
+             "--theta0 1/2", "--R 1e300"),
+            ("verify bz --qmax 5 --lambda 1e308", "--lambda 1e308")):
+        assert main(argv.split()) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: overflow encountered in ")
+        assert option in err and err.count("\n") == 1, err
+
+
 def test_verify_refuses_options_it_does_not_read(capsys):
     # each of these used to pass with the option silently ignored
     for argv, flags in (("verify prodnorm --qmax 6 --full-circle",

@@ -1,4 +1,5 @@
-"""Eigensolver contracts, Kronecker words and spectral projections."""
+"""Eigensolver contracts, Kronecker words and spectral projections; the
+solvers take real symmetric input only."""
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from heisenkit.linalg import (exceeds, hermitian_norm, hermitian_operator,
                               min_eigenvalue, spectral_norm,
                               spectral_projection)
-from heisenkit.rotation import RationalAngle, tensor_operator, x_op, y_op
-from oracles import char_poly_coeffs, jacobi_eigenvalues
+from heisenkit.rotation import RationalAngle, x_op, y_op
+from oracles import char_poly_coeffs, jacobi_eigenvalues, tensor_word
 
 SQRT2 = np.sqrt(2.0)
 
@@ -41,7 +42,7 @@ def test_eig_matches_char_poly_roots():
     rng = np.random.default_rng(11)
     for dim in (2, 3, 4):
         for _ in range(10):
-            a = random_hermitian(rng, dim)
+            a = random_hermitian(rng, dim).real
             w = np.linalg.eigvalsh(hermitian_operator(a))
             roots = np.sort(np.roots(char_poly_coeffs(a)).real)
             assert np.allclose(w, roots, atol=1e-8)
@@ -75,37 +76,39 @@ def test_real_input_stays_real(monkeypatch):
     assert spectral_projection(a, [0.0]).dtype == np.float64
 
 
-def test_complex_input_is_solved_as_before():
+EVERY_SOLVER = (hermitian_operator, min_eigenvalue, hermitian_norm,
+                spectral_norm, lambda a: spectral_projection(a, [0.05]),
+                lambda a: exceeds(a, -10.0))
+
+
+def test_complex_input_is_refused():
+    # every operator heisenkit solves is real symmetric; complex input
+    # used to be solved as complex128 Hermitian
     rng = np.random.default_rng(5)
-    for dim in (1, 3, 6):
-        a = random_hermitian(rng, dim)
-        h = hermitian_operator(a)
-        assert h.dtype == np.complex128
-        assert np.array_equal(h, (a + a.conj().T) / 2)
-        assert min_eigenvalue(a) == float(np.linalg.eigvalsh(h)[0])
-        m = a + 1j * np.eye(dim)  # not Hermitian
-        assert spectral_norm(m) == float(np.sqrt(max(
-            np.linalg.eigvalsh(m.conj().T @ m)[-1], 0.0)))
-        assert spectral_projection(a, [0.05]).dtype == np.complex128
-    # complex dtype with zero imaginary part and complex64 both stay complex
-    assert hermitian_operator(np.eye(2, dtype=complex)).dtype == np.complex128
-    assert hermitian_operator(np.eye(2, dtype=np.complex64)).dtype == np.complex128
+    for a in (random_hermitian(rng, 3), np.eye(2, dtype=complex),
+              np.eye(2, dtype=np.complex64), [[1.0, 1j], [-1j, 1.0]]):
+        for solve in EVERY_SOLVER:
+            with pytest.raises(ValueError, match="expected real entries"):
+                solve(a)
 
 
 def test_bad_input_rejected_for_real_and_complex():
-    for dtype in (float, complex):
-        asym = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=dtype)
-        with pytest.raises(ValueError, match="not Hermitian"):
-            min_eigenvalue(asym)
-        with pytest.raises(ValueError, match="not Hermitian"):
-            spectral_projection(asym, [0.5])
-        for bad in (np.nan, np.inf):
-            m = np.array([[1.0, bad], [bad, 1.0]], dtype=dtype)
-            for fn in (min_eigenvalue, spectral_norm, hermitian_operator):
-                with pytest.raises(ValueError, match="non-finite"):
-                    fn(m)
+    asym = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        min_eigenvalue(asym)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        spectral_projection(asym, [0.5])
+    for bad in (np.nan, np.inf):
+        m = np.array([[1.0, bad], [bad, 1.0]])
+        for fn in (min_eigenvalue, spectral_norm, hermitian_operator):
             with pytest.raises(ValueError, match="non-finite"):
-                spectral_projection(m, [0.5])
+                fn(m)
+        with pytest.raises(ValueError, match="non-finite"):
+            spectral_projection(m, [0.5])
+        # complex input is refused as complex before it is looked at
+        for solve in EVERY_SOLVER:
+            with pytest.raises(ValueError, match="expected real entries"):
+                solve(m.astype(complex))
 
 
 def test_operator_norm_examples():
@@ -145,12 +148,12 @@ def test_psd_agrees_with_principal_minors():
 def test_kron_block_structure():
     a = RationalAngle(1, 3)
     y = y_op(a)
-    k = tensor_operator(a, "IIY")
+    k = tensor_word(a, "IIY")
     assert k.shape == (27, 27)
     for i in range(9):
         assert np.array_equal(k[3 * i:3 * i + 3, 3 * i:3 * i + 3], y)
     assert np.count_nonzero(k) == 9 * np.count_nonzero(y)
-    assert np.array_equal(tensor_operator(RationalAngle(1, 2), "XI"),
+    assert np.array_equal(tensor_word(RationalAngle(1, 2), "XI"),
                           np.diag([0.0, 0.0, 4.0, 4.0]))
 
 
@@ -159,7 +162,7 @@ def test_kron_norm_multiplicative():
         x, y = x_op(a), y_op(a)
         letters = {"X": x, "Y": y, "S": x @ y + y @ x}
         for word in ("XY", "YS", "SX"):
-            assert spectral_norm(tensor_operator(a, word)) == pytest.approx(
+            assert spectral_norm(tensor_word(a, word)) == pytest.approx(
                 spectral_norm(letters[word[0]]) * spectral_norm(letters[word[1]]),
                 rel=1e-10)
 
@@ -170,9 +173,9 @@ def test_kron_associative_exact():
     a = RationalAngle(1, 2)
     x, y = x_op(a), y_op(a)
     s = x @ y + y @ x
-    xys = tensor_operator(a, "XYS")
-    assert np.array_equal(xys, np.kron(tensor_operator(a, "XY"), s))
-    assert np.array_equal(xys, np.kron(x, tensor_operator(a, "YS")))
+    xys = tensor_word(a, "XYS")
+    assert np.array_equal(xys, np.kron(tensor_word(a, "XY"), s))
+    assert np.array_equal(xys, np.kron(x, tensor_word(a, "YS")))
 
 
 def test_spectral_projection_diagonal():
@@ -190,7 +193,7 @@ def test_spectral_projection_above_norm_is_identity():
 
 def test_spectral_projection_is_orthogonal():
     rng = np.random.default_rng(9)
-    a = random_hermitian(rng, 6)
+    a = random_hermitian(rng, 6).real
     p = spectral_projection(a, [0.05])[0]
     assert np.max(np.abs(p - p.conj().T)) <= 1e-9
     assert np.max(np.abs(p @ p - p)) <= 1e-9
@@ -214,7 +217,7 @@ def test_projection_product_bound_third():
 def test_jacobi_matches_lapack():
     rng = np.random.default_rng(17)
     for dim in (1, 2, 3, 6, 12):
-        a = random_hermitian(rng, dim)
+        a = random_hermitian(rng, dim).real
         w_j = jacobi_eigenvalues(a)
         w_l = np.linalg.eigvalsh(hermitian_operator(a))
         assert np.allclose(w_j, w_l, atol=1e-8)
@@ -236,7 +239,7 @@ def test_symmetry_is_checked_not_repaired():
             solve(stack)
     h = random_hermitian(rng, 3)
     h[1, 1] += 1j * np.nextafter(0.0, 1.0)  # a diagonal that is not real
-    with pytest.raises(ValueError, match="not Hermitian"):
+    with pytest.raises(ValueError, match="expected real entries"):
         min_eigenvalue(h)
 
 
@@ -264,7 +267,7 @@ def test_stack_is_validated_per_matrix():
 
 def test_stacked_solvers_match_single_solves():
     rng = np.random.default_rng(31)
-    stack = np.stack([random_hermitian(rng, 5) for _ in range(4)])
+    stack = np.stack([random_hermitian(rng, 5).real for _ in range(4)])
     norms = hermitian_norm(stack)
     for i, a in enumerate(stack):
         assert norms[i] == pytest.approx(spectral_norm(a), abs=1e-12)
@@ -296,7 +299,7 @@ def test_exceeds_certifies_a_level_clearly_below_lambda_min():
         low = min_eigenvalue(a)
         assert exceeds(a, low - 1e-6)
         assert exceeds(a, low - 1.0)
-    h = random_hermitian(rng, 6)  # complex Hermitian input
+    h = random_hermitian(rng, 6).real
     assert exceeds(h, min_eigenvalue(h) - 1e-6)
 
 

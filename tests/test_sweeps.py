@@ -11,16 +11,16 @@ import pytest
 from heisenkit import sweeps
 from heisenkit.algebra import hermitian_square
 from heisenkit.cli import main
-from heisenkit.rotation import (RationalAngle, farey_angles, kron_word,
-                               parity_stack, site_letters, x_op, y_op)
+from heisenkit.rotation import (RationalAngle, farey_angles, parity_stack,
+                               x_op, y_op)
 from heisenkit.sweeps import (_tensor_sweep, three_site_operator,
                               three_site_terms, two_site_operator,
                               two_site_terms, verify_bz, verify_formula,
                               verify_prodnorm, verify_smalltheta,
                               verify_xsmall, verify_xyz1, verify_xyz2,
                               verify_zzz, zzz_theta0)
-from oracles import (Heisenberg3, evaluate3, parity_block_minima,
-                     single_site_sweep, xyz2_block)
+from oracles import (Heisenberg3, evaluate3, kron_sum, parity_block_minima,
+                     single_site_sweep, site_letters, xyz2_block)
 
 SQRT2 = sqrt(2.0)
 
@@ -367,9 +367,7 @@ def test_parity_blocks_equal_the_kronecker_oracle_bitwise(inequality):
             positions = sweeps._block_positions(
                 parts, [word for _, word in terms], table)
             blocks = list(sweeps._parity_blocks(table[0], terms, positions))
-            oracle = [(i, sweeps._assemble(
-                           partial(kron_word, [letters[i][k] for k in choice]),
-                           terms))
+            oracle = [(i, kron_sum([letters[i][k] for k in choice], terms))
                       for choice in product(range(len(parts)),
                                             repeat=len(terms[0][1]))
                       for i in range(len(angles))]
@@ -388,10 +386,10 @@ def test_positions_are_built_once_per_denominator_per_verdict(monkeypatch):
             built.append(sum(len(y) for _, y in parts))
             or build(parts, words, table)))
 
-    def refuse(sites, word):
-        raise AssertionError("a search built a Kronecker word")
+    def refuse(*args, **kwargs):
+        raise AssertionError("a search built a Kronecker product")
 
-    monkeypatch.setattr(sweeps.rotation, "kron_word", refuse)
+    monkeypatch.setattr(np, "kron", refuse)
     for verdict in range(2):
         built.clear()
         report = verify_smalltheta(qmax=6, theta0=Fraction(1, 2),
