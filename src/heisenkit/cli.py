@@ -7,9 +7,10 @@ line ``[PASS]``/``[FAIL] <command>[: summary] (N.NNs)`` and the note lines,
 and picks the exit code: 0 all checks pass, 2 a check failed, 1 usage error
 (a malformed or out-of-range option, an option the chosen check does not
 read, an option so large that the arithmetic overflows, or a workload
-refused before it runs).  Reports are deterministic (identical argv gives
-byte-identical files); wall time goes to stdout only.  No other module
-knows the report format.
+refused before it runs).  Reports are deterministic (identical argv at a
+fixed BLAS thread count gives byte-identical files; the thread count can
+move the last digits of a tensor search's margins); wall time goes to
+stdout only.  No other module knows the report format.
 """
 
 from __future__ import annotations

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
 
 import numpy as np
@@ -217,6 +218,7 @@ def _stabiliser_generators(n: int) -> list[np.ndarray]:
     return out
 
 
+@cache
 def stabiliser_maps(n: int) -> np.ndarray:
     """Every element of W, one selection per row, closed from
     ``_stabiliser_generators``.  Stack row b n^2 + k holds digit k of a
@@ -225,7 +227,8 @@ def stabiliser_maps(n: int) -> np.ndarray:
     permutation P, and cof(cof(g)) = g on SL_n), so applying b after a
     reads a's selection at b's positions and XORs the blocks.  A generator
     that does not fix the identity is refused before the closure, which
-    could otherwise grow far past W."""
+    could otherwise grow far past W.  W is closed once per n, and every
+    caller shares the one read-only array."""
     nn = n * n
     gens = _stabiliser_generators(n)
     e = np.eye(n, dtype=np.int64).ravel()
@@ -244,7 +247,9 @@ def stabiliser_maps(n: int) -> np.ndarray:
             if tuple(c) not in seen:
                 seen[tuple(c)] = c
                 todo.append(c)
-    return np.array(list(seen.values()))
+    maps = np.array(list(seen.values()))
+    maps.flags.writeable = False
+    return maps
 
 
 def _stack(d: np.ndarray, n: int, q: int) -> np.ndarray:

@@ -42,10 +42,6 @@ def _float_array(entries) -> np.ndarray:
     return a
 
 
-def _adjoint(a: np.ndarray) -> np.ndarray:
-    return np.swapaxes(a, -1, -2)
-
-
 def _per_matrix(x, a: np.ndarray):
     """A float for a single matrix ``a``, the array of values otherwise."""
     return float(x) if np.ndim(a) == 2 else x
@@ -59,7 +55,7 @@ def hermitian_operator(entries) -> np.ndarray:
     a = _float_array(entries)
     if a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {a.shape}")
-    at = _adjoint(a)
+    at = np.swapaxes(a, -1, -2)
     if not np.array_equal(a, at):
         raise ValueError(f"matrix is not Hermitian: max asymmetry "
                          f"{np.abs(a - at).max():.3e}")
@@ -146,7 +142,7 @@ def spectral_norm(m: np.ndarray):
     """Largest singular value of each real matrix; works for non-symmetric
     products too."""
     m = _float_array(m)
-    w = np.linalg.eigvalsh(_adjoint(m) @ m)
+    w = np.linalg.eigvalsh(np.swapaxes(m, -1, -2) @ m)
     return _per_matrix(np.sqrt(np.maximum(w[..., -1], 0.0)), m)
 
 
@@ -162,4 +158,4 @@ def spectral_projection(op: np.ndarray, deltas) -> np.ndarray:
             raise ValueError(f"ambiguous spectral cut: eigenvalue within "
                              f"{CUT_AMBIGUITY_TOL} of delta={delta}")
     vsel = v * (w <= cuts)[..., None, :]
-    return vsel @ _adjoint(vsel)
+    return vsel @ np.swapaxes(vsel, -1, -2)

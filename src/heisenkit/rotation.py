@@ -9,22 +9,23 @@ symmetric (X diagonal, Y a cyclic second difference), so their builders
 and every Kronecker word over them are float64.  Both commute with the
 parity j -> -j, which splits l_2(Z/qZ) into an even and an odd part and
 every Kronecker word into one real block per choice of part at each site.
-One builder makes those parts: ``parity_stack`` gives, per part, X's
-diagonals for every angle of one denominator and Y's block, from which
+One builder makes those parts, the one operator description the sweeps
+read: ``parity_stack`` gives, per part, X's diagonals for every angle of
+one denominator and Y's block in closed form, from which
 ``sweeps._letters`` takes the part's letters X, Y, S = XY + YX and I.
 
 Every trigonometric value is computed from a residue k mod q folded into
 [0, q/2]: cos(2 pi k/q) and sin(pi k/q) (for 0 <= k < q) take the same
 value at k and q - k, so computing them from min(k, q - k) makes the
 operators at p/q and (q-p)/q bitwise equal, not only equal in exact
-arithmetic.
+arithmetic.  Every cosine comes from one table, ``_x_diagonals``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import cos, gcd, pi, sin
+from math import gcd, pi, sin
 
 import numpy as np
 
@@ -57,15 +58,6 @@ class RationalAngle:
     def s(self) -> float:
         """sin(pi theta)"""
         return sin(pi * min(self.p, self.q - self.p) / self.q)
-
-    def c_m(self, m: int) -> float:
-        """cos(2 m pi theta)"""
-        r = m * self.p % self.q
-        return cos(2 * pi * min(r, self.q - r) / self.q)
-
-    def b_m(self, m: int) -> float:
-        """1 - cos(2 m pi theta) = 2 sin^2(m pi theta)"""
-        return 1.0 - self.c_m(m)
 
 
 def farey_angles(qmax: int, max_value: Fraction | None = Fraction(1, 2)
@@ -140,8 +132,10 @@ def y_op(angle: RationalAngle) -> np.ndarray:
 
 
 def z_scalar(angle: RationalAngle) -> float:
-    """Z_theta = 2(1 - cos 2 pi theta) = 4 sin^2(pi theta)."""
-    return 2.0 * angle.b_m(1)
+    """Z_theta = 2(1 - cos 2 pi theta) = 4 sin^2(pi theta): entry j = 1 of
+    X's diagonals (entry 0, X = 0 itself, at q = 1)."""
+    x = _x_diagonals(np.array([[angle.p]]), angle.q)
+    return float(x[0, min(1, angle.q // 2)])
 
 
 def almost_mathieu(angle: RationalAngle, lam: float) -> np.ndarray:
@@ -157,46 +151,28 @@ def bz_bound(angle: RationalAngle, lam: float) -> float:
     return lam + 2.0 - (2.0 * lam / (lam + 2.0)) * angle.s
 
 
-def parity_bases(q: int) -> list[np.ndarray]:
-    """Orthogonal bases, as columns, of the even and the odd part of
-    l_2(Z/qZ) under j -> -j.
-
-    Columns are e_j + e_{-j} (e_j alone at a fixed point j = -j) and
-    e_j - e_{-j}, so every entry is 0 or +-1 and a column has squared norm
-    1 or 2.  For q <= 2 every point is fixed and only the even part is
-    returned.
-    """
-    bases = []
-    for sign, reps in ((1, range(q // 2 + 1)), (-1, range(1, (q + 1) // 2))):
-        v = np.zeros((q, len(reps)))
-        for col, j in enumerate(reps):
-            v[j, col] = 1.0
-            if -j % q != j:
-                v[-j % q, col] = sign
-        if v.size:
-            bases.append(v)
-    return bases
-
-
 def parity_stack(angles) -> list[tuple[np.ndarray, np.ndarray]]:
-    """X and Y at angles sharing one denominator q, restricted to each
-    nonempty parity part in the orthonormal bases
-    ``parity_bases(q) / column norm``.
-
-    X is diagonal in the parity bases (its entries 2 b_j for the
-    representatives j = 0..q//2 of the even part and 1..(q-1)//2 of the
-    odd part) and Y does not depend on p, so each part is the pair
-    (diagonals of X, one row per angle, shape (len(angles), n);
-    the block of Y, shape (n, n)).
-    """
+    """X and Y at angles sharing one denominator q, on each nonempty
+    parity part: the even part has the columns (e_j + e_{-j}) / sqrt(n_j),
+    j = 0..q//2, the odd part (e_j - e_{-j}) / sqrt(n_j), j = 1..(q-1)//2,
+    with n_j = 1 at a fixed point j = -j and 2 elsewhere (q <= 2 has no
+    odd part).  Each part is (X's diagonals 2 b_j, one row per angle,
+    shape (len(angles), n); Y's block, which does not depend on p).  The
+    block is T_ij / sqrt(n_i n_j), T the integer tridiagonal matrix with
+    T_jj = 2 n_j and -2 beside the diagonal, less 2 on the even and plus
+    2 on the odd part at the fold j = (q-1)/2 = -(j+1) of an odd q.  Its
+    zeros are +0.0: a -0.0 can change LAPACK's Householder signs."""
     q = angles[0].q
     if any(a.q != q for a in angles):
         raise ValueError("the angles of a stack must share their denominator")
     half = _x_diagonals(np.array([[a.p] for a in angles]), q)
-    y = y_op(angles[0])
     out = []
-    for x, v in zip((half, half[:, 1:(q + 1) // 2]), parity_bases(q)):
-        n = np.sum(v * v, axis=0)  # squared column norms, 1 or 2
-        out.append((x, (v.T @ y @ v) * (1.0 / np.sqrt(np.outer(n, n)))))
+    for j, fold in ((np.arange(q // 2 + 1), -2.0),
+                    (np.arange(1, (q + 1) // 2), 2.0)):
+        if j.size:
+            n = np.where(2 * j % q == 0, 1.0, 2.0)
+            t = np.diag(2.0 * n) - 2.0 * (np.eye(len(j), k=1)
+                                          + np.eye(len(j), k=-1))
+            t[-1, -1] += fold * (q % 2)
+            out.append((half[:, j], t * (1.0 / np.sqrt(np.outer(n, n)))))
     return out
-

@@ -18,7 +18,9 @@ sin(pi theta), and cos(2 pi j (1 - theta)) = cos(2 pi j theta),
 sin(pi (1 - theta)) = sin(pi theta), so theta and 1 - theta have the same
 operators (bitwise, as ``rotation`` folds every residue into [0, q/2]): a
 full-circle sweep solves only the angles in [0, 1/2] and costs the same
-solves as the half circle.  The two- and three-site operators split into
+solves as the half circle.  No sweep builds a dense q x q operator; xyz2
+and xsmall read X over every residue from the even part's rows.  The
+two- and three-site operators split into
 four blocks of about (q/2)^2 and eight of about (q/2)^3, sums of Kronecker
 words over each part's letters X and I (diagonal) and Y and S = XY + YX
 (tridiagonal).  One letter table, ``_letters``, holds the entries of the
@@ -127,8 +129,9 @@ def _stacked_sweep(grid, work) -> list:
     An angle (q-p)/q whose mirror p/q, 2p < q, is also in the grid is not
     solved: its records are those of p/q with p replaced.  So on a grid
     with mirror pairs (the full-circle grids of bz, xyz1 and xyz2),
-    ``work`` may read an angle only through its parity stack and sin(pi
-    theta), which are bitwise equal at p/q and (q-p)/q."""
+    ``work`` may read an angle only through values that are bitwise equal
+    at p/q and (q-p)/q: its parity stack, sin(pi theta) and sines of
+    residues folded as ``rotation`` folds them."""
     by_q: dict = {}
     for a in grid:
         by_q.setdefault(a.q, []).append(a)
@@ -158,16 +161,29 @@ def _sines(angles) -> np.ndarray:
     return np.array([[a.s] for a in angles])
 
 
-def _min_eig_sweep(grid, op) -> list:
+def _residue_x(x: np.ndarray, q: int) -> np.ndarray:
+    """X's diagonals 2 b_m over every residue m = 0..q-1, from the even
+    part's rows x of a ``rotation.parity_stack`` (entries 2 b_j for
+    j = 0..q//2): entry m is entry min(m, q - m) of x."""
+    m = np.arange(q)
+    return x[:, np.minimum(m, q - m)]
+
+
+def _min_eig_sweep(grid, op, extras=None) -> list:
     """One record per angle of ``grid`` whose margin is the minimum
     eigenvalue, over the parity blocks, of the operator ``op(s, x, y)``:
     s is the column of sin(pi theta) of a run of angles and x, y a part of
-    its ``rotation.parity_stack``."""
+    its ``rotation.parity_stack``.  ``extras(angles, parts)``, if given,
+    returns named values with one entry per angle of the run, which go
+    into the records' extras."""
     def work(angles, parts):
         s = _sines(angles)
         margins = np.min([min_eigenvalue(op(s, x, y)) for x, y in parts],
                          axis=0)
-        return [AngleRecord(a.p, a.q, float(m)) for a, m in zip(angles, margins)]
+        values = extras(angles, parts) if extras else {}
+        return [AngleRecord(a.p, a.q, float(m),
+                            {k: float(v[i]) for k, v in values.items()})
+                for i, (a, m) in enumerate(zip(angles, margins))]
 
     return _stacked_sweep(grid, work)
 
@@ -229,25 +245,30 @@ def verify_zzz(*, qmax: int = 60, R: float | None = None,
                               "qmax": qmax})
 
 
-def _xyz2_blocks(angles) -> dict:
-    """Over m = 0..q-1 of each angle, the least determinant ad - c^2 and
-    trace a + d of the 2x2 corner blocks [[a, c], [c, d]] of
+def _xyz2_blocks(angles, parts) -> dict:
+    """Over m = 0..q-1 of each angle of a run, the least determinant
+    ad - c^2 and trace a + d of the 2x2 corner blocks [[a, c], [c, d]] of
     2s(X+Y) + (XY+YX)/2 at positions (m-1, m), with s = sin(pi theta),
     a = 2(s+1) b_{m-1} + 2s, c = -(2s + b_{m-1} + b_m),
     d = 2(s+1) b_m + 2s; and the largest residual of the corrected
-    difference identity b_{m-1} - b_m = -2 s sin((2m-1) pi theta)."""
+    difference identity b_{m-1} - b_m = -2 s sin((2m-1) pi theta).
+    b_m is half of X's entry at residue m, and sin((2m-1) pi theta) is
+    taken at k = (2m-1) p mod 2q folded into [0, q/2], negated for k > q:
+    so p/q and (q-p)/q (k + k' = q mod 2q) give the same floats."""
     q, p = angles[0].q, np.array([[a.p] for a in angles])
     s = _sines(angles)
-    m = np.arange(-1, q)
-    b = 1.0 - np.cos(2 * m * pi * p / q)  # b_{m-1}, ..., b_{q-1}
-    bm1, bm = b[:, :-1], b[:, 1:]
+    bm = _residue_x(parts[0][0], q) / 2.0
+    bm1 = np.roll(bm, 1, axis=1)  # b_{m-1}, with b_{-1} = b_{q-1}
     a = 2 * (s + 1) * bm1 + 2 * s
     c = -(2 * s + bm1 + bm)
     d = 2 * (s + 1) * bm + 2 * s
-    rhs = -2.0 * s * np.sin((2 * m[1:] - 1) * pi * p / q)
+    k = (2 * np.arange(q) - 1) * p % (2 * q)
+    r = k % q
+    sines = np.where(k > q, -1.0, 1.0) * np.sin(pi * np.minimum(r, q - r) / q)
     return {"det_min": np.min(a * d - c * c, axis=1),
             "trace_min": np.min(a + d, axis=1),
-            "identity_residual": np.max(np.abs(bm1 - bm - rhs), axis=1)}
+            "identity_residual": np.max(np.abs(bm1 - bm + 2.0 * s * sines),
+                                        axis=1)}
 
 
 def verify_xyz2(*, qmax: int = 60, full_circle: bool = False) -> SweepReport:
@@ -258,14 +279,8 @@ def verify_xyz2(*, qmax: int = 60, full_circle: bool = False) -> SweepReport:
     notes = []
     # (XY + YX)_ij = (x_i + x_j) Y_ij, as X is diagonal
     records = _min_eig_sweep(grid, lambda s, x, y: _diag(2.0 * s * x) + (
-        2.0 * s[:, :, None] + 0.5 * (x[:, :, None] + x[:, None, :])) * y)
-    by_q: dict = {}
-    for r in records:
-        by_q.setdefault(r.q, []).append(r)
-    for q, found in by_q.items():  # mirrors included, in angle order
-        values = _xyz2_blocks([RationalAngle(r.p, q) for r in found])
-        for i, r in enumerate(found):
-            r.extras.update((k, float(v[i])) for k, v in values.items())
+        2.0 * s[:, :, None] + 0.5 * (x[:, :, None] + x[:, None, :])) * y,
+        extras=_xyz2_blocks)
     bad_det = [r for r in records if r.extras["det_min"] < -TOL
                or r.extras["trace_min"] < -TOL]
     bad_id = [r for r in records if r.extras["identity_residual"] > IDENTITY_TOL]
@@ -310,10 +325,13 @@ def verify_xsmall(*, qmax: int = 40,
     is the coordinate projection onto {x <= delta}: ||P_Y P_X|| is the
     largest, over the parts, spectral norm of P_Y with the columns outside
     that set zeroed, and the compression residual max |P_X Y P_X - 2 P_X|
-    = max |P_X (Y - 2) P_X| is read off Y in the standard basis of
-    l_2(Z/qZ).  On [0, 1/2] the gap is at most 2, so a cut outside (0, 2)
-    never applies and is refused, as is a repeated cut or one within
-    CUT_AMBIGUITY_TOL of an entry of X."""
+    is the largest, over the parts, max |(Y - 2) [low (x) low]| on the
+    part's Y block: Y - 2 is nonzero there only next to the diagonal and
+    at the fold of an odd q, so it is 0.0 exactly when no two adjacent
+    residues are low, as in the standard basis.  The low-set size and the
+    adjacency come from X over every residue.  On [0, 1/2] the gap is at
+    most 2, so a cut outside (0, 2) never applies and is refused, as is a
+    repeated cut or one within CUT_AMBIGUITY_TOL of an entry of X."""
     for delta in deltas:
         if not 0 < delta < 2:
             raise ValueError(f"cut must lie in (0, 2), got {delta}")
@@ -328,9 +346,7 @@ def verify_xsmall(*, qmax: int = 40,
         union = sorted(d for d in deltas if d < gaps.max())
         if not union:
             return []
-        # 2 b_m for m = 0..q-1, from the even part's diagonals 2 b_j, j <= q/2
-        x_full = parts[0][0][:, np.minimum(np.arange(q), q - np.arange(q))]
-        y_less_2 = rotation.y_op(angles[0]) - 2.0 * np.eye(q)
+        x_full = _residue_x(parts[0][0], q)
         projections = [spectral_projection(y, union) for _, y in parts]
         out = []
         for k, delta in enumerate(union):
@@ -338,12 +354,14 @@ def verify_xsmall(*, qmax: int = 40,
             if np.any(np.abs(x_full[rows] - delta) < CUT_AMBIGUITY_TOL):
                 raise ValueError(f"ambiguous spectral cut: eigenvalue within "
                                  f"{CUT_AMBIGUITY_TOL} of delta={delta}")
+            lows = [x[rows] <= delta for x, _ in parts]
             # P_Y P_X: the columns of P_Y outside {x <= delta} zeroed
-            norm = np.max([spectral_norm(py[k] * (x[rows] <= delta)[:, None, :])
-                           for (x, _), py in zip(parts, projections)], axis=0)
+            norm = np.max([spectral_norm(py[k] * low[:, None, :])
+                           for low, py in zip(lows, projections)], axis=0)
+            resid = np.max([np.max(np.abs((y - 2.0 * np.eye(len(y))) * (
+                low[:, :, None] & low[:, None, :])), axis=(-2, -1))
+                for low, (_, y) in zip(lows, parts)], axis=0)
             low = x_full[rows] <= delta
-            both_low = low[:, :, None] & low[:, None, :]
-            resid = np.max(np.abs(y_less_2 * both_low), axis=(-2, -1))
             size = np.sum(low, axis=-1)
             consecutive = (size > 1) & np.any(low & np.roll(low, -1, axis=-1),
                                               axis=-1)

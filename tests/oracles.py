@@ -1,7 +1,8 @@
 """Reference implementations that only the tests use: independent
-eigenvalue oracles, the single-site sweeps solved one dense q x q matrix
-per angle, the one-site letters X, Y, S and I and the sums of their
-Kronecker words, the parity letters conjugated out of the dense q x q
+eigenvalue oracles, 1 - cos(2 pi m theta) one residue at a time, the
+single-site sweeps solved one dense q x q matrix per angle, the one-site
+letters X, Y, S and I and the sums of their Kronecker words, the parity
+bases and the parity letters conjugated with them out of the dense q x q
 letters, the tensor operators' least eigenvalues from a dense solve of
 every parity block, the rank-3 Heisenberg group and its representation
 evaluated word by word, the Laplacian of H and the route from R[H] into
@@ -91,10 +92,17 @@ def char_poly_coeffs(op: np.ndarray) -> np.ndarray:
     return coeffs
 
 
+def b_m(angle: RationalAngle, m: int) -> float:
+    """1 - cos(2 m pi theta) = 2 sin^2(m pi theta), from the residue
+    m p mod q folded into [0, q/2]."""
+    r = m * angle.p % angle.q
+    return 1.0 - cos(2 * pi * min(r, angle.q - r) / angle.q)
+
+
 def xyz2_block(angle: RationalAngle, m: int) -> np.ndarray:
     """2x2 corner block of 2s(X+Y) + (XY+YX)/2 at positions (m-1, m)."""
     s = angle.s
-    bm1, bm = angle.b_m(m - 1), angle.b_m(m)
+    bm1, bm = b_m(angle, m - 1), b_m(angle, m)
     off = -(2 * s + bm1 + bm)
     return np.array([[2 * (s + 1) * bm1 + 2 * s, off],
                      [off, 2 * (s + 1) * bm + 2 * s]])
@@ -125,7 +133,7 @@ def _xyz2(a, **_):
         t = xyz2_block(a, m)
         det_min = min(det_min, float(np.linalg.det(t)))
         trace_min = min(trace_min, float(np.trace(t)))
-        lhs = a.b_m(m - 1) - a.b_m(m)
+        lhs = b_m(a, m - 1) - b_m(a, m)
         rhs = -2.0 * a.s * sin((2 * m - 1) * pi * a.p / a.q)
         resid = max(resid, abs(lhs - rhs))
     return [AngleRecord(a.p, a.q, min_eigenvalue(op),
@@ -148,7 +156,7 @@ def _xsmall(a, deltas=(0.1, 0.3, 0.5), **_):
             continue
         px = spectral_projection(x, [delta])[0]
         py = spectral_projection(y, [delta])[0]
-        low = [m for m in range(a.q) if 2.0 * a.b_m(m) <= delta]
+        low = [m for m in range(a.q) if 2.0 * b_m(a, m) <= delta]
         consecutive = any((m + 1) % a.q in low for m in low) and len(low) > 1
         out.append(AngleRecord(
             a.p, a.q, sqrt(2.0 / (4.0 - delta)) - spectral_norm(py @ px),
@@ -228,18 +236,43 @@ def kron_sum(sites, terms) -> np.ndarray:
                for c, word in terms)
 
 
+def parity_bases(q: int) -> list[np.ndarray]:
+    """Orthogonal bases, as columns, of the even and the odd part of
+    l_2(Z/qZ) under j -> -j.
+
+    Columns are e_j + e_{-j} (e_j alone at a fixed point j = -j) and
+    e_j - e_{-j}, so every entry is 0 or +-1 and a column has squared norm
+    1 or 2.  For q <= 2 every point is fixed and only the even part is
+    returned.
+    """
+    bases = []
+    for sign, reps in ((1, range(q // 2 + 1)), (-1, range(1, (q + 1) // 2))):
+        v = np.zeros((q, len(reps)))
+        for col, j in enumerate(reps):
+            v[j, col] = 1.0
+            if -j % q != j:
+                v[-j % q, col] = sign
+        if v.size:
+            bases.append(v)
+    return bases
+
+
+def parity_conjugate(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The dense q x q matrix ``m`` restricted to the part whose basis is
+    ``v`` (columns of ``parity_bases``), in that basis scaled to unit
+    columns: (v^T m v) / sqrt(n_i n_j), n the squared column norms."""
+    n = np.sum(v * v, axis=0)  # squared column norms, 1 or 2
+    return (v.T @ m @ v) * (1.0 / np.sqrt(np.outer(n, n)))
+
+
 def parity_letters(angle: RationalAngle) -> list[dict[str, np.ndarray]]:
     """The dense letters X, Y, S = XY + YX and I at ``angle``, restricted to
     each nonempty parity part by conjugation with the orthonormal bases
-    ``rotation.parity_bases(q) / column norm``: one letter table per part."""
+    ``parity_bases(q) / column norm``: one letter table per part."""
     x, y = rotation.x_op(angle), rotation.y_op(angle)
     table = {"X": x, "Y": y, "S": x @ y + y @ x, "I": np.eye(angle.q)}
-    out = []
-    for v in rotation.parity_bases(angle.q):
-        n = np.sum(v * v, axis=0)  # squared column norms, 1 or 2
-        scale = 1.0 / np.sqrt(np.outer(n, n))
-        out.append({k: (v.T @ m @ v) * scale for k, m in table.items()})
-    return out
+    return [{k: parity_conjugate(v, m) for k, m in table.items()}
+            for v in parity_bases(angle.q)]
 
 
 def parity_block_minima(angle: RationalAngle, terms) -> list:

@@ -35,6 +35,13 @@ def test_stabiliser_has_all_signed_permutations_and_inverse_transpose():
     assert len(expander.stabiliser_maps(3)) == 48
 
 
+def test_stabiliser_is_closed_once_per_n():
+    for n in (2, 3):
+        maps = expander.stabiliser_maps(n)
+        assert expander.stabiliser_maps(n) is maps
+        assert not maps.flags.writeable
+
+
 def test_generator_collapse_mod2():
     assert len(elementary_generators(3, 2, 1)) == 6   # +p = -p mod 2
     assert len(elementary_generators(3, 5, 1)) == 12
@@ -398,6 +405,9 @@ def _swap_entries_0_0_and_0_1(n):
 def test_broken_stabiliser_is_refused(generators, message, monkeypatch,
                                       capsys):
     monkeypatch.setattr(expander, "_stabiliser_generators", generators)
+    # W closed from the broken generators, past the cache of the true W
+    monkeypatch.setattr(expander, "stabiliser_maps",
+                        expander.stabiliser_maps.__wrapped__)
     with pytest.raises(ValueError, match=message):
         enumerate_group(3, 3, 1)
     assert main(["expander", "run", "--n", "3", "--q", "3"]) == 1

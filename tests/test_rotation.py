@@ -12,11 +12,11 @@ from heisenkit.algebra import (AlgebraElement, hermitian_square, one_minus,
 from heisenkit.groups import Heisenberg
 from heisenkit.linalg import spectral_norm
 from heisenkit.rotation import (RationalAngle, almost_mathieu, bz_bound,
-                                evaluate, farey_angles, parity_bases,
-                                parity_stack, pi_theta, pi_x, pi_y, x_op, y_op,
-                                z_scalar)
-from oracles import (Heisenberg3, evaluate3, heis_laplacian, letters,
-                     parity_letters, pi_theta3, site_letters, tensor_word)
+                                evaluate, farey_angles, parity_stack, pi_theta,
+                                pi_x, pi_y, x_op, y_op, z_scalar)
+from oracles import (Heisenberg3, b_m, evaluate3, heis_laplacian, letters,
+                     parity_bases, parity_conjugate, parity_letters, pi_theta3,
+                     site_letters, tensor_word)
 
 H = Heisenberg
 
@@ -112,7 +112,7 @@ def test_almost_mathieu_structure():
     a = RationalAngle(1, 5)
     h = almost_mathieu(a, 3.0)
     for m in range(5):
-        assert h[m, m] == pytest.approx(3.0 * a.c_m(m), abs=1e-12)
+        assert h[m, m] == pytest.approx(3.0 * (1.0 - b_m(a, m)), abs=1e-12)
         assert h[(m + 1) % 5, m] == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         almost_mathieu(a, 0.0)
@@ -167,22 +167,31 @@ def test_parity_bases_split_every_letter():
 
 def test_parity_stack_is_the_parity_letters():
     """Per part, the stacked X diagonals and the shared Y block are
-    exactly the blocks that the dense oracle ``parity_letters`` conjugates
-    out of x_op and y_op at each p/q with q <= 13 (q = 1, 2 have no odd
-    part), and ``site_letters`` of a row and the block are the oracle's
+    bitwise the blocks that the dense oracle conjugates out of x_op and
+    y_op with ``parity_bases`` at every p/q with q <= 400 (q = 1, 2 have no
+    odd part); and at q <= 13, where ``parity_letters`` conjugates every
+    letter, ``site_letters`` of a row and the block are the oracle's
     letters X, Y, S and I on that part."""
-    grid = farey_angles(13, max_value=None)
-    for q in range(1, 14):
-        angles = [a for a in grid if a.q == q]
-        parts = parity_stack(angles)
-        assert len(parts) == (1 if q <= 2 else 2)
+    by_q = {}
+    for a in farey_angles(400, max_value=None):
+        by_q.setdefault(a.q, []).append(a)
+    for q, angles in by_q.items():
+        parts, bases = parity_stack(angles), parity_bases(q)
+        assert len(parts) == len(bases) == (1 if q <= 2 else 2)
+        d = np.array([x_op(a).diagonal().copy() for a in angles])
+        for (x, y), v in zip(parts, bases):
+            # the diagonal of v^T diag(d) v is d @ (v * v), and v^T v = diag(n)
+            n = np.sum(v * v, axis=0)
+            assert x.shape == (len(angles), y.shape[0])
+            assert x.tobytes() == (d @ (v * v) * (1.0 / n)).tobytes(), q
+            assert y.tobytes() == parity_conjugate(v, y_op(angles[0])).tobytes(), q
+        if q > 13:
+            continue
         for i, angle in enumerate(angles):
             blocks = parity_letters(angle)
-            assert len(parts) == len(blocks)
             for (x, y), block in zip(parts, blocks):
-                assert x.shape == (len(angles), y.shape[0])
-                assert np.array_equal(np.diag(x[i]), block["X"])
-                assert np.array_equal(y, block["Y"])
+                assert np.diag(x[i]).tobytes() == block["X"].tobytes()
+                assert y.tobytes() == block["Y"].tobytes()
                 built = site_letters(x[i], y)
                 assert built.keys() == block.keys()
                 for k in built:
@@ -194,8 +203,8 @@ def test_parity_stack_is_the_parity_letters():
 
 def test_mirror_angles_share_their_trigonometry():
     """p/q and (q-p)/q have bitwise equal X rows in every parity part and
-    bitwise equal sin(pi theta) and b_m, so a sweep may solve one of them
-    for both."""
+    bitwise equal sin(pi theta) and Z, so a sweep may solve one of them
+    for both; so does the folded reference b_m."""
     grid = farey_angles(60, max_value=None)
     for q in range(1, 61):
         angles = [a for a in grid if a.q == q]
@@ -205,7 +214,8 @@ def test_mirror_angles_share_their_trigonometry():
             assert np.array_equal(x, x_mirror)
         for a, b in zip(angles, mirrors):
             assert a.s == b.s
-            assert [a.b_m(m) for m in range(q)] == [b.b_m(m) for m in range(q)]
+            assert z_scalar(a) == z_scalar(b)
+            assert [b_m(a, m) for m in range(q)] == [b_m(b, m) for m in range(q)]
 
 
 def _dual_deviation(c, x, y):

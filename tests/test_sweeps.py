@@ -3,7 +3,7 @@
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from math import asin, pi, sqrt
+from math import asin, gcd, pi, sqrt
 
 import numpy as np
 import pytest
@@ -503,16 +503,49 @@ def test_full_circle_solves_each_mirror_pair_once(monkeypatch, name):
     assert len(solved) == len(half_solves)
     assert all(np.array_equal(a, b) for a, b in zip(solved, half_solves))
     assert len(full.records) > len(half.records)
-    # the margin of (q-p)/q is that of p/q ...
-    margins = {(r.p, r.q, r.extras.get("lambda")): r.margin
-               for r in full.records}
-    for (p, q, lam), margin in margins.items():
-        assert margins[(-p % q, q, lam)] == margin
-    # ... and the float that solving (q-p)/q itself gives
+    # the margin and extras of (q-p)/q are those of p/q ...
+    found = {(r.p, r.q, r.extras.get("lambda")): (r.margin, r.extras)
+             for r in full.records}
+    for (p, q, lam), record in found.items():
+        assert found[(-p % q, q, lam)] == record
+    # ... and the floats that solving (q-p)/q itself gives
     upper = [a for a in farey_angles(16, max_value=None) if 2 * a.p > a.q]
     monkeypatch.setattr(sweeps, "farey_angles", lambda *_, **__: upper)
     for r in sweep(qmax=16, full_circle=True).records:
-        assert r.margin == margins[(r.p, r.q, r.extras.get("lambda"))]
+        assert (r.margin, r.extras) == found[(r.p, r.q, r.extras.get("lambda"))]
+
+
+def test_xyz2_extras_are_folded_on_large_circles():
+    # the difference identity's residual stays at rounding level on the
+    # full circles of q = 422, 610 and 989, where unfolded arguments
+    # 2 m pi p/q pushed it past IDENTITY_TOL, and p/q and (q-p)/q, each
+    # computed in a stack of its own half circle, give the same floats
+    for q in (422, 610, 989):
+        lower = [RationalAngle(p, q) for p in range(1, (q + 1) // 2)
+                 if gcd(p, q) == 1]
+        upper = [RationalAngle(q - a.p, q) for a in lower]
+        low, up = (sweeps._xyz2_blocks(angles, parity_stack(angles))
+                   for angles in (lower, upper))
+        assert np.max(low["identity_residual"]) <= 1e-14, q
+        assert low.keys() == up.keys()
+        for key, values in low.items():
+            assert values.shape == (len(lower),)
+            assert values.tobytes() == up[key].tobytes(), (key, q)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("bz", {"full_circle": True}), ("xyz1", {"full_circle": True}),
+    ("xyz2", {"full_circle": True}), ("zzz", {"R": 1.0, "kappa": 2 / 3}),
+    ("prodnorm", {}), ("xsmall", {}), ("smalltheta", {}), ("formula", {})])
+def test_sweeps_read_the_operators_only_through_parity_stack(
+        monkeypatch, name, params):
+    def refuse(angle):
+        raise AssertionError("a sweep built a dense operator")
+
+    for builder in ("x_op", "y_op", "pi_y"):
+        monkeypatch.setattr(sweeps.rotation, builder, refuse)
+    report = getattr(sweeps, f"verify_{name}")(qmax=8, **params)
+    assert report.passed and report.records
 
 
 def test_reports_are_deterministic(tmp_path):
