@@ -11,8 +11,8 @@ parity j -> -j, which splits l_2(Z/qZ) into an even and an odd part and
 every Kronecker word into one real block per choice of part at each site.
 One builder makes those parts, the one operator description the sweeps
 read: ``parity_stack`` gives, per part, X's diagonals for every angle of
-one denominator and Y's block in closed form, from which
-``sweeps._letters`` takes the part's letters X, Y, S = XY + YX and I.
+one denominator and Y's block in closed form, from which ``sweeps``
+takes the part's letters X, Y, S = XY + YX and I (dense or sparse).
 
 Every trigonometric value is computed from a residue k mod q folded into
 [0, q/2]: cos(2 pi k/q) and sin(pi k/q) (for 0 <= k < q) take the same

@@ -7,38 +7,28 @@ margin clears ``-TOL``; the grid order is the accuracy knob and no option
 moves the gate.  A sweep's keyword parameters are its only options (the
 ``verify`` command refuses any other).  The default grid order ``qmax`` is
 60 for the single-site sweeps, 40 for the projection sweep, 24 for the
-two-site inequality and 12 for the three-site inequality.  Every margin is a dense LAPACK eigenvalue of a
-real parity block.  Every sweep, single-site or tensor, runs through one
-driver, ``_stacked_sweep``: it builds the parity blocks of X and Y with
-``rotation.parity_stack`` once per denominator and hands them to the
-sweep's work in runs of up to STACK angles.  The single-site operators
-split into an even and an odd block of about q/2, solved as one stack per
-run.  They depend on theta only through cos(2 pi j theta) and
-sin(pi theta), and cos(2 pi j (1 - theta)) = cos(2 pi j theta),
-sin(pi (1 - theta)) = sin(pi theta), so theta and 1 - theta have the same
-operators (bitwise, as ``rotation`` folds every residue into [0, q/2]): a
-full-circle sweep solves only the angles in [0, 1/2] and costs the same
-solves as the half circle.  No sweep builds a dense q x q operator; xyz2
-and xsmall read X over every residue from the even part's rows.  The
-two- and three-site operators split into
-four blocks of about (q/2)^2 and eight of about (q/2)^3, sums of Kronecker
-words over each part's letters X and I (diagonal) and Y and S = XY + YX
-(tridiagonal).  One letter table, ``_letters``, holds the entries of the
-letters that may be nonzero: their values per angle and their (part,
-row, column).  Each block is summed from its nonzeros alone: their
-positions, walked out of that table word by word, are built once per
-denominator and verdict, for every run and every R of a search, and the
-sum adds them in term order, so a block is the same float array as the
-dense sum of the words' ``np.kron`` products over the part's letters.
-The blocks are streamed one at a time per angle.  Only the all-even block
-is always solved; a later block is solved only when ``linalg.exceeds``
-cannot certify, with one Cholesky, that it does not lower the minimum so
-far, so the margin is the same float as the minimum over dense solves of
-every block.
+two-site inequality and 12 for the three-site inequality.  A sweep whose
+largest solve would not fit in physical memory is refused before its grid
+is built.  Every margin is a dense LAPACK eigenvalue of a real parity block.
+
+Each eigenvalue check (xyz1, zzz, xyz2, bz and both tensor searches) is an
+entry of ``CHECKS``: its site count, its operator as (coefficient, word)
+terms over the letters X, Y, S = XY + YX and I, its grid rule and extras.
+Every sweep runs through ``_stacked_sweep``, which builds the parity
+blocks of X and Y with ``rotation.parity_stack`` once per denominator and
+hands them to the sweep in runs of up to STACK angles.  A one-site
+operator is summed on the dense letters of its even and odd blocks of
+about q/2, one stack per run.  Every angle enters through residues folded
+into [0, q/2], so theta and 1 - theta have bitwise equal operators and a
+full circle solves only [0, 1/2].  The two- and three-site operators split
+into 4 blocks of about (q/2)^2 and 8 of about (q/2)^3, each summed from its
+nonzeros alone (``_parity_blocks``) and solved only when a Cholesky cannot
+certify that it does not lower the minimum (``_block_min_eigenvalue``).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -58,8 +48,8 @@ EPS_SCAN = (Fraction(1, 4), Fraction(1, 8), Fraction(1, 16))
 THETA0_SCAN = (Fraction(1, 8), Fraction(1, 16), Fraction(1, 32))
 TOL = 1e-9  # the PASS gate: every margin must clear -TOL
 IDENTITY_TOL = 1e-12
-# peak memory of a tensor sweep, in multiples of its largest parity
-# block's 8 N^2 bytes: one-angle sweeps raised peak RSS by 3.3-4.0x that
+# peak memory of a solve, in multiples of its parity blocks' 8 N^2 bytes
+# each: one-angle tensor sweeps raised peak RSS by 3.3-4.0x that
 # (three-site q = 20 and 24, two-site q = 80; numpy 2.4, OpenBLAS 0.3.31)
 SOLVE_PEAK_RATIO = 4
 
@@ -89,6 +79,10 @@ class SweepReport:
     constants: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
 
+    def __post_init__(self):
+        if not self.records:
+            self.notes = self.notes + ["FAIL: sweep produced no records"]
+
     @property
     def min_margin(self) -> float:
         return min((r.margin for r in self.records), default=float("inf"))
@@ -106,25 +100,17 @@ class SweepReport:
         return [r for r in self.records if r.margin < -TOL]
 
 
-def _finish(name, records, constants=None, notes=None) -> SweepReport:
-    if not records:
-        notes = (notes or []) + ["FAIL: sweep produced no records"]
-    return SweepReport(name=name, records=records, constants=constants or {},
-                       notes=notes or [])
-
-
 # ---------------------------------------------------------------------------
-# the sweep driver and the single-site sweeps
+# the stacked sweep
 
 STACK = 8  # angles per stacked solve; bounds the temporaries of a stack
 
 
 def _stacked_sweep(grid, work) -> list:
-    """The records of ``work(angles, parts)`` over ``grid``, called on runs
-    of at most STACK angles that share a denominator; ``parts`` holds, per
-    parity part, the rows of the X diagonals that belong to the run and
-    the block of Y (``rotation.parity_stack``, built once per
-    denominator).  Records come in sorted-angle order.
+    """The records of ``work(angles, parts)`` over ``grid``, in sorted-angle
+    order, called on runs of at most STACK angles of one denominator;
+    ``parts`` holds, per parity part, the run's rows of X's diagonals and
+    Y's block (``rotation.parity_stack``, built once per denominator).
 
     An angle (q-p)/q whose mirror p/q, 2p < q, is also in the grid is not
     solved: its records are those of p/q with p replaced.  So on a grid
@@ -151,9 +137,16 @@ def _stacked_sweep(grid, work) -> list:
     return records
 
 
-def _diag(d: np.ndarray) -> np.ndarray:
-    """The stack of diagonal matrices whose diagonals are the rows of d."""
-    return d[..., None] * np.eye(d.shape[-1])
+def _refuse_oversize(qmax: int, sites: int, count: int = 1) -> None:
+    """Refuse a sweep whose largest solve, ``count`` parity blocks of order
+    N = (qmax // 2 + 1)^sites at SOLVE_PEAK_RATIO * 8 N^2 bytes each, would
+    not fit in physical memory."""
+    order = (qmax // 2 + 1) ** sites
+    need, memory = SOLVE_PEAK_RATIO * 8 * count * order ** 2, physical_memory()
+    if need > memory:
+        blocks = f"a stack of {count} parity blocks" if count > 1 else "a parity block"
+        raise ValueError(f"{blocks} of order {order} needs about {need} bytes "
+                         f"to solve, more than the {memory} bytes of physical memory")
 
 
 def _sines(angles) -> np.ndarray:
@@ -162,63 +155,38 @@ def _sines(angles) -> np.ndarray:
 
 
 def _residue_x(x: np.ndarray, q: int) -> np.ndarray:
-    """X's diagonals 2 b_m over every residue m = 0..q-1, from the even
-    part's rows x of a ``rotation.parity_stack`` (entries 2 b_j for
-    j = 0..q//2): entry m is entry min(m, q - m) of x."""
+    """X's diagonals over every residue m = 0..q-1 from the even part's
+    rows x of a ``rotation.parity_stack``: entry min(m, q - m) of x."""
     m = np.arange(q)
     return x[:, np.minimum(m, q - m)]
 
 
-def _min_eig_sweep(grid, op, extras=None) -> list:
-    """One record per angle of ``grid`` whose margin is the minimum
-    eigenvalue, over the parity blocks, of the operator ``op(s, x, y)``:
-    s is the column of sin(pi theta) of a run of angles and x, y a part of
-    its ``rotation.parity_stack``.  ``extras(angles, parts)``, if given,
-    returns named values with one entry per angle of the run, which go
-    into the records' extras."""
-    def work(angles, parts):
-        s = _sines(angles)
-        margins = np.min([min_eigenvalue(op(s, x, y)) for x, y in parts],
-                         axis=0)
-        values = extras(angles, parts) if extras else {}
-        return [AngleRecord(a.p, a.q, float(m),
-                            {k: float(v[i]) for k, v in values.items()})
-                for i, (a, m) in enumerate(zip(angles, margins))]
+# ---------------------------------------------------------------------------
+# the check table
 
-    return _stacked_sweep(grid, work)
+@dataclass(frozen=True)
+class Check:
+    """``terms(s, **constants)``: the operator on ``sites`` sites, summed in
+    order, as ((coefficient, word), ...) with one letter per site; the
+    coefficients broadcast over a run's stack through s = sin(pi theta) as
+    an (angles, 1, 1) array (None for tensor checks) and bz's couplings on
+    a leading axis.  ``grid(angle, **constants)``: whether a Farey angle of
+    [0, 1) is swept.  ``extras(angles, parts)``: values per angle of a run.
+    A ``norm`` check's margin is ``rotation.bz_bound`` less the norm, per
+    coupling; any other is the least eigenvalue (less epsilon Z for the
+    tensor checks)."""
 
-
-def verify_bz(*, qmax: int = 60, lambdas: tuple = (1.0, 2.0, 4.0),
-              full_circle: bool = False) -> SweepReport:
-    """Almost Mathieu norm bound: ||H|| <= lam+2 - (2 lam/(lam+2)) sin(pi theta),
-    H = (lam+2) - (lam/2 X + Y); ||H|| is the largest |eigenvalue| of the
-    symmetric H over its parity blocks."""
-    for lam in lambdas:
-        if not lam > 0:
-            raise ValueError(f"coupling must be positive, got {lam}")
-    if len(set(lambdas)) < len(lambdas):
-        raise ValueError(f"repeated coupling in {list(lambdas)}")
-    grid = farey_angles(qmax, max_value=None if full_circle else Fraction(1, 2))
-    c = np.array(lambdas, dtype=float)[:, None, None]
-
-    def work(angles, parts):
-        # one (couplings, angles, n, n) stack per part
-        norms = np.max([hermitian_norm(_diag((c + 2.0) - (c / 2.0) * x) - y)
-                        for x, y in parts], axis=0)
-        return [AngleRecord(a.p, a.q, rotation.bz_bound(a, lam) - float(n),
-                            {"lambda": float(lam)})
-                for lam, row in zip(lambdas, norms) for a, n in zip(angles, row)]
-
-    records = _stacked_sweep(grid, work)
-    return _finish("bz", records,
-                   constants={"lambdas": list(lambdas), "qmax": qmax})
+    sites: int
+    terms: Callable
+    grid: Callable
+    extras: Callable | None = None
+    norm: bool = False
 
 
-def verify_xyz1(*, qmax: int = 60, full_circle: bool = False) -> SweepReport:
-    """X + Y >= sqrt(Z)/2, i.e. min eig(X + Y - sin(pi theta)) >= 0."""
-    grid = farey_angles(qmax, max_value=None if full_circle else Fraction(1, 2))
-    records = _min_eig_sweep(grid, lambda s, x, y: _diag(x - s) + y)
-    return _finish("xyz1", records, constants={"qmax": qmax})
+def _swept(a: RationalAngle, full_circle: bool = False,
+           theta0: Fraction | None = None, **_) -> bool:
+    """Whether a lies in [0, min(1/2, theta0)], or anywhere on a full circle."""
+    return full_circle or 2 * a.p <= a.q and (theta0 is None or a.fraction <= theta0)
 
 
 def zzz_theta0(R: float, kappa: float) -> float:
@@ -226,35 +194,15 @@ def zzz_theta0(R: float, kappa: float) -> float:
     return min(0.25, asin(kappa * sqrt((1.0 - kappa) / R)) / pi)
 
 
-def verify_zzz(*, qmax: int = 60, R: float | None = None,
-               kappa: float | None = None) -> SweepReport:
-    """R X + Y >= sqrt((1-kappa) R) sin(pi theta) for theta <= theta0(R, kappa)."""
-    if R is None or kappa is None:
-        raise ValueError("verify_zzz needs R and kappa")
-    if R < 1 or not (0 < kappa < 1):
-        raise ValueError(f"need R >= 1 and kappa in (0,1), got R={R}, kappa={kappa}")
-    theta0 = zzz_theta0(R, kappa)
-    coeff = sqrt((1.0 - kappa) * R)
-    grid = [a for a in farey_angles(qmax) if a.theta <= theta0]
-    notes = []
-    if all(a.p == 0 for a in grid):
-        notes.append(f"empty sweep: no positive angle <= theta0={theta0:.6f} at qmax={qmax}")
-    records = _min_eig_sweep(grid, lambda s, x, y: _diag(R * x - coeff * s) + y)
-    return _finish("zzz", records, notes=notes,
-                   constants={"R": R, "kappa": kappa, "theta0": theta0,
-                              "qmax": qmax})
-
-
 def _xyz2_blocks(angles, parts) -> dict:
-    """Over m = 0..q-1 of each angle of a run, the least determinant
-    ad - c^2 and trace a + d of the 2x2 corner blocks [[a, c], [c, d]] of
-    2s(X+Y) + (XY+YX)/2 at positions (m-1, m), with s = sin(pi theta),
-    a = 2(s+1) b_{m-1} + 2s, c = -(2s + b_{m-1} + b_m),
-    d = 2(s+1) b_m + 2s; and the largest residual of the corrected
-    difference identity b_{m-1} - b_m = -2 s sin((2m-1) pi theta).
-    b_m is half of X's entry at residue m, and sin((2m-1) pi theta) is
-    taken at k = (2m-1) p mod 2q folded into [0, q/2], negated for k > q:
-    so p/q and (q-p)/q (k + k' = q mod 2q) give the same floats."""
+    """xyz2's extras over m = 0..q-1 per angle of a run, with
+    s = sin(pi theta) and b_m half of X's entry at residue m: the least
+    determinant ad - c^2 and trace a + d of the corner blocks
+    [[a, c], [c, d]] of 2s(X+Y) + (XY+YX)/2 at (m-1, m), where
+    a = 2(s+1) b_{m-1} + 2s, c = -(2s + b_{m-1} + b_m), d = 2(s+1) b_m + 2s,
+    and the largest residual of b_{m-1} - b_m = -2 s sin((2m-1) pi theta),
+    the sine taken at k = (2m-1) p mod 2q folded into [0, q/2] and negated
+    for k > q, so p/q and (q-p)/q give the same floats."""
     q, p = angles[0].q, np.array([[a.p] for a in angles])
     s = _sines(angles)
     bm = _residue_x(parts[0][0], q) / 2.0
@@ -271,16 +219,115 @@ def _xyz2_blocks(angles, parts) -> dict:
                                         axis=1)}
 
 
+CHECKS = {
+    # X + Y >= sqrt(Z)/2 = sin(pi theta)
+    "xyz1": Check(1, lambda s, **_: ((1.0, "X"), (-s, "I"), (1.0, "Y")), _swept),
+    # R X + Y >= sqrt((1-kappa) R) sin(pi theta) for theta <= theta0
+    "zzz": Check(1, lambda s, R, kappa, **_: (
+        (R, "X"), (-sqrt((1.0 - kappa) * R) * s, "I"), (1.0, "Y")),
+        lambda a, theta0, **_: a.theta <= theta0),
+    # (X+Y) sqrt(Z) + (XY+YX)/2 >= 0
+    "xyz2": Check(1, lambda s, **_: (
+        (2.0 * s, "X"), (2.0 * s, "Y"), (0.5, "S")), _swept, _xyz2_blocks),
+    # ||H|| <= bz_bound for H = (lam+2) - (lam/2) X - Y, lam an (L, 1, 1, 1) column
+    "bz": Check(1, lambda s, lambdas, **_: (
+        (lambdas + 2.0, "I"), (-lambdas / 2.0, "X"), (-1.0, "Y")), _swept, norm=True),
+    # R(X(x)Y + Y(x)X) + X(x)X + Y(x)Y + (XY+YX)(x)1 >= epsilon Z
+    "smalltheta": Check(2, lambda s, R: (
+        (R, "XY"), (R, "YX"), (1.0, "XX"), (1.0, "YY"), (1.0, "SI")), _swept),
+    # R(X1 Y2 + Y1 X2 + X1 Y3 + Y1 X3) + X1 X2 + Y1 Y2 + X1 Y1 + Y1 X1 >= epsilon Z
+    "formula": Check(3, lambda s, R: (
+        (R, "XYI"), (R, "YXI"), (R, "XIY"), (R, "YIX"), (1.0, "XXI"),
+        (1.0, "YYI"), (1.0, "SII")), _swept),
+}
+
+
+# ---------------------------------------------------------------------------
+# the single-site sweeps
+
+def _term_sum(terms, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The operator ``terms`` per row of x, summed in term order from the
+    ``np.kron`` products of the dense letters X = diag(x), Y = y,
+    S = XY + YX = (x_i + x_j) Y_ij and I: on a parity part (x, y) of a run,
+    each angle's one-site operator."""
+    eye = np.eye(len(y))
+    letters = {"X": lambda: x[:, :, None] * eye, "Y": lambda: y,
+               "S": lambda: (x[:, :, None] + x[:, None, :]) * y,
+               "I": lambda: eye}
+    return reduce(np.add, (c * reduce(np.kron, [letters[k]() for k in word])
+                           for c, word in terms))
+
+
+def _site_sweep(name: str, qmax: int, **constants) -> list:
+    """The records of the one-site check ``CHECKS[name]`` at ``constants``
+    on its grid of order qmax: one stack per parity part and run, with
+    every coupling of a norm check, solved by one call."""
+    check = CHECKS[name]
+    couplings = constants["lambdas"].ravel().tolist() if check.norm else []
+    _refuse_oversize(qmax, 1, STACK * max(1, len(couplings)))
+
+    def work(angles, parts):
+        terms = check.terms(_sines(angles)[:, :, None], **constants)
+        solve = hermitian_norm if check.norm else min_eigenvalue
+        values = [solve(_term_sum(terms, x, y)) for x, y in parts]
+        if check.norm:
+            return [AngleRecord(a.p, a.q, rotation.bz_bound(a, lam) - float(n),
+                                {"lambda": lam})
+                    for lam, row in zip(couplings, np.max(values, axis=0))
+                    for a, n in zip(angles, row)]
+        extras = check.extras(angles, parts) if check.extras else {}
+        return [AngleRecord(a.p, a.q, float(m),
+                            {k: float(v[i]) for k, v in extras.items()})
+                for i, (a, m) in enumerate(zip(angles, np.min(values, axis=0)))]
+
+    return _stacked_sweep([a for a in farey_angles(qmax, max_value=None)
+                           if check.grid(a, **constants)], work)
+
+
+def verify_bz(*, qmax: int = 60, lambdas: tuple = (1.0, 2.0, 4.0),
+              full_circle: bool = False) -> SweepReport:
+    """Almost Mathieu norm bound: ||H|| <= lam+2 - (2 lam/(lam+2)) sin(pi theta),
+    H = (lam+2) - (lam/2 X + Y), with ||H|| the largest |eigenvalue|."""
+    for lam in lambdas:
+        if not lam > 0:
+            raise ValueError(f"coupling must be positive, got {lam}")
+    if len(set(lambdas)) < len(lambdas):
+        raise ValueError(f"repeated coupling in {list(lambdas)}")
+    records = _site_sweep("bz", qmax, full_circle=full_circle, lambdas=np.array(
+        lambdas, dtype=float)[:, None, None, None])
+    return SweepReport("bz", records,
+                       constants={"lambdas": list(lambdas), "qmax": qmax})
+
+
+def verify_xyz1(*, qmax: int = 60, full_circle: bool = False) -> SweepReport:
+    """X + Y >= sqrt(Z)/2, i.e. min eig(X + Y - sin(pi theta)) >= 0."""
+    records = _site_sweep("xyz1", qmax, full_circle=full_circle)
+    return SweepReport("xyz1", records, constants={"qmax": qmax})
+
+
+def verify_zzz(*, qmax: int = 60, R: float | None = None,
+               kappa: float | None = None) -> SweepReport:
+    """R X + Y >= sqrt((1-kappa) R) sin(pi theta) for theta <= theta0(R, kappa)."""
+    if R is None or kappa is None:
+        raise ValueError("verify_zzz needs R and kappa")
+    if R < 1 or not (0 < kappa < 1):
+        raise ValueError(f"need R >= 1 and kappa in (0,1), got R={R}, kappa={kappa}")
+    theta0 = zzz_theta0(R, kappa)
+    records = _site_sweep("zzz", qmax, R=R, kappa=kappa, theta0=theta0)
+    notes = []
+    if all(r.p == 0 for r in records):
+        notes.append(f"empty sweep: no positive angle <= theta0={theta0:.6f} at qmax={qmax}")
+    return SweepReport("zzz", records, notes=notes,
+                       constants={"R": R, "kappa": kappa, "theta0": theta0,
+                                  "qmax": qmax})
+
+
 def verify_xyz2(*, qmax: int = 60, full_circle: bool = False) -> SweepReport:
     """(X+Y) sqrt(Z) + (XY+YX)/2 >= 0, via the operator sweep and the exact
     2x2 block determinants, plus the corrected difference identity
     b_{m-1} - b_m = -2 sin(pi theta) sin((2m-1) pi theta)."""
-    grid = farey_angles(qmax, max_value=None if full_circle else Fraction(1, 2))
+    records = _site_sweep("xyz2", qmax, full_circle=full_circle)
     notes = []
-    # (XY + YX)_ij = (x_i + x_j) Y_ij, as X is diagonal
-    records = _min_eig_sweep(grid, lambda s, x, y: _diag(2.0 * s * x) + (
-        2.0 * s[:, :, None] + 0.5 * (x[:, :, None] + x[:, None, :])) * y,
-        extras=_xyz2_blocks)
     bad_det = [r for r in records if r.extras["det_min"] < -TOL
                or r.extras["trace_min"] < -TOL]
     bad_id = [r for r in records if r.extras["identity_residual"] > IDENTITY_TOL]
@@ -289,7 +336,7 @@ def verify_xyz2(*, qmax: int = 60, full_circle: bool = False) -> SweepReport:
     if bad_id:
         notes.append(f"FAIL: {len(bad_id)} angle(s) violate the corrected "
                      f"difference identity beyond {IDENTITY_TOL}")
-    return _finish("xyz2", records, notes=notes, constants={"qmax": qmax})
+    return SweepReport("xyz2", records, notes=notes, constants={"qmax": qmax})
 
 
 def verify_prodnorm(*, qmax: int = 60) -> SweepReport:
@@ -298,6 +345,7 @@ def verify_prodnorm(*, qmax: int = 60) -> SweepReport:
     The product is neither normal nor parity-commuting, but
     (1-x)*(1-x) = X and (1-y)(1-y)* = Y give ||(1-x)(1-y)||^2 =
     ||sqrt(X) Y sqrt(X)||, whose operator does commute with the parity."""
+    _refuse_oversize(qmax, 1, STACK)
     grid = farey_angles(qmax)
 
     def root_x_y_root_x(x, y):
@@ -311,7 +359,7 @@ def verify_prodnorm(*, qmax: int = 60) -> SweepReport:
                 for a, n in zip(angles, squares)]
 
     records = _stacked_sweep(grid, work)
-    return _finish("prodnorm", records, constants={"qmax": qmax})
+    return SweepReport("prodnorm", records, constants={"qmax": qmax})
 
 
 def verify_xsmall(*, qmax: int = 40,
@@ -337,6 +385,7 @@ def verify_xsmall(*, qmax: int = 40,
             raise ValueError(f"cut must lie in (0, 2), got {delta}")
     if len(set(deltas)) < len(deltas):
         raise ValueError(f"repeated cut in {list(deltas)}")
+    _refuse_oversize(qmax, 1, STACK)
     grid = [a for a in farey_angles(qmax) if a.p != 0]
     notes = []
 
@@ -381,46 +430,27 @@ def verify_xsmall(*, qmax: int = 40,
     if bad_cons:
         notes.append(f"FAIL: low-X residue set has consecutive members at "
                      f"{len(bad_cons)} point(s)")
-    return _finish("xsmall", records, notes=notes,
-                   constants={"deltas": list(deltas), "qmax": qmax})
+    return SweepReport("xsmall", records, notes=notes,
+                       constants={"deltas": list(deltas), "qmax": qmax})
 
 
 # ---------------------------------------------------------------------------
-# tensor-product sweeps and constant searches
+# the tensor sweeps and constant searches
 
-# Each tensor inequality is described once, as ((coefficient, Kronecker
-# word), ...) at coupling R; the dense operators and the parity-block sweep
-# are both derived from the description.  A word has one letter per site:
-# X, Y, the on-site anticommutator S = XY + YX, or the identity I.
-
-def two_site_terms(R: float) -> tuple:
-    """R(X(x)Y + Y(x)X) + X(x)X + Y(x)Y + (XY+YX)(x)1."""
-    return ((R, "XY"), (R, "YX"), (1.0, "XX"), (1.0, "YY"), (1.0, "SI"))
-
-
-def three_site_terms(R: float) -> tuple:
-    """R(X1 Y2 + Y1 X2 + X1 Y3 + Y1 X3) + X1 X2 + Y1 Y2 + X1 Y1 + Y1 X1."""
-    return ((R, "XYI"), (R, "YXI"), (R, "XIY"), (R, "YIX"),
-            (1.0, "XXI"), (1.0, "YYI"), (1.0, "SII"))
-
-
-def _dense_operator(angle: RationalAngle, terms) -> np.ndarray:
-    """The sum, in term order, of each coefficient times the ``np.kron``
-    product of its word's letters at ``angle`` in the standard basis."""
-    x, y = rotation.x_op(angle), rotation.y_op(angle)
-    table = {"X": x, "Y": y, "S": x @ y + y @ x, "I": np.eye(angle.q)}
-    return sum(c * reduce(np.kron, [table[k] for k in word])
-               for c, word in terms)
+def _dense_operator(name: str, angle: RationalAngle, **constants) -> np.ndarray:
+    """``CHECKS[name]`` at ``angle`` in the standard basis."""
+    return _term_sum(CHECKS[name].terms(angle.s, **constants), np.diag(
+        rotation.x_op(angle))[None, :], rotation.y_op(angle))[0]
 
 
 def two_site_operator(angle: RationalAngle, R: float) -> np.ndarray:
-    """The dense q^2 x q^2 two-site operator (``two_site_terms``)."""
-    return _dense_operator(angle, two_site_terms(R))
+    """The dense q^2 x q^2 two-site operator (``CHECKS["smalltheta"]``)."""
+    return _dense_operator("smalltheta", angle, R=R)
 
 
 def three_site_operator(angle: RationalAngle, R: float) -> np.ndarray:
-    """The dense q^3 x q^3 three-site operator (``three_site_terms``)."""
-    return _dense_operator(angle, three_site_terms(R))
+    """The dense q^3 x q^3 three-site operator (``CHECKS["formula"]``)."""
+    return _dense_operator("formula", angle, R=R)
 
 
 def _letters(parts) -> tuple:
@@ -545,116 +575,85 @@ def _block_min_eigenvalue(letters, terms, positions: dict) -> list:
     return low
 
 
-def _tensor_sweep(inequality, grid, R: float, positions: dict) -> list:
-    """One record per angle of ``grid`` whose margin is the minimum
-    eigenvalue, at that angle, of the operator whose terms ``inequality(R)``
-    gives (such as ``two_site_terms``).  ``positions`` maps a denominator
-    to its ``_block_positions``; those missing are built into it, for
-    later sweeps of the same inequality at other R.  Each run's letter
-    table is built once and serves both."""
-    terms = inequality(R)
+def _tensor_sweep(terms, grid, store: dict) -> list:
+    """One record per angle of ``grid``, margin the least eigenvalue of the
+    multi-site operator ``terms``.  ``store`` keeps, for the verdict's
+    sweeps at other R, each run's ``_letters`` under (q, first p) and the
+    words' ``_block_positions`` under q; what is missing is built."""
+    words = [word for _, word in terms]
 
     def work(angles, parts):
-        q = angles[0].q
-        table = _letters(parts)
-        if q not in positions:
-            positions[q] = _block_positions(parts, [word for _, word in terms],
-                                            table)
-        lows = _block_min_eigenvalue(table[0], terms, positions[q])
+        q, p = angles[0].q, angles[0].p
+        if (q, p) not in store:
+            table = store[q, p] = _letters(parts)
+            if q not in store:
+                store[q] = _block_positions(parts, words, table)
+        lows = _block_min_eigenvalue(store[q, p][0], terms, store[q])
         return [AngleRecord(a.p, a.q, low) for a, low in zip(angles, lows)]
 
     return _stacked_sweep(grid, work)
 
 
-def _search_constants(name, inequality, qmax, R, epsilon,
-                      th0_list) -> SweepReport:
-    """First-pass-wins scan of R, then epsilon, then theta0.
-
-    Unset R and epsilon scan R_SCAN and EPS_SCAN; a theta0 of ``None``
-    means the whole grid.  The minimum eigenvalues are computed once per R,
-    and the margin at (R, epsilon) is min eig - epsilon * 4 sin^2(pi theta).
-    An epsilon too large for a float, and a grid whose largest parity
-    block would not fit in physical memory, are refused before the scan.
-    """
-    r_list = [R] if R is not None else list(R_SCAN)
-    eps_list = [epsilon] if epsilon is not None else list(EPS_SCAN)
-    try:
-        eps_floats = [float(eps) for eps in eps_list]
+def _search_constants(name, qmax, R, epsilon, th0_list) -> SweepReport:
+    """First-pass-wins scan of R, then epsilon, then theta0, for the
+    tensor check ``CHECKS[name]``: unset R and epsilon scan R_SCAN and
+    EPS_SCAN, and a theta0 of ``None`` means the whole grid.  The minimum
+    eigenvalues are computed once per R; the margin at (R, epsilon) is
+    min eig - epsilon * 4 sin^2(pi theta).  An epsilon too large for a
+    float is refused before the grid is built."""
+    check = CHECKS[name]
+    r_list = [R] if R is not None else R_SCAN
+    try:  # (epsilon, its float)
+        eps_list = [(eps, float(eps)) for eps in
+                    ([epsilon] if epsilon is not None else EPS_SCAN)]
     except OverflowError:
         raise ValueError("epsilon is too large for a float") from None
-    explicit = len(r_list) == len(eps_list) == len(th0_list) == 1
-    grid = farey_angles(qmax)
-    if None not in th0_list:
-        grid = [a for a in grid if a.fraction <= max(th0_list)]
-    # the all-even block of the largest denominator is the largest block
-    sites = len(inequality(r_list[0])[0][1])
-    order = (max((a.q for a in grid), default=1) // 2 + 1) ** sites
-    need, memory = SOLVE_PEAK_RATIO * 8 * order * order, physical_memory()
-    if need > memory:
-        raise ValueError(f"a parity block of order {order} needs about "
-                         f"{need} bytes to solve, more than the {memory} "
-                         f"bytes of physical memory")
-
-    positions: dict = {}  # the blocks' nonzero positions, for every R
-
-    def scan():
-        for R in r_list:
-            mineigs = _tensor_sweep(inequality, grid, R, positions)
-            z = [rotation.z_scalar(RationalAngle(r.p, r.q)) for r in mineigs]
-            for eps, e in zip(eps_list, eps_floats):
-                margins = [AngleRecord(r.p, r.q, r.margin - e * zr)
-                           for r, zr in zip(mineigs, z)]
-                for th0 in th0_list:
-                    combo = {"R": R, "epsilon": eps}
-                    if th0 is not None:
-                        combo["theta0"] = th0
-                    yield combo, [r for r in margins
-                                  if th0 is None or Fraction(r.p, r.q) <= th0]
-
+    mode = "explicit" if len(r_list) == len(eps_list) == len(th0_list) == 1 else "search"
+    _refuse_oversize(qmax, check.sites)
+    theta0 = None if None in th0_list else max(th0_list)
+    grid = [a for a in farey_angles(qmax, max_value=None)
+            if check.grid(a, theta0=theta0)]
+    store: dict = {}  # the blocks' positions and the runs' letters, for every R
     scanned, notes = {}, []
-    best = (-float("inf"), None, [])  # (min margin, constants, records)
-    for combo, records in scan():
-        key = f"R={combo['R']},eps={combo['epsilon']}"
-        if "theta0" in combo:
-            key += f",theta0={combo['theta0']}"
-            if all(r.p == 0 for r in records):
-                notes.append(f"empty sweep: no positive angle <= "
-                             f"theta0={combo['theta0']} at qmax={qmax}")
-        worst = min((r.margin for r in records), default=float("inf"))
-        scanned[key] = worst
-        if worst > best[0]:
-            best = (worst, combo, records)
-        if worst >= -TOL:
-            break
-    else:
-        params = "theta0, R, epsilon" if th0_list != [None] else "R, epsilon"
-        notes.insert(0, f"FAIL: no passing ({params}) in scan range")
-    constants = {"scan": scanned, "qmax": qmax,
-                 "mode": "explicit" if explicit else "search", **(best[1] or {})}
-    return _finish(name, best[2], constants=constants, notes=notes)
+    best = (-float("inf"), {}, [])  # (min margin, constants, records)
+    for R in r_list:
+        mineigs = _tensor_sweep(check.terms(None, R=R), grid, store)
+        z = [rotation.z_scalar(RationalAngle(r.p, r.q)) for r in mineigs]
+        for eps, e in eps_list:
+            for th0 in th0_list:
+                combo = {"R": R, "epsilon": eps} | (
+                    {"theta0": th0} if th0 is not None else {})
+                key = f"R={R},eps={eps}" + (f",theta0={th0}" if th0 is not None else "")
+                records = [AngleRecord(r.p, r.q, r.margin - e * zr)
+                           for r, zr in zip(mineigs, z)
+                           if th0 is None or Fraction(r.p, r.q) <= th0]
+                if th0 is not None and all(r.p == 0 for r in records):
+                    notes.append(f"empty sweep: no positive angle <= "
+                                 f"theta0={th0} at qmax={qmax}")
+                scanned[key] = min((r.margin for r in records), default=float("inf"))
+                if scanned[key] > best[0]:
+                    best = (scanned[key], combo, records)
+                if scanned[key] >= -TOL:
+                    return SweepReport(name, records, notes=notes, constants={
+                        "scan": scanned, "qmax": qmax, "mode": mode, **combo})
+    params = "theta0, R, epsilon" if th0_list != [None] else "R, epsilon"
+    notes.insert(0, f"FAIL: no passing ({params}) in scan range")
+    return SweepReport(name, best[2], notes=notes, constants={
+        "scan": scanned, "qmax": qmax, "mode": mode, **best[1]})
 
 
 def verify_smalltheta(*, qmax: int = 24, R: float | None = None,
                       epsilon: Fraction | None = None,
                       theta0: Fraction | None = None) -> SweepReport:
-    """Two-site inequality for small angles.
-
-    Constants left unset scan geometric grids (R in {2,4,8,16,32}, epsilon
-    in {1/4,1/8,1/16}, theta0 in {1/8,1/16,1/32}), first-pass-wins; pinned
-    constants replace their grid by a singleton.  Margins of every scanned
-    triple are kept in the report constants; with no passing triple the
-    report carries the best candidate's records and fails.
-    """
+    """Two-site inequality for small angles.  Unset constants scan
+    R_SCAN, EPS_SCAN and THETA0_SCAN, first-pass-wins, and every scanned
+    triple's margin is kept in the report constants; with no passing
+    triple the report carries the best candidate's records and fails."""
     th0_list = [theta0] if theta0 is not None else list(THETA0_SCAN)
-    return _search_constants("smalltheta", two_site_terms, qmax, R, epsilon,
-                             th0_list)
+    return _search_constants("smalltheta", qmax, R, epsilon, th0_list)
 
 
 def verify_formula(*, qmax: int = 12, R: float | None = None,
                    epsilon: Fraction | None = None) -> SweepReport:
-    """Three-site inequality over the full grid in [0, 1/2].
-
-    Pinned (R, epsilon) sweep directly; unset constants scan the same
-    geometric grids as the two-site search (first-pass-wins)."""
-    return _search_constants("formula", three_site_terms, qmax, R, epsilon,
-                             [None])
+    """Three-site inequality over [0, 1/2], searched as the two-site one."""
+    return _search_constants("formula", qmax, R, epsilon, [None])

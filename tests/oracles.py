@@ -202,8 +202,6 @@ def single_site_sweep(name: str, *, qmax: int, full_circle: bool = False,
     else:
         checks = []
     notes += [text.format(n) for n, text in checks if n]
-    if not records:
-        notes.append("FAIL: sweep produced no records")
     return SweepReport(name=name, records=records, notes=notes)
 
 
@@ -277,9 +275,10 @@ def parity_letters(angle: RationalAngle) -> list[dict[str, np.ndarray]]:
 
 def parity_block_minima(angle: RationalAngle, terms) -> list:
     """The least eigenvalue of each real parity block of the tensor
-    operator ``terms`` (such as ``sweeps.two_site_terms(R)``) at ``angle``,
-    one dense solve per block, in the order of ``sweeps``' block stream
-    (all-even first); their minimum is the operator's least eigenvalue."""
+    operator ``terms`` (such as a term list of ``sweeps.CHECKS``) at
+    ``angle``, one dense solve per block, in the order of ``sweeps``' block
+    stream (all-even first); their minimum is the operator's least
+    eigenvalue."""
     sites = len(terms[0][1])
     return [min_eigenvalue(kron_sum(choice, terms))
             for choice in product(parity_letters(angle), repeat=sites)]

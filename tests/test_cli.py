@@ -7,6 +7,8 @@ import re
 import threading
 import time
 
+import pytest
+
 from heisenkit import cli, expander, sweeps
 from heisenkit.algebra import sos_identity_sides
 from heisenkit.cli import build_parser, main
@@ -404,6 +406,44 @@ def test_tensor_search_past_physical_memory_is_refused_quickly(monkeypatch,
     assert err == (f"error: a parity block of order 729 needs about "
                    f"{4 * 8 * 729 ** 2} bytes to solve, more than the "
                    f"{10 * 2 ** 20} bytes of physical memory\n")
+
+
+@pytest.mark.parametrize("argv", [
+    "verify formula --qmax 100000", "verify smalltheta --qmax 100000",
+    "verify bz --qmax 100000", "verify xyz1 --qmax 100000",
+    "verify xyz2 --qmax 100000 --full-circle",
+    "verify zzz --qmax 100000 --R 1 --kappa 0.5",
+    "verify prodnorm --qmax 100000", "verify xsmall --qmax 100000"])
+def test_every_oversize_sweep_is_refused_before_its_grid(monkeypatch, capsys,
+                                                          argv):
+    # listing the Farey grid of order 4000 alone took 9 s
+    t0 = time.perf_counter()
+    assert main(argv.split()) == 1
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: a ") and err.count("\n") == 1
+    assert err.endswith("bytes of physical memory\n")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(sweeps, "farey_angles", refuse)
+    assert main(argv.split()) == 1
+
+
+def test_a_single_site_stack_past_physical_memory_is_refused(monkeypatch,
+                                                             capsys):
+    # bz solves its three couplings at STACK angles as one stack of 24
+    # blocks of order q // 2 + 1, in about 24 * 4 * 8 N^2 bytes: 93 kB at
+    # q = 20 (N = 11), 738 kB at q = 60 (N = 31)
+    monkeypatch.setattr(sweeps, "physical_memory", lambda: 500000)
+    assert main(["verify", "bz", "--qmax", "20"]) == 0
+    capsys.readouterr()
+    assert main(["verify", "bz", "--qmax", "60"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: a stack of 24 parity blocks of order 31 needs about "
+        f"{24 * 4 * 8 * 31 ** 2} bytes to solve, more than the 500000 "
+        f"bytes of physical memory\n")
 
 
 def test_expander_run_past_default_cap(tmp_path):

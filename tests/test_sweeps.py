@@ -1,5 +1,6 @@
 """Sweep margins against closed forms, search behavior and determinism."""
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -13,16 +14,26 @@ from heisenkit.algebra import hermitian_square
 from heisenkit.cli import main
 from heisenkit.rotation import (RationalAngle, farey_angles, parity_stack,
                                x_op, y_op)
-from heisenkit.sweeps import (_tensor_sweep, three_site_operator,
-                              three_site_terms, two_site_operator,
-                              two_site_terms, verify_bz, verify_formula,
+from heisenkit.sweeps import (CHECKS, _tensor_sweep, three_site_operator,
+                              two_site_operator, verify_bz, verify_formula,
                               verify_prodnorm, verify_smalltheta,
                               verify_xsmall, verify_xyz1, verify_xyz2,
                               verify_zzz, zzz_theta0)
-from oracles import (Heisenberg3, evaluate3, kron_sum, parity_block_minima,
-                     single_site_sweep, site_letters, xyz2_block)
+from oracles import (Heisenberg3, evaluate3, kron_sum, letters,
+                     parity_block_minima, single_site_sweep, site_letters,
+                     xyz2_block)
 
 SQRT2 = sqrt(2.0)
+
+
+def two_site_terms(R: float) -> tuple:
+    """The table's two-site term list at coupling R."""
+    return CHECKS["smalltheta"].terms(None, R=R)
+
+
+def three_site_terms(R: float) -> tuple:
+    """The table's three-site term list at coupling R."""
+    return CHECKS["formula"].terms(None, R=R)
 
 
 def find(report, p, q, **extras):
@@ -278,7 +289,7 @@ def test_tensor_operators_match_group_algebra():
             assert np.max(np.abs(np.kron(dense2, eye) - two)) <= 1e-12
             for inequality, dense, oracle in ((two_site_terms, dense2, two),
                                               (three_site_terms, dense3, three)):
-                block_min = _tensor_sweep(inequality, [angle], R, {})[0].margin
+                block_min = _tensor_sweep(inequality(R), [angle], {})[0].margin
                 assert abs(block_min - np.linalg.eigvalsh(dense)[0]) <= 1e-12
                 assert abs(block_min - np.linalg.eigvalsh(oracle)[0]) <= 1e-12
 
@@ -398,6 +409,25 @@ def test_positions_are_built_once_per_denominator_per_verdict(monkeypatch):
         assert sorted(built) == list(range(1, 7)), verdict
 
 
+def test_letters_are_built_once_per_run_per_verdict(monkeypatch):
+    # theta0 = 1/2 fails at every R, so each verdict scans all of R_SCAN;
+    # at order 20 each denominator is one run but 19, whose 9 angles in
+    # [0, 1/2] make a run of 8 and a run of 1
+    built, build = [], sweeps._letters
+    monkeypatch.setattr(sweeps, "_letters", lambda parts: (
+        built.append(len(parts[0][0])) or build(parts)))
+    runs = sorted(min(sweeps.STACK, n - i) for n in (
+        sum(a.q == q for a in farey_angles(20)) for q in range(1, 21))
+        for i in range(0, n, sweeps.STACK))
+    assert len(runs) == 21 and runs[-1] == sweeps.STACK
+    for verdict in range(2):
+        built.clear()
+        report = verify_smalltheta(qmax=20, theta0=Fraction(1, 2),
+                                   epsilon=Fraction(1, 16))
+        assert len(report.constants["scan"]) == len(sweeps.R_SCAN)
+        assert sorted(built) == runs, verdict
+
+
 def test_search_builds_one_parity_stack_per_denominator_and_R(monkeypatch):
     # theta0 = 1/2 fails at every R, so the search scans all of R_SCAN
     stacked, stack = [], sweeps.rotation.parity_stack
@@ -425,7 +455,7 @@ def test_screened_tensor_sweep_equals_the_all_blocks_oracle(
         monkeypatch, inequality, qmax, R):
     grid = farey_angles(qmax)
     solved = _counting_dense_solves(monkeypatch)
-    records = _tensor_sweep(inequality, grid, R, {})
+    records = _tensor_sweep(inequality(R), grid, {})
     assert [(r.p, r.q) for r in records] == [(a.p, a.q) for a in grid]
     assert len(solved) == len(grid)  # one dense solve per angle
     for r, a in zip(records, grid):
@@ -466,6 +496,106 @@ def test_stacked_sweeps_match_the_per_angle_oracle(name, params, monkeypatch):
                 assert abs(got.extras[key] - value) <= 1e-12, key
             else:
                 assert got.extras[key] == value, key
+
+
+# The table's entries against oracles that do not read it.  A mutation
+# rewrites an entry's term list; the oracle comparison must then fail.
+
+def _negate(word):
+    return lambda terms: tuple((-c if w == word else c, w) for c, w in terms)
+
+
+def _drop(word):
+    return lambda terms: tuple((c, w) for c, w in terms if w != word)
+
+
+def _mutated(monkeypatch, name, mutate):
+    check = CHECKS[name]
+    monkeypatch.setitem(CHECKS, name, replace(
+        check, terms=lambda s, **c: mutate(check.terms(s, **c))))
+
+
+def _site_deviation(name, params) -> float:
+    """The largest margin difference between verify_<name>, which reads
+    the table, and the hand-written dense operators of
+    ``single_site_sweep``."""
+    report = getattr(sweeps, f"verify_{name}")(**params)
+    oracle = single_site_sweep(name, **params)
+    assert [(r.p, r.q) for r in report.records] == [
+        (r.p, r.q) for r in oracle.records]
+    return max(abs(got.margin - want.margin)
+               for got, want in zip(report.records, oracle.records))
+
+
+@pytest.mark.parametrize("name, params, mutate", [
+    ("xyz1", {"qmax": 20, "full_circle": True}, _drop("I")),
+    ("zzz", {"qmax": 80, "R": 1.0, "kappa": 0.5}, _drop("I")),
+    ("xyz2", {"qmax": 20, "full_circle": True}, _negate("S")),
+    ("bz", {"qmax": 20, "full_circle": True}, _negate("Y"))],
+    ids=["xyz1-drop-I", "zzz-drop-I", "xyz2-negate-S", "bz-negate-Y"])
+def test_one_site_table_entries_match_the_dense_oracle(monkeypatch, name,
+                                                       params, mutate):
+    assert _site_deviation(name, params) <= 1e-12
+    _mutated(monkeypatch, name, mutate)
+    assert _site_deviation(name, params) > 1e-3
+
+
+def _group_algebra_deviation(name, R) -> float:
+    """The largest entry difference, over one angle per q = 1..6, between
+    the table's operator ``name`` at R, summed by ``kron_sum`` over the
+    dense standard-basis letters, and the group-algebra element it stands
+    for, evaluated through the rank-3 representation (the two-site
+    operator tensored with the identity)."""
+    G3 = Heisenberg3
+    X = [hermitian_square(G3, G3.x(i)) for i in range(3)]
+    Y = [hermitian_square(G3, G3.y(i)) for i in range(3)]
+    element = X[0] * X[1] + Y[0] * Y[1] + X[0] * Y[0] + Y[0] * X[0] + R * (
+        X[0] * Y[1] + Y[0] * X[1])
+    if name == "formula":
+        element = element + R * (X[0] * Y[2] + Y[0] * X[2])
+    worst = 0.0
+    for p, q in ((0, 1), (1, 2), (1, 3), (1, 4), (2, 5), (1, 6)):
+        angle = RationalAngle(p, q)
+        terms = CHECKS[name].terms(angle.s, R=R)
+        dense = kron_sum([letters(angle)] * CHECKS[name].sites, terms)
+        if name == "smalltheta":
+            dense = np.kron(dense, np.eye(q))
+        worst = max(worst, np.max(np.abs(dense - evaluate3(angle, element))))
+    return worst
+
+
+@pytest.mark.parametrize("name, mutate", [("smalltheta", _negate("SI")),
+                                          ("smalltheta", _drop("YX")),
+                                          ("formula", _negate("SII")),
+                                          ("formula", _drop("XIY"))],
+                         ids=["two-site-negate-SI", "two-site-drop-YX",
+                              "three-site-negate-SII", "three-site-drop-XIY"])
+def test_tensor_table_entries_match_the_group_algebra(monkeypatch, name,
+                                                      mutate):
+    assert _group_algebra_deviation(name, 3) <= 1e-12
+    _mutated(monkeypatch, name, mutate)
+    assert _group_algebra_deviation(name, 3) > 1e-3
+
+
+@pytest.mark.parametrize("name, constants", [
+    ("xyz1", {}), ("zzz", {"R": 4.0, "kappa": 0.5}), ("xyz2", {}),
+    ("bz", {"lambdas": np.array([1.0, 4.0])[:, None, None, None]})])
+def test_one_site_sums_equal_the_letter_oracle_bitwise(name, constants):
+    """A one-site entry summed on a part's dense letters is, per angle and
+    coupling, the float array of ``kron_sum`` over ``site_letters`` with
+    that angle's coefficients, at every p/q with q <= 13."""
+    grid = farey_angles(13, max_value=None)
+    for q in range(1, 14):
+        angles = [a for a in grid if a.q == q]
+        terms = CHECKS[name].terms(sweeps._sines(angles)[:, :, None],
+                                   **constants)
+        for x, y in parity_stack(angles):
+            stack = sweeps._term_sum(terms, x, y)
+            for index in np.ndindex(stack.shape[:-2]):
+                scalars = [(np.broadcast_to(c, stack.shape)[index][0, 0], w)
+                           for c, w in terms]
+                want = kron_sum([site_letters(x[index[-1]], y)], scalars)
+                assert np.array_equal(stack[index], want), (name, q, index)
 
 
 def test_oracle_grids_cross_a_stack(monkeypatch):
